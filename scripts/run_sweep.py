@@ -1,74 +1,24 @@
 #!/usr/bin/env python3
-"""Desk-scale verification sweep.
+"""Desk-scale verification sweep: ``fmtri sweep`` over a fixed spec list.
 
-Runs the change-of-variables check over every irreducible type of rank <= 6
-(plus F4 and G2) and a couple of reducible specs, printing one line per spec
-with the headline numbers.  Exit status 0 means everything verified.
+Verifies the change of variables for every irreducible type of rank <= 6
+(plus E6, F4 and G2) and three reducible specs.  Any further arguments go to
+``fmtri sweep`` unchanged; exit status 0 means everything verified.
 
 Usage:
-    python scripts/run_sweep.py [--specs A3 B4 ...] [--jobs N] [--cache-dir DIR]
+    python scripts/run_sweep.py [--jobs N] [--cache-dir DIR] [--format csv] ...
 """
 
-import argparse
 import sys
-import time
 
-from fmtri.cache import load_or_build_lattice
-from fmtri.cartan import parse_spec
-from fmtri.conjecture import verify_conjecture
+from fmtri import cli
 
-DEFAULT_SPECS = (
+DESK_SPECS = (
     [f"A{n}" for n in range(1, 7)]
     + [f"B{n}" for n in range(2, 7)]
     + [f"C{n}" for n in range(3, 7)]
     + ["D4", "D5", "D6", "E6", "F4", "G2", "A1xA1", "A2xA1", "B2xA1"]
 )
 
-
-def run_one(spec_str, cache_dir):
-    spec = parse_spec(spec_str)
-    t0 = time.perf_counter()
-    lat = load_or_build_lattice(spec, cache_dir=cache_dir)
-    report = verify_conjecture(spec, lattice=lat)
-    elapsed = time.perf_counter() - t0
-    return spec_str, report, lat.cardinality, elapsed
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--specs", nargs="+", default=DEFAULT_SPECS)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--cache-dir", default=None)
-    args = parser.parse_args()
-
-    tasks = [(s, args.cache_dir) for s in args.specs]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_worker, tasks))
-    else:
-        results = [run_one(*t) for t in tasks]
-
-    all_ok = True
-    print(f"{'spec':>8} {'|L|':>6} {'verified':>9} {'evidence':>9} {'seconds':>8}")
-    for spec_str, report, size, elapsed in results:
-        ok = report.verified and report.evidence.all_pass
-        all_ok = all_ok and ok
-        print(
-            f"{spec_str:>8} {size:>6} {str(report.verified):>9} "
-            f"{str(report.evidence.all_pass):>9} {elapsed:>8.2f}"
-        )
-        if report.mismatches:
-            for k, l, lhs, rhs in report.mismatches:
-                print(f"         mismatch at x^{k} y^{l}: {lhs} != {rhs}")
-    print("all verified" if all_ok else "MISMATCHES FOUND")
-    return 0 if all_ok else 1
-
-
-def _worker(task):
-    return run_one(*task)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.main(["sweep", *DESK_SPECS, *sys.argv[1:]]))

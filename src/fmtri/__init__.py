@@ -20,7 +20,6 @@ from .cartan import (
 )
 from .conjecture import (
     ConjectureReport,
-    alternative_form_check,
     conjecture_lhs,
     conjecture_rhs,
     verify_conjecture,
@@ -29,21 +28,17 @@ from .errors import ComputationTimeout, InvariantViolation, SpecError
 from .ftriangle import (
     FTriangle,
     FVector,
-    closed_form_A,
-    closed_form_B,
     f_triangle,
     f_vector,
     h_vector,
     natural_f_vector,
     positive_f_vector,
 )
-from .poly import BivarPoly, alternative_substitution, conjecture_substitution
+from .poly import BivarPoly, conjecture_substitution
 from .weyl import (
-    GroupElement,
     NCLattice,
     ReflectionRep,
     abs_length,
-    absolute_leq,
     build_nc_lattice,
     build_rep,
     coxeter_element,
@@ -51,7 +46,6 @@ from .weyl import (
     m_triangle,
     nc_lattice,
     rank_generating_function,
-    zeta_bruteforce,
 )
 
 __version__ = "0.1.0"

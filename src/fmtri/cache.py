@@ -3,8 +3,9 @@
 One file per artifact, keyed by canonical spec string, Coxeter ordering, and
 schema version; writes go through a temp file and an atomic rename so a
 killed run never leaves a truncated cache.  The lattice file stores element
-matrices, ranks, and Moebius rows; the order relation is cheap to
-reconstruct on demand and is not persisted.
+matrices, ranks, and Moebius rows; the order relation is persisted as the
+support of the Moebius rows, so a loaded lattice is the same value as a
+freshly built one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .cartan import RootSystemSpec, as_spec, parse_spec
 from .errors import Deadline, NO_DEADLINE
 from .ftriangle import FTriangle, f_triangle
 from .poly import BivarPoly
-from .weyl import GroupElement, NCLattice, nc_lattice
+from .weyl import NCLattice, nc_lattice, node_order
 
 SCHEMA_VERSION = 1
 
@@ -52,25 +53,19 @@ def lattice_to_doc(lat: NCLattice) -> dict:
         "spec": str(lat.spec),
         "coxeter_order": list(lat.coxeter_order),
         "n": lat.n,
-        "elements": [[list(row) for row in g.matrix] for g in lat.elements],
+        "elements": [[list(row) for row in g] for g in lat.elements],
         "ranks": list(lat.ranks),
         "mobius_rows": [[[b, mu] for b, mu in row] for row in lat.mobius_rows],
     }
 
 
 def lattice_from_doc(doc: dict) -> NCLattice:
-    elements = tuple(
-        GroupElement(tuple(tuple(row) for row in mat)) for mat in doc["elements"]
-    )
-    ranks = tuple(doc["ranks"])
-    for g, r in zip(elements, ranks):
-        g._length = r
     return NCLattice(
         spec=parse_spec(doc["spec"]),
         coxeter_order=tuple(doc["coxeter_order"]),
         n=doc["n"],
-        elements=elements,
-        ranks=ranks,
+        elements=tuple(tuple(tuple(row) for row in mat) for mat in doc["elements"]),
+        ranks=tuple(doc["ranks"]),
         mobius_rows=tuple(tuple((b, mu) for b, mu in row) for row in doc["mobius_rows"]),
     )
 
@@ -82,9 +77,7 @@ def load_or_build_lattice(
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
     spec = as_spec(spec)
-    order = tuple(coxeter_order) if coxeter_order is not None else tuple(
-        range(1, spec.rank + 1)
-    )
+    order = node_order(spec.rank, coxeter_order)
     if cache_dir is None:
         return nc_lattice(spec, order, deadline=deadline)
     path = _lattice_path(Path(cache_dir), spec, order)

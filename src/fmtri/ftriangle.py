@@ -13,7 +13,7 @@ products of root systems.  Integrating the first recursion fixes F up to its
 y-free part, which the second recursion supplies through the diagonal.
 
 Closed forms for the infinite families (types A and B) are implemented
-independently and serve as oracles for the recursion.
+independently in the test suite's oracles and checked against the recursion.
 """
 
 from __future__ import annotations
@@ -106,51 +106,6 @@ def f_triangle(spec) -> FTriangle:
     for t in spec.components:
         data = data * _f_triangle_irreducible(_bc_normalized(t))
     return _validate_triangle(spec.rank, data, f"f_triangle({spec})")
-
-
-# --------------------------------------------------------------------------
-# Closed forms (types A and B); oracles for the recursion
-# --------------------------------------------------------------------------
-
-def closed_form_A(n: int) -> FTriangle:
-    """f_{k,l} = (l+1)/(k+l+1) * C(n, k+l) * C(n+k, n)."""
-    if n < 0:
-        raise ValueError("rank must be >= 0")
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            c = Fraction(l + 1, k + l + 1) * comb(n, k + l) * comb(n + k, n)
-            if c.denominator != 1:
-                raise InvariantViolation(f"closed_form_A({n}) entry ({k},{l}) = {c}")
-            rows[k][l] = int(c)
-    return _validate_triangle(n, BivarPoly(rows), f"closed_form_A({n})")
-
-
-def closed_form_B(n: int) -> FTriangle:
-    """f_{k,l} = C(n, k+l) * C(n+k-1, n-1)."""
-    if n < 2:
-        raise ValueError("rank must be >= 2 (B1 is A1)")
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            rows[k][l] = comb(n, k + l) * comb(n + k - 1, n - 1)
-    return _validate_triangle(n, BivarPoly(rows), f"closed_form_B({n})")
-
-
-def closed_f_vector_A(n: int) -> tuple[int, ...]:
-    """f_k = 1/(k+1) * C(n, k) * C(n+k+2, k)."""
-    out = []
-    for k in range(n + 1):
-        c = Fraction(1, k + 1) * comb(n, k) * comb(n + k + 2, k)
-        if c.denominator != 1:
-            raise InvariantViolation(f"closed_f_vector_A({n}) entry {k} = {c}")
-        out.append(int(c))
-    return tuple(out)
-
-
-def closed_f_vector_B(n: int) -> tuple[int, ...]:
-    """f_k = C(n, k) * C(n+k, k)."""
-    return tuple(comb(n, k) * comb(n + k, k) for k in range(n + 1))
 
 
 # --------------------------------------------------------------------------

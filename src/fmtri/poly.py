@@ -54,12 +54,6 @@ class BivarPoly:
         return cls(((c,),))
 
     @classmethod
-    def monomial(cls, k: int, l: int, c=1) -> "BivarPoly":
-        rows = [[0] * (l + 1) for _ in range(k + 1)]
-        rows[k][l] = c
-        return cls(rows)
-
-    @classmethod
     def from_x_coeffs(cls, coeffs: Sequence) -> "BivarPoly":
         return cls([[c] for c in coeffs])
 
@@ -77,9 +71,6 @@ class BivarPoly:
     def deg_y(self) -> int:
         return len(self.rows[0]) - 1 if self.rows else -1
 
-    def total_degree(self) -> int:
-        return max((k + l for k, l, _ in self.terms()), default=-1)
-
     def coeff(self, k: int, l: int):
         if 0 <= k < len(self.rows) and 0 <= l < len(self.rows[k]):
             return self.rows[k][l]
@@ -90,9 +81,6 @@ class BivarPoly:
             for l, c in enumerate(row):
                 if c != 0:
                     yield k, l, c
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for _, _, c in self.terms())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BivarPoly):
@@ -162,18 +150,7 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "BivarPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = BivarPoly.constant(1)
-        for _ in range(e):
-            out = out * self
-        return out
-
     # -- calculus and substitutions ----------------------------------------
-
-    def derivative_y(self) -> "BivarPoly":
-        return BivarPoly([[c * l for l, c in enumerate(row)][1:] for row in self.rows])
 
     def antiderivative_y(self) -> "BivarPoly":
         """Integrate in y with zero constant term (no y-free part)."""
@@ -202,22 +179,6 @@ class BivarPoly:
             out[l] += c * value**k
         return uni_trim(out)
 
-    def evaluate(self, xv, yv):
-        return sum(c * xv**k * yv**l for k, l, c in self.terms())
-
-    def reflect(self, n: int) -> "BivarPoly":
-        """``(-1)^n p(-1-x, -1-y)``, expanded exactly."""
-        if self.total_degree() > n:
-            raise ValueError(f"total degree {self.total_degree()} exceeds reflection order {n}")
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
-        for k, l, c in self.terms():
-            s = c if (n + k + l) % 2 == 0 else -c
-            for a in range(k + 1):
-                ca = comb(k, a)
-                for b in range(l + 1):
-                    rows[a][b] += s * ca * comb(l, b)
-        return BivarPoly(rows)
-
 
 def conjecture_substitution(p: BivarPoly, n: int) -> BivarPoly:
     """Expand ``(1-y)^n p((x+y)/(1-y), y/(1-y))`` as a polynomial.
@@ -236,25 +197,6 @@ def conjecture_substitution(p: BivarPoly, n: int) -> BivarPoly:
             for b in range(m + 1):
                 cb = comb(m, b) if b % 2 == 0 else -comb(m, b)
                 rows[a][k - a + l + b] += c * ca * cb
-    return BivarPoly(rows)
-
-
-def alternative_substitution(p: BivarPoly, n: int) -> BivarPoly:
-    """Expand ``(y-1)^n p((x+1)/(y-1), 1/(y-1))`` as a polynomial.
-
-    Same termwise denominator clearing: each monomial contributes
-    ``c * (x+1)^k * (y-1)^(n-k-l)``.
-    """
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, l, c in p.terms():
-        m = n - k - l
-        if m < 0:
-            raise ValueError(f"support ({k},{l}) outside the triangle k+l <= {n}")
-        for a in range(k + 1):
-            ca = comb(k, a)
-            for b in range(m + 1):
-                cb = comb(m, b) if (m - b) % 2 == 0 else -comb(m, b)
-                rows[a][b] += c * ca * cb
     return BivarPoly(rows)
 
 
@@ -293,6 +235,3 @@ def uni_mul(p: Sequence, q: Sequence) -> tuple:
 def uni_scale(p: Sequence, c) -> tuple:
     return uni_trim([a * c for a in p])
 
-
-def uni_eval(p: Sequence, x):
-    return sum(c * x**i for i, c in enumerate(p))

@@ -1,7 +1,8 @@
 """Weyl groups over the integer reflection representation, and the
 noncrossing partition lattice.
 
-Elements are n x n integer matrices acting on coordinates in the simple-root
+Group elements, reflections and Coxeter elements are plain ``Matrix``
+tuples: n x n integer matrices acting on coordinates in the simple-root
 basis, so every computation is exact.  The two workhorses:
 
   * reflection length ell_T(g) = rank(g - 1), the codimension of the fixed
@@ -14,12 +15,14 @@ basis, so every computation is exact.  The two workhorses:
 
 The lattice is built by breadth-first search inside the interval [1, c]
 only; the full group is never enumerated, which is what keeps the
-exceptional types cheap.
+exceptional types cheap.  An ``NCLattice`` keeps its elements, ranks and
+Moebius table, and nothing else: the support of the Moebius table is the
+order relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -87,30 +90,9 @@ def int_rank(mat: Matrix) -> int:
 # Group elements and the reflection representation
 # --------------------------------------------------------------------------
 
-class GroupElement:
-    """A Weyl group element as an integer matrix in the simple-root basis."""
-
-    __slots__ = ("matrix", "_length")
-
-    def __init__(self, matrix: Matrix):
-        self.matrix = matrix
-        self._length: int | None = None
-
-    @property
-    def abs_length(self) -> int:
-        if self._length is None:
-            n = len(self.matrix)
-            self._length = int_rank(mat_sub(self.matrix, mat_identity(n)))
-        return self._length
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"GroupElement({self.matrix!r})"
+def abs_length(m: Matrix) -> int:
+    """Reflection length ell_T(m) = rank(m - 1), the codimension of the fixed space."""
+    return int_rank(mat_sub(m, mat_identity(len(m))))
 
 
 @dataclass(frozen=True)
@@ -122,7 +104,7 @@ class ReflectionRep:
     cartan: Matrix
     simple_reflections: tuple[Matrix, ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    reflections: tuple[GroupElement, ...]
+    reflections: tuple[Matrix, ...]
 
 
 def build_rep(spec) -> ReflectionRep:
@@ -180,95 +162,54 @@ def build_rep(spec) -> ReflectionRep:
             f"{spec}: found {len(refl_of)} positive roots, expected {expected}"
         )
     roots = tuple(sorted(refl_of, key=lambda v: (sum(v), v)))
-    reflections = tuple(GroupElement(refl_of[v]) for v in roots)
+    reflections = tuple(refl_of[v] for v in roots)
     return ReflectionRep(spec, n, cartan, simples, roots, reflections)
 
 
-def abs_length(rep: ReflectionRep, g: GroupElement) -> int:
-    """Reflection length: codimension of the fixed space of g."""
-    return g.abs_length
-
-
-def coxeter_element(rep: ReflectionRep, ordering: Sequence[int] | None = None) -> GroupElement:
-    """Product of all simple reflections in the given node order (1-based)."""
-    n = rep.n
-    if ordering is None:
-        ordering = range(1, n + 1)
-    order = tuple(ordering)
+def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The node order (1-based) naming a Coxeter element; 1, ..., n by default."""
+    order = tuple(range(1, n + 1)) if ordering is None else tuple(ordering)
     if sorted(order) != list(range(1, n + 1)):
         raise SpecError(f"{order!r} is not a permutation of 1..{n}")
-    m = mat_identity(n)
-    for i in order:
+    return order
+
+
+def coxeter_element(rep: ReflectionRep, ordering: Sequence[int] | None = None) -> Matrix:
+    """Product of all simple reflections in the given node order (1-based)."""
+    m = mat_identity(rep.n)
+    for i in node_order(rep.n, ordering):
         m = mat_mul(m, rep.simple_reflections[i - 1])
-    c = GroupElement(m)
-    if c.abs_length != n:
+    if abs_length(m) != rep.n:
         raise InvariantViolation("Coxeter element does not have full reflection length")
-    return c
-
-
-def absolute_leq(rep: ReflectionRep, v: GroupElement, w: GroupElement) -> bool:
-    """v <= w in absolute order (lengths add along v, v^-1 w)."""
-    lv, lw = v.abs_length, w.abs_length
-    return lv <= lw and int_rank(mat_sub(w.matrix, v.matrix)) == lw - lv
-
-
-def reflection_word_length(rep: ReflectionRep, g: GroupElement) -> int:
-    """Breadth-first word length over all reflections (test oracle only)."""
-    if g.abs_length == 0:
-        return 0
-    refls = [t.matrix for t in rep.reflections]
-    seen = {mat_identity(rep.n)}
-    frontier = list(seen)
-    dist = 0
-    while frontier:
-        dist += 1
-        fresh = []
-        for a in frontier:
-            for t in refls:
-                b = mat_mul(a, t)
-                if b == g.matrix:
-                    return dist
-                if b not in seen:
-                    seen.add(b)
-                    fresh.append(b)
-        frontier = fresh
-    raise InvariantViolation("element not reachable from identity")
+    return m
 
 
 # --------------------------------------------------------------------------
 # The noncrossing partition lattice: interval [1, c] in absolute order
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NCLattice:
-    """The interval [1, c], with ranks, order relation, and Moebius table.
+    """The interval [1, c], with ranks and Moebius table.
 
     ``elements`` are sorted by (rank, matrix), so index order refines rank
-    order, element 0 is the identity and element -1 is c.  ``up_masks[a]``
-    is the bitmask of {b : a <= b}; ``mobius_rows[a]`` lists (b, mu(a, b))
-    for a <= b in index order.  Treat instances as immutable.
+    order, element 0 is the identity and element -1 is c.  ``mobius_rows[a]``
+    lists (b, mu(a, b)) for every b >= a in index order.  Its support is
+    the up-set of a, so the rows carry the whole order relation, for fresh
+    and cache-loaded lattices alike; a cover is an entry whose rank
+    difference is 1.
     """
 
     spec: RootSystemSpec
     coxeter_order: tuple[int, ...]
     n: int
-    elements: tuple[GroupElement, ...]
+    elements: tuple[Matrix, ...]
     ranks: tuple[int, ...]
     mobius_rows: tuple[tuple[tuple[int, int], ...], ...]
-    up_masks: tuple[int, ...] | None = field(default=None, repr=False)
-    down_masks: tuple[int, ...] | None = field(default=None, repr=False)
-    _covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
 
     @property
     def cardinality(self) -> int:
         return len(self.elements)
-
-    def index(self, g: GroupElement) -> int:
-        return self.elements.index(g)
-
-    def leq(self, a: int, b: int) -> bool:
-        self._ensure_order_masks()
-        return bool(self.up_masks[a] >> b & 1)
 
     def mobius(self, a: int, b: int) -> int:
         for idx, mu in self.mobius_rows[a]:
@@ -280,83 +221,26 @@ class NCLattice:
     def mobius_number(self) -> int:
         return self.mobius(0, len(self.elements) - 1)
 
-    def _ensure_order_masks(self) -> None:
-        # reconstructed on demand for cache-loaded lattices
-        if self.up_masks is None or self.down_masks is None:
-            covers = self._covers
-            if covers is None:
-                covers = tuple(_cover_pairs(self.elements, self.ranks))
-                self._covers = covers
-            self.up_masks = _close_covers_up(len(self.elements), covers)
-            self.down_masks = _close_covers_down(len(self.elements), covers)
-
-
-def _cover_pairs(elements, ranks) -> list[tuple[int, int]]:
-    """All (a, b) with rank(b) = rank(a) + 1 and b = a * (one reflection)."""
-    by_rank: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        by_rank.setdefault(r, []).append(i)
-    covers = []
-    for r, lower in sorted(by_rank.items()):
-        for b in by_rank.get(r + 1, ()):
-            mb = elements[b].matrix
-            for a in lower:
-                if int_rank(mat_sub(mb, elements[a].matrix)) == 1:
-                    covers.append((a, b))
-    return covers
-
-
-def _close_covers_up(count: int, covers) -> tuple[int, ...]:
-    children: list[list[int]] = [[] for _ in range(count)]
-    for a, b in covers:
-        children[a].append(b)
-    up = [0] * count
-    for a in range(count - 1, -1, -1):
-        mask = 1 << a
-        for b in children[a]:
-            mask |= up[b]
-        up[a] = mask
-    return tuple(up)
-
-
-def _close_covers_down(count: int, covers) -> tuple[int, ...]:
-    parents: list[list[int]] = [[] for _ in range(count)]
-    for a, b in covers:
-        parents[b].append(a)
-    down = [0] * count
-    for b in range(count):
-        mask = 1 << b
-        for a in parents[b]:
-            mask |= down[a]
-        down[b] = mask
-    return tuple(down)
-
 
 def build_nc_lattice(
     rep: ReflectionRep,
-    c: GroupElement | None = None,
-    coxeter_order: tuple[int, ...] | None = None,
+    coxeter_order: Sequence[int] | None = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """Enumerate [1, c] by BFS, then fill the order and Moebius tables.
+    """Enumerate [1, c] by BFS, then fill the Moebius table.
 
-    Each frontier element a of reflection length k is extended by every
-    reflection t; the product b = a*t is kept when its length is k+1 and it
-    stays below c (rank(c - b) = n - k - 1).  Covers are recorded during the
-    search, the full order relation is their reflexive-transitive closure,
-    and mu comes from the usual recursion mu(a, b) = -sum_{a <= z < b}
-    mu(a, z).  Element order is canonical, so results are reproducible.
+    c is the Coxeter element of ``coxeter_order``.  Each frontier element a
+    of reflection length k is extended by every reflection t; the product
+    b = a*t is kept when its length is k+1 and it stays below c
+    (rank(c - b) = n - k - 1).  Covers are recorded during the search, the
+    up- and down-sets are their reflexive-transitive closure, and mu comes
+    from the usual recursion mu(a, b) = -sum_{a <= z < b} mu(a, z).  Element
+    order is canonical, so results are reproducible.
     """
     n = rep.n
-    if c is None:
-        c = coxeter_element(rep, coxeter_order)
-    order = tuple(coxeter_order) if coxeter_order is not None else tuple(range(1, n + 1))
-    if c.abs_length != n:
-        raise SpecError("top element must be a Coxeter element (full reflection length)")
-
+    order = node_order(n, coxeter_order)
+    c_mat = coxeter_element(rep, order)
     ident = mat_identity(n)
-    c_mat = c.matrix
-    refls = [t.matrix for t in rep.reflections]
 
     seen: dict[Matrix, int] = {ident: 0}
     rejected: set[Matrix] = set()
@@ -367,7 +251,7 @@ def build_nc_lattice(
         next_level: list[Matrix] = []
         for a in levels[k]:
             deadline.check()
-            for t in refls:
+            for t in rep.reflections:
                 b = mat_mul(a, t)
                 lvl = seen.get(b)
                 if lvl == k + 1:
@@ -375,6 +259,7 @@ def build_nc_lattice(
                     continue
                 if lvl is not None or b in rejected:
                     continue
+                # abs_length(b), inlined in the hot loop
                 lb = int_rank(mat_sub(b, ident))
                 if lb == k - 1:
                     # b < a would already be enumerated; only possible at k = 0
@@ -401,8 +286,14 @@ def build_nc_lattice(
             ranks.append(k)
     index = {m: i for i, m in enumerate(mats)}
     covers = sorted((index[a], index[b]) for a, b in set(cover_mats))
-    up = _close_covers_up(len(mats), covers)
-    down = _close_covers_down(len(mats), covers)
+    # bitmasks of the up- and down-sets; every cover (a, b) has a < b, so
+    # one pass each way closes them
+    up = [1 << i for i in range(len(mats))]
+    down = up[:]
+    for a, b in reversed(covers):
+        up[a] |= up[b]
+    for a, b in covers:
+        down[b] |= down[a]
 
     # mu(a, b) = -sum of mu(a, z) over a <= z < b; the up/down mask
     # intersection walks exactly the interval [a, b]
@@ -419,19 +310,13 @@ def build_nc_lattice(
             row[b] = -total
         mobius_rows.append(tuple(sorted(row.items())))
 
-    elements = tuple(GroupElement(m) for m in mats)
-    for g, r in zip(elements, ranks):
-        g._length = r
     return NCLattice(
         spec=rep.spec,
         coxeter_order=order,
         n=n,
-        elements=elements,
+        elements=tuple(mats),
         ranks=tuple(ranks),
         mobius_rows=tuple(mobius_rows),
-        up_masks=up,
-        down_masks=down,
-        _covers=tuple(covers),
     )
 
 
@@ -445,17 +330,16 @@ def _mask_indices(mask: int) -> list[int]:
 
 
 # in-process memo; lattices are immutable so sharing is safe
-_LATTICE_MEMO: dict[tuple[RootSystemSpec, tuple[int, ...] | None], NCLattice] = {}
+_LATTICE_MEMO: dict[tuple[RootSystemSpec, tuple[int, ...]], NCLattice] = {}
 
 
 def nc_lattice(spec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NCLattice:
-    """Memoized lattice builder keyed on (canonical spec, coxeter order)."""
+    """Memoized lattice builder keyed on (canonical spec, node order)."""
     spec = as_spec(spec)
-    order = tuple(coxeter_order) if coxeter_order is not None else None
-    key = (spec, order)
+    key = (spec, node_order(spec.rank, coxeter_order))
     if key not in _LATTICE_MEMO:
         _LATTICE_MEMO[key] = build_nc_lattice(
-            build_rep(spec), coxeter_order=order, deadline=deadline
+            build_rep(spec), coxeter_order=key[1], deadline=deadline
         )
     return _LATTICE_MEMO[key]
 
@@ -480,22 +364,6 @@ def rank_generating_function(lat: NCLattice) -> tuple[int, ...]:
     for r in lat.ranks:
         out[r] += 1
     return tuple(out)
-
-
-def zeta_bruteforce(lat: NCLattice, m: int) -> int:
-    """Number of multichains a_1 <= ... <= a_(m-1); Z(1) = 1, Z(2) = |L|."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return 1
-    lat._ensure_order_masks()
-    count = lat.cardinality
-    weights = [1] * count
-    for _ in range(m - 2):
-        weights = [
-            sum(weights[a] for a in _mask_indices(lat.down_masks[b])) for b in range(count)
-        ]
-    return sum(weights)
 
 
 @dataclass(frozen=True)

@@ -16,26 +16,26 @@ import pytest
 from fmtri.cartan import CartanType, parse_spec
 from fmtri.cli import EXIT_OK, main
 from fmtri.conjecture import verify_conjecture
-from fmtri.ftriangle import (
+from fmtri.ftriangle import f_triangle, f_vector, h_vector
+from fmtri.weyl import (
+    abs_length,
+    build_nc_lattice,
+    build_rep,
+    invariant_formulas,
+    m_triangle,
+    rank_generating_function,
+)
+
+from oracles import (
     closed_f_vector_A,
     closed_f_vector_B,
     closed_form_A,
     closed_form_B,
-    f_triangle,
-    f_vector,
-    h_vector,
-)
-from fmtri.weyl import (
-    GroupElement,
-    build_nc_lattice,
-    build_rep,
-    coxeter_element,
-    invariant_formulas,
-    m_triangle,
-    mat_identity,
-    mat_mul,
-    rank_generating_function,
+    reflect,
     reflection_word_length,
+    uni_eval,
+    whole_group,
+    zeta_bruteforce,
 )
 
 # fmt: off
@@ -114,7 +114,7 @@ def test_criterion_3_symmetry_suite():
         for s in RANK_LE_8_PLUS_EXCEPTIONAL:
             ft = f_triangle(s)
             n = ft.n
-            assert ft.data.reflect(n) == ft.data
+            assert reflect(ft.data, n) == ft.data
             assert ft.data.subs_x(0) == tuple(comb(n, l) for l in range(n + 1))
             assert ft.data.subs_x(-1) == tuple([0] * n + [1])
             # F(x,0) and F(x,-1) determine each other through the reflection
@@ -147,9 +147,6 @@ def test_criterion_4_lattice_formulas(lattice_store):
             if parse_spec(s).rank <= 5:
                 small_elapsed += build_time
         # zeta brute force at small ranks
-        from fmtri.poly import uni_eval
-        from fmtri.weyl import zeta_bruteforce
-
         for s in RANK_LE_6_LATTICE_TYPES:
             if parse_spec(s).rank > 4:
                 continue
@@ -211,21 +208,10 @@ def test_criterion_7_length_function_oracle():
         t0 = time.perf_counter()
         for s, size in (("A3", 24), ("B3", 48)):
             rep = build_rep(s)
-            frontier = [mat_identity(rep.n)]
-            group = set(frontier)
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for m in rep.simple_reflections:
-                        b = mat_mul(a, m)
-                        if b not in group:
-                            group.add(b)
-                            nxt.append(b)
-                frontier = nxt
+            group = whole_group(rep)
             assert len(group) == size
-            for mat in group:
-                g = GroupElement(mat)
-                assert g.abs_length == reflection_word_length(rep, g)
+            for g in group:
+                assert abs_length(g) == reflection_word_length(rep, g)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -245,8 +231,8 @@ def test_criterion_8_determinism_and_invariance(tmp_path):
     with criterion(8, desc):
         for s in ("A3", "B3"):
             rep = build_rep(s)
-            m1 = m_triangle(build_nc_lattice(rep, coxeter_element(rep, (1, 2, 3))))
-            m2 = m_triangle(build_nc_lattice(rep, coxeter_element(rep, (3, 2, 1))))
+            m1 = m_triangle(build_nc_lattice(rep, coxeter_order=(1, 2, 3)))
+            m2 = m_triangle(build_nc_lattice(rep, coxeter_order=(3, 2, 1)))
             assert m1 == m2, s
         # repeated runs
         code1, out1 = _run_cli_capture(["verify", "A3"])

@@ -214,15 +214,11 @@ class TestDeterminismAndCache:
         assert triangle_from_doc(triangle_to_doc(ft)) == ft
 
     def test_lattice_cache_round_trip(self, tmp_path):
-        lat = nc_lattice("A3")
-        loaded = lattice_from_doc(lattice_to_doc(lat))
-        assert loaded.ranks == lat.ranks
-        assert loaded.mobius_rows == lat.mobius_rows
-        assert [g.matrix for g in loaded.elements] == [g.matrix for g in lat.elements]
-        # order relation reconstructs identically on demand
-        loaded._ensure_order_masks()
-        assert loaded.up_masks == lat.up_masks
-        assert loaded.down_masks == lat.down_masks
+        # the Moebius rows carry the order relation, so a loaded lattice is
+        # the same value as a fresh one
+        for s in ["A3", "B3", "D4", "A2xA1"]:
+            lat = nc_lattice(s)
+            assert lattice_from_doc(lattice_to_doc(lat)) == lat
 
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)

@@ -1,23 +1,15 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from fmtri.cartan import spec_of
-from fmtri.conjecture import (
-    alternative_form_check,
-    conjecture_lhs,
-    conjecture_rhs,
-    verify_conjecture,
-)
+from fmtri.conjecture import conjecture_lhs, conjecture_rhs, verify_conjecture
 from fmtri.ftriangle import FTriangle, f_triangle, h_vector
 from fmtri.poly import BivarPoly
-from fmtri.weyl import nc_lattice, rank_generating_function
+from fmtri.weyl import m_triangle, nc_lattice, rank_generating_function
 
-
-def poly_from_terms(*terms):
-    out = BivarPoly.zero()
-    for k, l, c in terms:
-        out = out + BivarPoly.monomial(k, l, c)
-    return out
+from oracles import alternative_form_check, evaluate, poly_from_terms
 
 
 class TestLHS:
@@ -49,34 +41,36 @@ class TestLHS:
 class TestRHS:
     def test_a1_brute_force(self):
         # three interval pairs on the 2-chain
-        assert conjecture_rhs(nc_lattice("A1")) == poly_from_terms(
+        assert conjecture_rhs(m_triangle(nc_lattice("A1"))) == poly_from_terms(
             (0, 0, 1), (1, 0, 1), (0, 1, 1)
         )
 
     def test_a2_brute_force(self):
-        assert conjecture_rhs(nc_lattice("A2")) == poly_from_terms(
+        assert conjecture_rhs(m_triangle(nc_lattice("A2"))) == poly_from_terms(
             (0, 0, 1), (1, 0, 3), (2, 0, 2), (0, 1, 3), (1, 1, 3), (0, 2, 1)
         )
 
     def test_rank_zero(self):
-        assert conjecture_rhs(nc_lattice(spec_of())) == BivarPoly.constant(1)
+        assert conjecture_rhs(m_triangle(nc_lattice(spec_of()))) == BivarPoly.constant(1)
+
+    def test_support_guard(self):
+        # y without x cannot come from an interval a <= b
+        with pytest.raises(ValueError):
+            conjecture_rhs(poly_from_terms((0, 0, 1), (0, 1, 1)))
 
     def test_x0_slice_counts_ranks(self):
         for s in ["A2", "B3", "D4"]:
             lat = nc_lattice(s)
-            assert conjecture_rhs(lat).subs_x(0) == rank_generating_function(lat)
+            assert conjecture_rhs(m_triangle(lat)).subs_x(0) == rank_generating_function(lat)
 
     def test_matches_m_triangle_pointwise(self):
         """Independent oracle: evaluate M(-x, -y/x) at rational points."""
-        from fmtri.weyl import m_triangle
-
         for s in ["A2", "A3", "B3", "G2"]:
-            lat = nc_lattice(s)
-            rhs = conjecture_rhs(lat)
-            m = m_triangle(lat)
+            m = m_triangle(nc_lattice(s))
+            rhs = conjecture_rhs(m)
             for xv, yv in [(2, 3), (-3, 5), (Fraction(1, 2), Fraction(2, 3))]:
                 xv, yv = Fraction(xv), Fraction(yv)
-                assert rhs.evaluate(xv, yv) == m.evaluate(-xv, -yv / xv)
+                assert evaluate(rhs, xv, yv) == evaluate(m, -xv, -yv / xv)
 
 
 class TestVerify:
@@ -121,7 +115,7 @@ class TestVerify:
 
         wrong = FTriangle(1, poly_from_terms((0, 0, 1), (1, 0, 2), (0, 1, 1)))
         lhs = conjecture_substitution(wrong.data, 1)
-        rhs = conjecture_rhs(nc_lattice("A1"))
+        rhs = conjecture_rhs(m_triangle(nc_lattice("A1")))
         diffs = [
             (k, l, lhs.coeff(k, l), rhs.coeff(k, l))
             for k in range(2)

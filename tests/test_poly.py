@@ -3,13 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fmtri.poly import (
-    BivarPoly,
+from fmtri.poly import BivarPoly, conjecture_substitution, uni_add, uni_mul
+
+from oracles import (
     alternative_substitution,
-    conjecture_substitution,
-    uni_add,
+    derivative_y,
+    evaluate,
+    is_integral,
+    monomial,
+    poly_from_terms,
+    reflect,
+    total_degree,
     uni_eval,
-    uni_mul,
 )
 
 # small exact polynomials for property tests
@@ -18,13 +23,6 @@ polys = st.builds(
     BivarPoly,
     st.lists(st.lists(coeffs, min_size=1, max_size=4), min_size=1, max_size=4),
 )
-
-
-def poly_from_terms(*terms):
-    out = BivarPoly.zero()
-    for k, l, c in terms:
-        out = out + BivarPoly.monomial(k, l, c)
-    return out
 
 
 F_A1 = poly_from_terms((0, 0, 1), (1, 0, 1), (0, 1, 1))
@@ -75,16 +73,16 @@ class TestCalculus:
         assert BivarPoly.zero().antiderivative_y().is_zero
 
     def test_antiderivative_power(self):
-        assert BivarPoly.monomial(0, 2, 3).antiderivative_y() == BivarPoly.monomial(0, 3, 1)
+        assert monomial(0, 2, 3).antiderivative_y() == monomial(0, 3, 1)
 
     @given(polys)
     def test_derivative_inverts_antiderivative(self, p):
-        assert p.antiderivative_y().derivative_y() == p
+        assert derivative_y(p.antiderivative_y()) == p
 
     def test_fraction_coefficients_survive(self):
-        p = BivarPoly.monomial(0, 1, 1).antiderivative_y()
+        p = monomial(0, 1, 1).antiderivative_y()
         assert p.coeff(0, 2) == Fraction(1, 2)
-        assert not p.is_integral()
+        assert not is_integral(p)
 
 
 class TestSubstitutions:
@@ -92,7 +90,7 @@ class TestSubstitutions:
         assert F_A2.diagonal() == (1, 5, 5)
 
     def test_diagonal_monomial(self):
-        assert BivarPoly.monomial(1, 1, 1).diagonal() == (0, 0, 1)
+        assert monomial(1, 1, 1).diagonal() == (0, 0, 1)
 
     def test_diagonal_constant(self):
         assert BivarPoly.constant(7).diagonal() == (7,)
@@ -101,27 +99,27 @@ class TestSubstitutions:
         assert F_A2.subs_y(0) == (1, 3, 2)
         assert F_A2.subs_y(-1) == (0, 1, 2)
         assert F_A2.subs_x(0) == (1, 2, 1)
-        assert F_A2.evaluate(Fraction(1, 2), 1) == 7
+        assert evaluate(F_A2, Fraction(1, 2), 1) == 7
 
 
 class TestReflect:
     def test_rank1_fixed_point(self):
-        assert F_A1.reflect(1) == F_A1
+        assert reflect(F_A1, 1) == F_A1
 
     def test_rank0(self):
-        assert BivarPoly.constant(1).reflect(0) == BivarPoly.constant(1)
+        assert reflect(BivarPoly.constant(1), 0) == BivarPoly.constant(1)
 
     def test_rank2_fixed_point(self):
-        assert F_A2.reflect(2) == F_A2
+        assert reflect(F_A2, 2) == F_A2
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            F_A2.reflect(1)
+            reflect(F_A2, 1)
 
     @given(polys, st.integers(0, 8))
     def test_involution(self, p, n):
-        if p.total_degree() <= n:
-            assert p.reflect(n).reflect(n) == p
+        if total_degree(p) <= n:
+            assert reflect(reflect(p, n), n) == p
 
 
 class TestConjectureSubstitution:
@@ -147,17 +145,17 @@ class TestConjectureSubstitution:
     @given(polys, st.integers(0, 8))
     def test_matches_rational_evaluation(self, p, n):
         """Independent oracle: evaluate the rational expression pointwise."""
-        if p.total_degree() > n:
+        if total_degree(p) > n:
             return
         q = conjecture_substitution(p, n)
         points = [(2, 2), (-2, 3), (Fraction(1, 3), Fraction(1, 2)), (5, -4)]
         for xv, yv in ((Fraction(a), Fraction(b)) for a, b in points):
-            lhs = (1 - yv) ** n * p.evaluate((xv + yv) / (1 - yv), yv / (1 - yv))
-            assert q.evaluate(xv, yv) == lhs
+            lhs = (1 - yv) ** n * evaluate(p, (xv + yv) / (1 - yv), yv / (1 - yv))
+            assert evaluate(q, xv, yv) == lhs
 
     @given(polys, st.integers(0, 8))
     def test_y0_slice_is_positive_part(self, p, n):
-        if p.total_degree() > n:
+        if total_degree(p) > n:
             return
         assert conjecture_substitution(p, n).subs_y(0) == p.subs_y(0)
 
@@ -165,13 +163,13 @@ class TestConjectureSubstitution:
 class TestAlternativeSubstitution:
     @given(polys, st.integers(0, 8))
     def test_matches_rational_evaluation(self, p, n):
-        if p.total_degree() > n:
+        if total_degree(p) > n:
             return
         q = alternative_substitution(p, n)
         points = [(1, 3), (-2, 4), (Fraction(2, 3), Fraction(1, 2)), (5, -4)]
         for xv, yv in ((Fraction(a), Fraction(b)) for a, b in points):
-            lhs = (yv - 1) ** n * p.evaluate((xv + 1) / (yv - 1), 1 / (yv - 1))
-            assert q.evaluate(xv, yv) == lhs
+            lhs = (yv - 1) ** n * evaluate(p, (xv + 1) / (yv - 1), 1 / (yv - 1))
+            assert evaluate(q, xv, yv) == lhs
 
 
 class TestUnivariateHelpers:

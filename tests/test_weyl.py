@@ -5,11 +5,8 @@ import pytest
 from fmtri.cartan import parse_spec, spec_of
 from fmtri.errors import SpecError
 from fmtri.ftriangle import h_vector
-from fmtri.poly import uni_eval
 from fmtri.weyl import (
-    GroupElement,
     abs_length,
-    absolute_leq,
     build_nc_lattice,
     build_rep,
     coxeter_element,
@@ -20,11 +17,21 @@ from fmtri.weyl import (
     mat_mul,
     nc_lattice,
     rank_generating_function,
-    reflection_word_length,
-    zeta_bruteforce,
 )
 
+from oracles import absolute_leq, reflection_word_length, uni_eval, whole_group, zeta_bruteforce
+
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C4", "D4", "F4", "G2"]
+
+
+def covers(lat):
+    """Entries of the Moebius table whose rank difference is 1."""
+    return [
+        (a, b)
+        for a, row in enumerate(lat.mobius_rows)
+        for b, _ in row
+        if lat.ranks[b] == lat.ranks[a] + 1
+    ]
 
 
 class TestIntRank:
@@ -86,8 +93,8 @@ class TestReflectionRep:
     def test_reflections_have_length_one(self):
         rep = build_rep("B3")
         for t in rep.reflections:
-            assert t.abs_length == 1
-            assert mat_mul(t.matrix, t.matrix) == mat_identity(rep.n)
+            assert abs_length(t) == 1
+            assert mat_mul(t, t) == mat_identity(rep.n)
 
     def test_block_rep_for_products(self):
         rep = build_rep("A2xA1")
@@ -97,38 +104,25 @@ class TestReflectionRep:
 
 class TestAbsLength:
     def test_identity(self):
-        rep = build_rep("A3")
-        assert abs_length(rep, GroupElement(mat_identity(3))) == 0
+        assert abs_length(mat_identity(3)) == 0
 
     def test_reflections(self):
         rep = build_rep("A3")
-        assert all(abs_length(rep, t) == 1 for t in rep.reflections)
+        assert all(abs_length(t) == 1 for t in rep.reflections)
 
     def test_coxeter_element_is_full_length(self):
         for s in SMALL_TYPES:
             rep = build_rep(s)
-            assert coxeter_element(rep).abs_length == rep.n
+            assert abs_length(coxeter_element(rep)) == rep.n
 
     @pytest.mark.parametrize("s", ["A3", "B3"])
     def test_against_word_length_oracle_full_group(self, s):
         """rank(g - 1) equals the minimal reflection-word length, groupwide."""
         rep = build_rep(s)
-        # enumerate the whole group from the simple reflections
-        frontier = [mat_identity(rep.n)]
-        group = set(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for m in rep.simple_reflections:
-                    b = mat_mul(a, m)
-                    if b not in group:
-                        group.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        group = whole_group(rep)
         assert len(group) == {"A3": 24, "B3": 48}[s]
-        for mat in group:
-            g = GroupElement(mat)
-            assert g.abs_length == reflection_word_length(rep, g)
+        for g in group:
+            assert abs_length(g) == reflection_word_length(rep, g)
 
 
 class TestCoxeterElement:
@@ -138,7 +132,7 @@ class TestCoxeterElement:
 
     def test_a2_has_order_h(self):
         rep = build_rep("A2")
-        c = coxeter_element(rep, (1, 2)).matrix
+        c = coxeter_element(rep, (1, 2))
         power = c
         order = 1
         while power != mat_identity(2):
@@ -155,7 +149,7 @@ class TestCoxeterElement:
 class TestAbsoluteOrder:
     def test_identity_below_everything(self):
         rep = build_rep("A3")
-        e = GroupElement(mat_identity(3))
+        e = mat_identity(3)
         c = coxeter_element(rep)
         assert absolute_leq(rep, e, c)
         assert all(absolute_leq(rep, e, t) for t in rep.reflections)
@@ -185,7 +179,7 @@ class TestNCLattice:
     def test_bounds(self):
         lat = nc_lattice("A3")
         assert lat.ranks[0] == 0 and lat.ranks[-1] == lat.n
-        assert lat.elements[0].matrix == mat_identity(3)
+        assert lat.elements[0] == mat_identity(3)
 
     def test_formulas_match_bruteforce(self):
         for s in SMALL_TYPES:
@@ -195,37 +189,42 @@ class TestNCLattice:
             assert lat.mobius_number == forms.mobius_number
 
     def test_leq_matches_direct_rank_characterization(self):
-        # the cover-closure order must equal the pairwise rank test
+        # the support of the Moebius rows must equal the pairwise rank test
         for s in ["A2", "A3", "A4", "B3", "D4", "A2xA1"]:
             lat = nc_lattice(s)
             rep = build_rep(s)
-            for a in range(lat.cardinality):
+            for a, row in enumerate(lat.mobius_rows):
+                above = {b for b, _ in row}
                 for b in range(lat.cardinality):
                     expected = absolute_leq(rep, lat.elements[a], lat.elements[b])
-                    assert lat.leq(a, b) == expected
+                    assert (b in above) == expected
 
     def test_grading_via_covers(self):
+        # each cover multiplies by one reflection
         lat = nc_lattice("B3")
-        for a, b in lat._covers:
-            assert lat.ranks[b] == lat.ranks[a] + 1
+        refls = build_rep("B3").reflections
+        for a, b in covers(lat):
+            assert lat.elements[b] in {mat_mul(lat.elements[a], t) for t in refls}
 
     def test_mobius_alternating_in_rank_intervals(self):
         lat = nc_lattice("A3")
         # mu(a, b) over one-step intervals is -1
-        for a, b in lat._covers:
+        for a, b in covers(lat):
             assert lat.mobius(a, b) == -1
-
-    def test_rejects_non_coxeter_top(self):
-        rep = build_rep("A2")
-        with pytest.raises(SpecError):
-            build_nc_lattice(rep, rep.reflections[0])
 
     def test_deterministic_rebuild(self):
         rep = build_rep("B3")
-        lat1 = build_nc_lattice(rep)
-        lat2 = build_nc_lattice(rep)
-        assert [g.matrix for g in lat1.elements] == [g.matrix for g in lat2.elements]
-        assert lat1.mobius_rows == lat2.mobius_rows
+        assert build_nc_lattice(rep) == build_nc_lattice(rep)
+
+    def test_records_its_coxeter_order(self):
+        lat = nc_lattice("B3", (2, 3, 1))
+        assert lat.coxeter_order == (2, 3, 1)
+        assert lat.elements != nc_lattice("B3").elements
+
+    def test_default_order_shares_the_memo_entry(self):
+        for s in ["A3", "B3", "A2xA1"]:
+            n = parse_spec(s).rank
+            assert nc_lattice(s) is nc_lattice(s, tuple(range(1, n + 1)))
 
 
 class TestMTriangle:
