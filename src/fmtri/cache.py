@@ -1,11 +1,17 @@
-"""Persistent JSON caches for lattices and triangles.
+"""Persistent JSON cache for noncrossing partition lattices.
 
-One file per artifact, keyed by canonical spec string, Coxeter ordering, and
+One file per lattice, keyed by canonical spec string, Coxeter ordering, and
 schema version; writes go through a temp file and an atomic rename so a
-killed run never leaves a truncated cache.  The lattice file stores element
+killed run never leaves a truncated cache.  The file stores element
 matrices, ranks, and Moebius rows; the order relation is persisted as the
 support of the Moebius rows, so a loaded lattice is the same value as a
-freshly built one.
+freshly built one.  A file is trusted only if it parses, names the requested
+spec and order, and passes ``weyl.check_lattice``; any other file is a miss,
+and the rebuilt lattice replaces it.  Corruption inside the Moebius table
+that keeps |L| and mu(0, 1) intact is not detected.
+
+F-triangles are not cached: the node-deletion recursion takes milliseconds
+even for E8.
 """
 
 from __future__ import annotations
@@ -16,10 +22,8 @@ import tempfile
 from pathlib import Path
 
 from .cartan import RootSystemSpec, as_spec, parse_spec
-from .errors import Deadline, NO_DEADLINE
-from .ftriangle import FTriangle, f_triangle
-from .poly import BivarPoly
-from .weyl import NCLattice, nc_lattice, node_order
+from .errors import Deadline, InvariantViolation, NO_DEADLINE
+from .weyl import NCLattice, check_lattice, nc_lattice, node_order
 
 SCHEMA_VERSION = 1
 
@@ -41,10 +45,6 @@ def atomic_write_json(path: Path, doc: dict) -> None:
 def _lattice_path(cache_dir: Path, spec: RootSystemSpec, order: tuple[int, ...]) -> Path:
     order_tag = "-".join(str(i) for i in order)
     return cache_dir / f"lattice__{spec}__order_{order_tag}__v{SCHEMA_VERSION}.json"
-
-
-def _triangle_path(cache_dir: Path, spec: RootSystemSpec) -> Path:
-    return cache_dir / f"triangle__{spec}__v{SCHEMA_VERSION}.json"
 
 
 def lattice_to_doc(lat: NCLattice) -> dict:
@@ -70,53 +70,33 @@ def lattice_from_doc(doc: dict) -> NCLattice:
     )
 
 
+# what reading a missing, truncated, foreign or doctored file can raise: I/O,
+# JSON and spec parse errors (ValueError), a document of the wrong shape
+# (LookupError, TypeError, AttributeError), and a failed ``check_lattice``
+_UNTRUSTED = (OSError, ValueError, LookupError, TypeError, AttributeError, InvariantViolation)
+
+
 def load_or_build_lattice(
     spec,
     coxeter_order=None,
     cache_dir: str | os.PathLike | None = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
+    """The lattice of ``spec`` and ``coxeter_order``, read from ``cache_dir``
+    when a trusted file is there, else built and written there."""
     spec = as_spec(spec)
     order = node_order(spec.rank, coxeter_order)
     if cache_dir is None:
         return nc_lattice(spec, order, deadline=deadline)
     path = _lattice_path(Path(cache_dir), spec, order)
-    if path.exists():
+    try:
         with open(path) as fh:
-            return lattice_from_doc(json.load(fh))
+            lat = lattice_from_doc(json.load(fh))
+        if (lat.spec, lat.coxeter_order) == (spec, order):
+            check_lattice(lat)
+            return lat
+    except _UNTRUSTED:
+        pass
     lat = nc_lattice(spec, order, deadline=deadline)
     atomic_write_json(path, lattice_to_doc(lat))
     return lat
-
-
-def triangle_to_doc(ft: FTriangle) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": ft.n,
-        "f": [[ft.data.coeff(k, l) for l in range(ft.n + 1 - k)] for k in range(ft.n + 1)],
-    }
-
-
-def triangle_from_doc(doc: dict) -> FTriangle:
-    n = doc["n"]
-    rows = [list(row) + [0] * (n + 1 - len(row)) for row in doc["f"]]
-    return FTriangle(n, BivarPoly(rows))
-
-
-def load_or_build_triangle(
-    spec, cache_dir: str | os.PathLike | None = None
-) -> FTriangle:
-    spec = as_spec(spec)
-    if cache_dir is None:
-        return f_triangle(spec)
-    path = _triangle_path(Path(cache_dir), spec)
-    if path.exists():
-        with open(path) as fh:
-            doc = json.load(fh)
-        ft = triangle_from_doc(doc)
-        if ft.n != spec.rank:
-            raise ValueError(f"cache file {path} does not match spec {spec}")
-        return ft
-    ft = f_triangle(spec)
-    atomic_write_json(path, triangle_to_doc(ft))
-    return ft

@@ -3,7 +3,11 @@
 Subcommands: ftriangle | fvector | mtriangle | invariants | verify | sweep.
 Output formats: json (default, stable envelope with a schema version), tex
 (matrix layouts), csv.  Exit codes: 0 success/verified, 1 conjecture
-mismatch, 2 usage error, 3 time budget exceeded.
+mismatch or failed evidence check, 2 usage error, 3 time budget exceeded,
+4 internal error (a computed result broke a consistency check).
+
+``--cache-dir`` exists on the commands that need a lattice (mtriangle,
+verify, sweep) and persists lattices only.
 
 Every command is deterministic: the same invocation produces byte-identical
 output, warm or cold cache.  Timings are therefore only emitted under
@@ -15,54 +19,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
-from .cache import SCHEMA_VERSION, load_or_build_lattice, load_or_build_triangle
+from .cache import SCHEMA_VERSION, load_or_build_lattice
 from .cartan import invariants, parse_spec
 from .conjecture import verify_conjecture
-from .errors import ComputationTimeout, Deadline, SpecError
-from .ftriangle import f_vector, h_vector, natural_f_vector, positive_f_vector
+from .errors import ComputationTimeout, Deadline, InvariantViolation, SpecError
+from .ftriangle import f_triangle, f_vector, h_vector, natural_f_vector, positive_f_vector
 from .weyl import m_triangle
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    schema_version: int
-    spec: str
-    kind: str
-    format: str
-    payload: dict
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": self.schema_version,
-            "spec": self.spec,
-            "kind": self.kind,
-            "format": self.format,
-            "payload": self.payload,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputDocument":
-        doc = json.loads(text)
-        return cls(
-            schema_version=doc["schema_version"],
-            spec=doc["spec"],
-            kind=doc["kind"],
-            format=doc["format"],
-            payload=doc["payload"],
-        )
-
-
-def _document(spec_str: str, kind: str, fmt: str, payload: dict) -> OutputDocument:
-    return OutputDocument(SCHEMA_VERSION, spec_str, kind, fmt, payload)
+EXIT_INTERNAL = 4
 
 
 # --------------------------------------------------------------------------
@@ -74,30 +45,34 @@ def _bmatrix(rows: list[list[int]]) -> str:
     return "\\begin{bmatrix}\n" + body + "\n\\end{bmatrix}\n"
 
 
-def _emit(doc: OutputDocument) -> str:
-    if doc.format == "json":
-        return doc.to_json()
-    if doc.format == "tex":
-        return _emit_tex(doc)
-    if doc.format == "csv":
-        return _emit_csv(doc)
-    raise SpecError(f"unknown format {doc.format!r}")
+def _emit(spec: str, kind: str, fmt: str, payload: dict) -> str:
+    if fmt == "json":
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "spec": spec,
+            "kind": kind,
+            "format": fmt,
+            "payload": payload,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "tex":
+        return _emit_tex(kind, payload)
+    if fmt == "csv":
+        return _emit_csv(kind, payload)
+    raise SpecError(f"unknown format {fmt!r}")
 
 
-def _emit_tex(doc: OutputDocument) -> str:
-    p = doc.payload
-    if doc.kind == "ftriangle":
+def _emit_tex(kind: str, p: dict) -> str:
+    if kind == "ftriangle":
         return _bmatrix(p["f"])
-    if doc.kind == "mtriangle":
+    if kind == "mtriangle":
         return _bmatrix(p["m"])
-    if doc.kind == "fvector":
+    if kind == "fvector":
         return _bmatrix([p["f"]])
-    raise SpecError(f"tex output is not defined for {doc.kind!r}")
+    raise SpecError(f"tex output is not defined for {kind!r}")
 
 
-def _emit_csv(doc: OutputDocument) -> str:
-    p = doc.payload
-    kind = doc.kind
+def _emit_csv(kind: str, p: dict) -> str:
     if kind == "ftriangle":
         return "".join(",".join(str(c) for c in row) + "\n" for row in p["f"])
     if kind == "mtriangle":
@@ -145,22 +120,22 @@ def _triangle_rows(ft) -> list[list[int]]:
 
 def cmd_ftriangle(args) -> int:
     spec = parse_spec(args.spec)
-    ft = load_or_build_triangle(spec, args.cache_dir)
+    ft = f_triangle(spec)
     payload = {"n": ft.n, "f": _triangle_rows(ft)}
-    print(_emit(_document(str(spec), "ftriangle", args.format, payload)), end="")
+    print(_emit(str(spec), "ftriangle", args.format, payload), end="")
     return EXIT_OK
 
 
 def cmd_fvector(args) -> int:
     spec = parse_spec(args.spec)
-    ft = load_or_build_triangle(spec, args.cache_dir)
+    ft = f_triangle(spec)
     payload = {
         "n": spec.rank,
         "f": list(f_vector(spec).coeffs),
         "f_positive": list(positive_f_vector(ft).coeffs),
         "f_natural": list(natural_f_vector(ft)),
     }
-    print(_emit(_document(str(spec), "fvector", args.format, payload)), end="")
+    print(_emit(str(spec), "fvector", args.format, payload), end="")
     return EXIT_OK
 
 
@@ -174,7 +149,7 @@ def cmd_mtriangle(args) -> int:
         "coxeter_order": list(lat.coxeter_order),
         "m": [[m.coeff(i, j) for j in range(lat.n + 1)] for i in range(lat.n + 1)],
     }
-    print(_emit(_document(str(spec), "mtriangle", args.format, payload)), end="")
+    print(_emit(str(spec), "mtriangle", args.format, payload), end="")
     return EXIT_OK
 
 
@@ -198,7 +173,7 @@ def cmd_invariants(args) -> int:
         "zeta": [str(c) for c in forms.zeta],
         "h_vector": list(h_vector(spec)),
     }
-    print(_emit(_document(str(spec), "invariants", args.format, payload)), end="")
+    print(_emit(str(spec), "invariants", args.format, payload), end="")
     return EXIT_OK
 
 
@@ -208,11 +183,15 @@ def _verify_payload(spec_str, coxeter_order, max_seconds, cache_dir, with_timing
     order = _parse_order(coxeter_order, spec.rank)
     deadline = Deadline(max_seconds)
     try:
+        t0 = time.perf_counter()
         lat = load_or_build_lattice(spec, order, cache_dir, deadline=deadline)
-        report = verify_conjecture(spec, order, deadline=deadline, lattice=lat)
+        lattice_s = time.perf_counter() - t0
+        report = verify_conjecture(lat, deadline=deadline)
     except ComputationTimeout:
         return {"timeout": True, "n": spec.rank, "verified": False}, EXIT_TIMEOUT
     payload = report.payload(with_timings=with_timings)
+    if with_timings:
+        payload["timings"]["lattice"] = round(lattice_s, 6)
     payload["timeout"] = False
     code = EXIT_OK if report.verified and report.evidence.all_pass else EXIT_MISMATCH
     return payload, code
@@ -223,7 +202,7 @@ def cmd_verify(args) -> int:
     payload, code = _verify_payload(
         str(spec), args.coxeter_order, args.max_seconds, args.cache_dir, args.timings
     )
-    print(_emit(_document(str(spec), "verify", args.format, payload)), end="")
+    print(_emit(str(spec), "verify", args.format, payload), end="")
     return code
 
 
@@ -254,8 +233,7 @@ def cmd_sweep(args) -> int:
         )
         codes.append(code)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
-    doc = _document(" ".join(specs), "sweep", args.format, payload)
-    print(_emit(doc), end="")
+    print(_emit(" ".join(specs), "sweep", args.format, payload), end="")
     if any(c == EXIT_MISMATCH for c in codes):
         return EXIT_MISMATCH
     if any(c == EXIT_TIMEOUT for c in codes):
@@ -286,9 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order_flag=False, seconds_flag=False):
+    def common(p, cache_flag=False, order_flag=False, seconds_flag=False):
         p.add_argument("--format", choices=("json", "tex", "csv"), default="json")
-        p.add_argument("--cache-dir", default=None, help="directory for JSON caches")
+        if cache_flag:
+            p.add_argument("--cache-dir", default=None, help="directory for JSON lattice caches")
         if order_flag:
             p.add_argument(
                 "--coxeter-order",
@@ -310,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mtriangle", help="print the M-triangle of the noncrossing partition lattice")
     p.add_argument("spec")
-    common(p, order_flag=True)
+    common(p, cache_flag=True, order_flag=True)
     p.set_defaults(fn=cmd_mtriangle)
 
     p = sub.add_parser("invariants", help="print closed-form lattice invariants")
@@ -320,13 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the F/M change-of-variables identity for one spec")
     p.add_argument("spec")
-    common(p, order_flag=True, seconds_flag=True)
+    common(p, cache_flag=True, order_flag=True, seconds_flag=True)
     p.add_argument("--timings", action="store_true", help="include timings (breaks byte-reproducibility)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a list of specs; exit 0 only if all pass")
     p.add_argument("specs", nargs="+")
-    common(p, seconds_flag=True)
+    common(p, cache_flag=True, seconds_flag=True)
     p.add_argument("--jobs", type=int, default=1, help="verify specs in parallel processes")
     p.set_defaults(fn=cmd_sweep)
 
@@ -348,6 +327,9 @@ def main(argv=None) -> int:
     except ComputationTimeout:
         print("error: time budget exceeded", file=sys.stderr)
         return EXIT_TIMEOUT
+    except InvariantViolation as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

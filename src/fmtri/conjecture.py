@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cartan import RootSystemSpec, as_spec
+from .cartan import RootSystemSpec
 from .errors import Deadline, NO_DEADLINE
 from .ftriangle import FTriangle, f_triangle, h_vector
 from .poly import BivarPoly, conjecture_substitution
@@ -103,7 +103,7 @@ def conjecture_rhs(m: BivarPoly) -> BivarPoly:
 
 
 def _check_evidence(
-    spec: RootSystemSpec, ft: FTriangle, lat: NCLattice, m_poly: BivarPoly
+    spec: RootSystemSpec, ft: FTriangle, lat: NCLattice, m_poly: BivarPoly, deadline: Deadline
 ) -> EvidenceResults:
     n = spec.rank
 
@@ -127,38 +127,27 @@ def _check_evidence(
         m_product = BivarPoly.constant(1)
         f_product = BivarPoly.constant(1)
         for t in spec.components:
-            m_product = m_product * m_triangle(nc_lattice(t))
+            m_product = m_product * m_triangle(nc_lattice(t, deadline=deadline))
             f_product = f_product * f_triangle(t).data
         e5 = m_poly == m_product and ft.data == f_product
 
     return EvidenceResults(e1, e2, e3, e4, e5)
 
 
-def verify_conjecture(
-    spec,
-    coxeter_order=None,
-    deadline: Deadline = NO_DEADLINE,
-    lattice: NCLattice | None = None,
-) -> ConjectureReport:
-    """Compute both sides exactly, diff coefficients, run the five evidences.
+def verify_conjecture(lattice: NCLattice, deadline: Deadline = NO_DEADLINE) -> ConjectureReport:
+    """Compute both sides exactly for the spec of ``lattice``, diff
+    coefficients, run the five evidences.
 
-    ``lattice`` may be supplied to reuse a cached build; it must belong to
-    the same spec.
+    ``deadline`` bounds the component lattices the multiplicativity check
+    builds for a reducible spec.
     """
-    spec = as_spec(spec)
+    spec = lattice.spec
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     ft = f_triangle(spec)
     lhs = conjecture_lhs(ft)
     timings["f_triangle"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if lattice is None:
-        lattice = nc_lattice(spec, coxeter_order, deadline=deadline)
-    elif lattice.spec != spec:
-        raise ValueError(f"lattice is for {lattice.spec}, not {spec}")
-    timings["lattice"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     m_poly = m_triangle(lattice)
@@ -169,7 +158,7 @@ def verify_conjecture(
         for l in range(spec.rank + 1)
         if lhs.coeff(k, l) != rhs.coeff(k, l)
     )
-    evidence = _check_evidence(spec, ft, lattice, m_poly)
+    evidence = _check_evidence(spec, ft, lattice, m_poly, deadline)
     timings["compare"] = time.perf_counter() - t0
 
     return ConjectureReport(

@@ -235,7 +235,8 @@ def build_nc_lattice(
     (rank(c - b) = n - k - 1).  Covers are recorded during the search, the
     up- and down-sets are their reflexive-transitive closure, and mu comes
     from the usual recursion mu(a, b) = -sum_{a <= z < b} mu(a, z).  Element
-    order is canonical, so results are reproducible.
+    order is canonical, so results are reproducible.  The result passes
+    ``check_lattice`` or the build raises InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
@@ -310,7 +311,7 @@ def build_nc_lattice(
             row[b] = -total
         mobius_rows.append(tuple(sorted(row.items())))
 
-    return NCLattice(
+    lat = NCLattice(
         spec=rep.spec,
         coxeter_order=order,
         n=n,
@@ -318,6 +319,8 @@ def build_nc_lattice(
         ranks=tuple(ranks),
         mobius_rows=tuple(mobius_rows),
     )
+    check_lattice(lat)
+    return lat
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -392,3 +395,15 @@ def invariant_formulas(spec) -> InvariantFormulas:
     if card != int(card) or mob != int(mob):
         raise InvariantViolation(f"non-integral lattice invariants for {spec}")
     return InvariantFormulas(tuple(Fraction(c) for c in zeta), int(card), int(mob))
+
+
+def check_lattice(lat: NCLattice) -> None:
+    """Raise InvariantViolation unless |L| and mu(0, 1) of ``lat`` are the
+    ``invariant_formulas`` values of its spec."""
+    forms = invariant_formulas(lat.spec)
+    found = (lat.cardinality, lat.mobius_number)
+    if found != (forms.cardinality, forms.mobius_number):
+        raise InvariantViolation(
+            f"{lat.spec}: |L| = {found[0]} and mu = {found[1]}, expected "
+            f"{forms.cardinality} and {forms.mobius_number}"
+        )

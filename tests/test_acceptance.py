@@ -23,6 +23,7 @@ from fmtri.weyl import (
     build_rep,
     invariant_formulas,
     m_triangle,
+    nc_lattice,
     rank_generating_function,
 )
 
@@ -164,12 +165,12 @@ def test_criterion_5_conjecture_verification(lattice_store, tmp_path):
     desc = "change-of-variables identity verified exactly across the sweep"
     with criterion(5, desc):
         for s in CONJECTURE_SPECS:
-            report = verify_conjecture(s)
+            report = verify_conjecture(nc_lattice(s))
             assert report.verified and report.evidence.all_pass, s
         # E6 end to end (fresh lattice build) within its budget
         t0 = time.perf_counter()
         lat = build_nc_lattice(build_rep("E6"))
-        report = verify_conjecture("E6", lattice=lat)
+        report = verify_conjecture(lat)
         e6_elapsed = time.perf_counter() - t0
         assert report.verified and report.evidence.all_pass
         assert e6_elapsed < 900.0, f"E6 verification took {e6_elapsed:.2f}s"

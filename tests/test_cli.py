@@ -1,15 +1,12 @@
 import json
+import time
 
 import pytest
 
-from fmtri.cache import (
-    lattice_from_doc,
-    lattice_to_doc,
-    load_or_build_lattice,
-    triangle_from_doc,
-    triangle_to_doc,
-)
-from fmtri.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, OutputDocument, main
+from fmtri import cli
+from fmtri.cache import lattice_from_doc, lattice_to_doc, load_or_build_lattice
+from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
+from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import f_triangle
 from fmtri.weyl import m_triangle, nc_lattice
 
@@ -153,7 +150,7 @@ class TestVerifyCommand:
         import fmtri.cli as cli_mod
         from fmtri.conjecture import verify_conjecture
 
-        real = verify_conjecture("A2")
+        real = verify_conjecture(nc_lattice("A2"))
         from dataclasses import replace
 
         fake = replace(real, verified=False, mismatches=((0, 0, 1, 2),))
@@ -167,6 +164,30 @@ class TestVerifyCommand:
         _, with_t = run_cli(capsys, "verify", "A2", "--timings")
         assert "timings" not in json.loads(without)["payload"]
         assert "timings" in json.loads(with_t)["payload"]
+
+    def test_timings_include_the_lattice_lookup(self, capsys, monkeypatch):
+        real = cli.load_or_build_lattice
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", slow)
+        _, out = run_cli(capsys, "verify", "A2", "--timings")
+        timings = json.loads(out)["payload"]["timings"]
+        assert set(timings) == {"f_triangle", "lattice", "compare"}
+        assert timings["lattice"] >= 0.05
+
+    @pytest.mark.parametrize("argv", [("verify", "A2"), ("sweep", "A1", "A2")], ids=["verify", "sweep"])
+    def test_internal_error_exit_code(self, capsys, monkeypatch, argv):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("doctored lattice")
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", broken)
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert run_cli.last_err == "error: internal: doctored lattice\n"
 
 
 class TestSweepCommand:
@@ -209,10 +230,6 @@ class TestDeterminismAndCache:
         assert code2 == EXIT_OK
         assert cold == warm
 
-    def test_triangle_cache_round_trip(self, tmp_path):
-        ft = f_triangle("B3")
-        assert triangle_from_doc(triangle_to_doc(ft)) == ft
-
     def test_lattice_cache_round_trip(self, tmp_path):
         # the Moebius rows carry the order relation, so a loaded lattice is
         # the same value as a fresh one
@@ -228,10 +245,33 @@ class TestDeterminismAndCache:
         assert path.stat().st_mtime_ns == stamp
         assert lat2.mobius_rows == lat1.mobius_rows
 
-    def test_output_document_round_trip(self, capsys):
-        _, out = run_cli(capsys, "ftriangle", "A2")
-        doc = OutputDocument.from_json(out)
-        assert doc.to_json() == out
+    def test_truncated_lattice_file_is_rebuilt(self, capsys, tmp_path):
+        _, cold = run_cli(capsys, "verify", "A3")
+        args = ("verify", "A3", "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        path = next(tmp_path.iterdir())
+        path.write_bytes(path.read_bytes()[:200])
+        code, out = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        assert out == cold
+        assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
+
+    def test_lattice_file_of_another_spec_is_rebuilt(self, tmp_path):
+        # a parseable file that names the wrong spec is a miss, not a verdict
+        load_or_build_lattice("A3", cache_dir=tmp_path)
+        path = next(tmp_path.iterdir())
+        path.write_text(json.dumps(lattice_to_doc(nc_lattice("A2xA1"))))
+        assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
+        assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
+
+    def test_lattice_file_failing_the_invariants_is_rebuilt(self, tmp_path):
+        load_or_build_lattice("A3", cache_dir=tmp_path)
+        path = next(tmp_path.iterdir())
+        doc = json.loads(path.read_text())
+        doc["mobius_rows"][0][-1][1] += 1  # mu(0, 1) off by one
+        path.write_text(json.dumps(doc))
+        assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
+        assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
 
 class TestUsage:
@@ -240,6 +280,10 @@ class TestUsage:
 
     def test_tex_not_defined_for_invariants(self, capsys):
         assert run_cli(capsys, "invariants", "A2", "--format", "tex")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["ftriangle", "fvector", "invariants"])
+    def test_cache_dir_only_on_lattice_commands(self, capsys, tmp_path, command):
+        assert run_cli(capsys, command, "A3", "--cache-dir", str(tmp_path))[0] == EXIT_USAGE
 
     @pytest.mark.parametrize("bad", ["A0", "D2", "E5", "XY"])
     def test_bad_specs(self, capsys, bad):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from fmtri import weyl
 from fmtri.cartan import spec_of
 from fmtri.conjecture import conjecture_lhs, conjecture_rhs, verify_conjecture
+from fmtri.errors import ComputationTimeout, Deadline
 from fmtri.ftriangle import FTriangle, f_triangle, h_vector
 from fmtri.poly import BivarPoly
 from fmtri.weyl import m_triangle, nc_lattice, rank_generating_function
@@ -75,23 +77,23 @@ class TestRHS:
 
 class TestVerify:
     def test_a2(self):
-        report = verify_conjecture("A2")
+        report = verify_conjecture(nc_lattice("A2"))
         assert report.verified
         assert report.evidence.all_pass
         assert report.mismatches == ()
 
     def test_a1xa1(self):
-        report = verify_conjecture("A1xA1")
+        report = verify_conjecture(nc_lattice("A1xA1"))
         assert report.verified and report.evidence.all_pass
 
     def test_c_family(self):
         # C lattices are built from their own Cartan data, not routed via B
         for s in ["C3", "C4"]:
-            report = verify_conjecture(s)
+            report = verify_conjecture(nc_lattice(s))
             assert report.verified and report.evidence.all_pass, s
 
     def test_a3_positive_cluster_count(self):
-        report = verify_conjecture("A3")
+        report = verify_conjecture(nc_lattice("A3"))
         assert report.verified
         lat = nc_lattice("A3")
         assert f_triangle("A3").data.coeff(3, 0) == 5
@@ -99,15 +101,22 @@ class TestVerify:
         assert report.evidence.positive_cluster_count_match
 
     def test_coxeter_order_does_not_matter(self):
-        r1 = verify_conjecture("B3", coxeter_order=(3, 1, 2))
+        r1 = verify_conjecture(nc_lattice("B3", (3, 1, 2)))
         assert r1.verified and r1.evidence.all_pass
-        assert r1.rhs == verify_conjecture("B3").rhs
+        assert r1.rhs == verify_conjecture(nc_lattice("B3")).rhs
+
+    def test_evidence_builds_respect_the_deadline(self, monkeypatch):
+        # the multiplicativity check builds the lattice of every component
+        lat = nc_lattice("A3xA1")
+        monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
+        with pytest.raises(ComputationTimeout):
+            verify_conjecture(lat, deadline=Deadline(0))
 
     def test_report_payload_round_trips_json(self):
-        payload = verify_conjecture("A2").payload()
+        payload = verify_conjecture(nc_lattice("A2")).payload()
         assert json.loads(json.dumps(payload)) == payload
         assert "timings" not in payload
-        assert "timings" in verify_conjecture("A2").payload(with_timings=True)
+        assert "timings" in verify_conjecture(nc_lattice("A2")).payload(with_timings=True)
 
     def test_mismatch_reported_not_raised(self):
         # doctor a wrong triangle: the comparison must surface data, not raise

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from fmtri import weyl
 from fmtri.cartan import parse_spec, spec_of
-from fmtri.errors import SpecError
+from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
 from fmtri.weyl import (
     abs_length,
@@ -187,6 +189,14 @@ class TestNCLattice:
             forms = invariant_formulas(s)
             assert lat.cardinality == forms.cardinality
             assert lat.mobius_number == forms.mobius_number
+
+    def test_build_checks_the_closed_forms(self, monkeypatch):
+        real = weyl.invariant_formulas
+        monkeypatch.setattr(
+            weyl, "invariant_formulas", lambda s: replace(real(s), cardinality=real(s).cardinality + 1)
+        )
+        with pytest.raises(InvariantViolation):
+            build_nc_lattice(build_rep("A2"))
 
     def test_leq_matches_direct_rank_characterization(self):
         # the support of the Moebius rows must equal the pairwise rank test
