@@ -38,7 +38,6 @@ from .poly import BivarPoly, conjecture_substitution
 from .weyl import (
     NCLattice,
     ReflectionRep,
-    abs_length,
     build_nc_lattice,
     build_rep,
     coxeter_element,

@@ -7,8 +7,9 @@ matrices, ranks, and Moebius rows; the order relation is persisted as the
 support of the Moebius rows, so a loaded lattice is the same value as a
 freshly built one.  A file is trusted only if it parses, names the requested
 spec and order, and passes ``weyl.check_lattice``; any other file is a miss,
-and the rebuilt lattice replaces it.  Corruption inside the Moebius table
-that keeps |L| and mu(0, 1) intact is not detected.
+and the rebuilt lattice replaces it.  Moebius edits that cancel out, keeping
+mu(0, 1) and every row and column sum, are not detected, nor are edits to
+the ranks or element matrices.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.

@@ -4,7 +4,8 @@ Subcommands: ftriangle | fvector | mtriangle | invariants | verify | sweep.
 Output formats: json (default, stable envelope with a schema version), tex
 (matrix layouts), csv.  Exit codes: 0 success/verified, 1 conjecture
 mismatch or failed evidence check, 2 usage error, 3 time budget exceeded,
-4 internal error (a computed result broke a consistency check).
+4 internal error (a computed result broke a consistency check).  ``sweep``
+reports an internal error as that spec's entry, goes on, and exits 4.
 
 ``--cache-dir`` exists on the commands that need a lattice (mtriangle,
 verify, sweep) and persists lattices only.
@@ -207,8 +208,13 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_worker(task):
+    """One spec of a sweep; an internal error becomes that spec's report."""
     spec_str, max_seconds, cache_dir = task
-    payload, code = _verify_payload(spec_str, None, max_seconds, cache_dir, False)
+    try:
+        payload, code = _verify_payload(spec_str, None, max_seconds, cache_dir, False)
+    except InvariantViolation as exc:
+        payload = {"verified": False, "timeout": False, "error": f"internal: {exc}"}
+        code = EXIT_INTERNAL
     return spec_str, payload, code
 
 
@@ -232,8 +238,13 @@ def cmd_sweep(args) -> int:
             }
         )
         codes.append(code)
+        if code == EXIT_INTERNAL:
+            message = payload["error"].partition(": ")[2]
+            print(f"error: internal: {spec_str}: {message}", file=sys.stderr)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
     print(_emit(" ".join(specs), "sweep", args.format, payload), end="")
+    if any(c == EXIT_INTERNAL for c in codes):
+        return EXIT_INTERNAL
     if any(c == EXIT_MISMATCH for c in codes):
         return EXIT_MISMATCH
     if any(c == EXIT_TIMEOUT for c in codes):

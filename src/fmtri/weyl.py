@@ -3,21 +3,19 @@ noncrossing partition lattice.
 
 Group elements, reflections and Coxeter elements are plain ``Matrix``
 tuples: n x n integer matrices acting on coordinates in the simple-root
-basis, so every computation is exact.  The two workhorses:
+basis, so every computation is exact.
 
-  * reflection length ell_T(g) = rank(g - 1), the codimension of the fixed
-    space (the fast equivalent of minimal reflection-word length for Weyl
-    groups; the test suite validates it against a breadth-first word-length
-    oracle on whole groups);
-  * the subword characterization v <= w iff ell_T(v) + ell_T(v^-1 w) =
-    ell_T(w), where ell_T(v^-1 w) = rank(w - v) because left-multiplying
-    v^-1 w - 1 by the invertible v preserves rank.
-
-The lattice is built by breadth-first search inside the interval [1, c]
-only; the full group is never enumerated, which is what keeps the
-exceptional types cheap.  An ``NCLattice`` keeps its elements, ranks and
-Moebius table, and nothing else: the support of the Moebius table is the
-order relation.
+The lattice is the interval [1, c] in absolute order, enumerated level by
+level and never via the full group, which is what keeps the exceptional
+types cheap.  Each element a is named by the bitmask of the reflections t
+whose vector u_t = (1 - c)^-1 beta_t it fixes.  These are exactly the t
+with t*a covering a inside [1, c]: t <= c a^-1 iff beta_t lies in
+Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  A child's mask
+is its parent's AND a precomputed mask of t, so the search needs no rank
+test and every candidate is a cover; the tests check the result against
+whole-group enumeration and the rank test rank(g - 1) for the length.  An
+``NCLattice`` keeps its elements, ranks and Moebius table, and nothing
+else: the support of the Moebius table is the order relation.
 """
 
 from __future__ import annotations
@@ -48,52 +46,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_apply(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def int_rank(mat: Matrix) -> int:
-    """Exact rank over Q by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in mat]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        pv = pivot_row[col]
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            f = row[col]
-            for c in range(col + 1, ncols):
-                row[c] = (row[c] * pv - f * pivot_row[c]) // prev
-            row[col] = 0
-        prev = pv
-        rank += 1
-    return rank
 
 
 # --------------------------------------------------------------------------
 # Group elements and the reflection representation
 # --------------------------------------------------------------------------
-
-def abs_length(m: Matrix) -> int:
-    """Reflection length ell_T(m) = rank(m - 1), the codimension of the fixed space."""
-    return int_rank(mat_sub(m, mat_identity(len(m))))
-
 
 @dataclass(frozen=True)
 class ReflectionRep:
@@ -179,9 +138,24 @@ def coxeter_element(rep: ReflectionRep, ordering: Sequence[int] | None = None) -
     m = mat_identity(rep.n)
     for i in node_order(rep.n, ordering):
         m = mat_mul(m, rep.simple_reflections[i - 1])
-    if abs_length(m) != rep.n:
+    # sum_{j<h} c^j is h times the projection onto Fix(c), so it is zero
+    # exactly when c fixes no vector, i.e. has full reflection length n
+    if any(map(any, _power_moment(m, 0))):
         raise InvariantViolation("Coxeter element does not have full reflection length")
     return m
+
+
+def _power_moment(m: Matrix, e: int) -> Matrix:
+    """sum_{0 <= j < h} j^e m^j, where h is the order of m."""
+    ident = mat_identity(len(m))
+    powers, p = [ident], m
+    while p != ident:
+        powers.append(p)
+        p = mat_mul(p, m)
+    return tuple(
+        tuple(sum(j**e * x for j, x in enumerate(entries)) for entries in zip(*rows))
+        for rows in zip(*powers)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -227,66 +201,50 @@ def build_nc_lattice(
     coxeter_order: Sequence[int] | None = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """Enumerate [1, c] by BFS, then fill the Moebius table.
+    """Enumerate [1, c] level by level, then fill the Moebius table.
 
-    c is the Coxeter element of ``coxeter_order``.  Each frontier element a
-    of reflection length k is extended by every reflection t; the product
-    b = a*t is kept when its length is k+1 and it stays below c
-    (rank(c - b) = n - k - 1).  Covers are recorded during the search, the
-    up- and down-sets are their reflexive-transitive closure, and mu comes
-    from the usual recursion mu(a, b) = -sum_{a <= z < b} mu(a, z).  Element
-    order is canonical, so results are reproducible.  The result passes
-    ``check_lattice`` or the build raises InvariantViolation.
+    c is the Coxeter element of ``coxeter_order``.  F(a) is the bitmask of
+    the reflections t with a u_t = u_t: F(1) has every bit and F(c) none.
+    Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
+    injective on [1, c], so the covers of a are the t*a for t in F(a), and
+    an element's matrix comes from its first parent.  mu comes from the
+    recursion mu(a, b) = -sum_{a <= z < b} mu(a, z) over the closure of the
+    covers.  Element order is canonical, so results are reproducible.  The
+    result passes ``check_lattice`` or the build raises InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
     c_mat = coxeter_element(rep, order)
-    ident = mat_identity(n)
+    # P = sum_j j c^j satisfies (1 - c) P = -h, so P beta_t is a nonzero
+    # multiple of u_t and the test a u_t = u_t needs no fractions
+    p_mat = _power_moment(c_mat, 1)
+    u = [mat_apply(p_mat, beta) for beta in rep.positive_roots]
+    z_masks = [
+        sum(1 << i for i, v in enumerate(u) if mat_apply(t, v) == v) for t in rep.reflections
+    ]
 
-    seen: dict[Matrix, int] = {ident: 0}
-    rejected: set[Matrix] = set()
-    levels: list[list[Matrix]] = [[ident]]
-    cover_mats: list[tuple[Matrix, Matrix]] = []
-
+    elem: dict[int, Matrix] = {(1 << len(u)) - 1: mat_identity(n)}
+    levels: list[list[int]] = [list(elem)]
+    cover_masks: list[tuple[int, int]] = []
     for k in range(n):
-        next_level: list[Matrix] = []
-        for a in levels[k]:
+        next_level: list[int] = []
+        for f in levels[k]:
             deadline.check()
-            for t in rep.reflections:
-                b = mat_mul(a, t)
-                lvl = seen.get(b)
-                if lvl == k + 1:
-                    cover_mats.append((a, b))
-                    continue
-                if lvl is not None or b in rejected:
-                    continue
-                # abs_length(b), inlined in the hot loop
-                lb = int_rank(mat_sub(b, ident))
-                if lb == k - 1:
-                    # b < a would already be enumerated; only possible at k = 0
-                    raise InvariantViolation("length dropped to an unseen element")
-                if lb != k + 1:
-                    raise InvariantViolation("reflection changed length by more than 1")
-                if int_rank(mat_sub(c_mat, b)) == n - k - 1:
-                    seen[b] = k + 1
-                    next_level.append(b)
-                    cover_mats.append((a, b))
-                else:
-                    rejected.add(b)
-        if not next_level:
-            raise InvariantViolation(f"rank gap at level {k + 1} in [1, c] for {rep.spec}")
+            for i in _mask_indices(f):
+                g = f & z_masks[i]
+                cover_masks.append((f, g))
+                if g not in elem:
+                    elem[g] = mat_mul(rep.reflections[i], elem[f])
+                    next_level.append(g)
         levels.append(next_level)
-    if levels[n] != [c_mat]:
+    if levels[n] != [0] or elem[0] != c_mat:
         raise InvariantViolation("top level of [1, c] is not exactly {c}")
 
-    mats: list[Matrix] = []
-    ranks: list[int] = []
-    for k, level in enumerate(levels):
-        for m in sorted(level):
-            mats.append(m)
-            ranks.append(k)
-    index = {m: i for i, m in enumerate(mats)}
-    covers = sorted((index[a], index[b]) for a, b in set(cover_mats))
+    masks = [f for level in levels for f in sorted(level, key=elem.__getitem__)]
+    ranks = [k for k, level in enumerate(levels) for _ in level]
+    mats = [elem[f] for f in masks]
+    index = {f: i for i, f in enumerate(masks)}
+    covers = sorted((index[f], index[g]) for f, g in cover_masks)
     # bitmasks of the up- and down-sets; every cover (a, b) has a < b, so
     # one pass each way closes them
     up = [1 << i for i in range(len(mats))]
@@ -399,7 +357,9 @@ def invariant_formulas(spec) -> InvariantFormulas:
 
 def check_lattice(lat: NCLattice) -> None:
     """Raise InvariantViolation unless |L| and mu(0, 1) of ``lat`` are the
-    ``invariant_formulas`` values of its spec."""
+    ``invariant_formulas`` values of its spec and its Moebius table keeps
+    the defining sums: row a starts with (a, 1), every row but the top's
+    sums to 0 and every column but the bottom's sums to 0."""
     forms = invariant_formulas(lat.spec)
     found = (lat.cardinality, lat.mobius_number)
     if found != (forms.cardinality, forms.mobius_number):
@@ -407,3 +367,12 @@ def check_lattice(lat: NCLattice) -> None:
             f"{lat.spec}: |L| = {found[0]} and mu = {found[1]}, expected "
             f"{forms.cardinality} and {forms.mobius_number}"
         )
+    top = lat.cardinality - 1
+    column_sums = [0] * lat.cardinality
+    for a, row in enumerate(lat.mobius_rows):
+        if row[0] != (a, 1) or (a != top and sum(mu for _, mu in row)):
+            raise InvariantViolation(f"{lat.spec}: Moebius row {a} breaks the defining sums")
+        for b, mu in row:
+            column_sums[b] += mu
+    if any(column_sums[1:]):
+        raise InvariantViolation(f"{lat.spec}: a Moebius column breaks the defining sums")

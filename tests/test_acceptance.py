@@ -18,7 +18,6 @@ from fmtri.cli import EXIT_OK, main
 from fmtri.conjecture import verify_conjecture
 from fmtri.ftriangle import f_triangle, f_vector, h_vector
 from fmtri.weyl import (
-    abs_length,
     build_nc_lattice,
     build_rep,
     invariant_formulas,
@@ -28,6 +27,7 @@ from fmtri.weyl import (
 )
 
 from oracles import (
+    abs_length,
     closed_f_vector_A,
     closed_f_vector_B,
     closed_form_A,

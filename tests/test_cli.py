@@ -186,8 +186,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "load_or_build_lattice", broken)
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_INTERNAL
-        assert out == ""
-        assert run_cli.last_err == "error: internal: doctored lattice\n"
+        if argv[0] == "verify":
+            assert out == ""
+            assert run_cli.last_err == "error: internal: doctored lattice\n"
+        else:
+            # a sweep reports the error as each spec's entry
+            results = json.loads(out)["payload"]["results"]
+            assert [r["report"]["error"] for r in results] == ["internal: doctored lattice"] * 2
+            assert run_cli.last_err == (
+                "error: internal: A1: doctored lattice\nerror: internal: A2: doctored lattice\n"
+            )
 
 
 class TestSweepCommand:
@@ -208,6 +216,27 @@ class TestSweepCommand:
         assert code == EXIT_TIMEOUT
         payload = json.loads(out)["payload"]
         assert payload["results"][1]["timeout"] is True
+
+    def test_internal_error_is_isolated_per_spec(self, capsys, monkeypatch):
+        real = cli.load_or_build_lattice
+
+        def broken_for_a2(spec, *args, **kwargs):
+            if str(spec) == "A2":
+                raise InvariantViolation("doctored lattice")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", broken_for_a2)
+        code, out = run_cli(capsys, "sweep", "A1", "A2")
+        assert code == EXIT_INTERNAL
+        a1, a2 = json.loads(out)["payload"]["results"]
+        assert (a1["spec"], a1["verified"]) == ("A1", True)
+        assert a2 == {
+            "spec": "A2",
+            "verified": False,
+            "timeout": False,
+            "report": {"verified": False, "timeout": False, "error": "internal: doctored lattice"},
+        }
+        assert run_cli.last_err == "error: internal: A2: doctored lattice\n"
 
     def test_sweep_parallel_jobs(self, capsys):
         code, out = run_cli(capsys, "sweep", "A1", "A2", "B2", "--jobs", "2")
@@ -272,6 +301,22 @@ class TestDeterminismAndCache:
         path.write_text(json.dumps(doc))
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
+
+    def test_lattice_file_breaking_the_mobius_sums_is_rebuilt(self, capsys, tmp_path):
+        # |L| and mu(0, 1) stay right; the row of the atom no longer sums to 0
+        _, cold = run_cli(capsys, "verify", "A3")
+        args = ("verify", "A3", "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        path = next(tmp_path.iterdir())
+        fresh = path.read_bytes()
+        doc = json.loads(fresh)
+        assert doc["ranks"][1] == 1 and doc["mobius_rows"][1][-1][0] == len(doc["ranks"]) - 1
+        doc["mobius_rows"][1][-1][1] += 1  # mu(atom, c) off by one
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        assert out == cold
+        assert path.read_bytes() == fresh
 
 
 class TestUsage:

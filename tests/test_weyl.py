@@ -5,14 +5,13 @@ import pytest
 
 from fmtri import weyl
 from fmtri.cartan import parse_spec, spec_of
+from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
 from fmtri.weyl import (
-    abs_length,
     build_nc_lattice,
     build_rep,
     coxeter_element,
-    int_rank,
     invariant_formulas,
     m_triangle,
     mat_identity,
@@ -21,7 +20,15 @@ from fmtri.weyl import (
     rank_generating_function,
 )
 
-from oracles import absolute_leq, reflection_word_length, uni_eval, whole_group, zeta_bruteforce
+from oracles import (
+    abs_length,
+    absolute_leq,
+    int_rank,
+    reflection_word_length,
+    uni_eval,
+    whole_group,
+    zeta_bruteforce,
+)
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C4", "D4", "F4", "G2"]
 
@@ -147,6 +154,14 @@ class TestCoxeterElement:
         with pytest.raises(SpecError):
             coxeter_element(rep, (1, 1))
 
+    @pytest.mark.parametrize("s", ["A1", "A3", "B3", "A2xA1"])
+    def test_rejects_a_product_that_is_not_full_length(self, s):
+        rep = build_rep(s)
+        ident = mat_identity(rep.n)
+        rep = replace(rep, simple_reflections=(ident,) + rep.simple_reflections[1:])
+        with pytest.raises(InvariantViolation):
+            coxeter_element(rep)
+
 
 class TestAbsoluteOrder:
     def test_identity_below_everything(self):
@@ -208,6 +223,41 @@ class TestNCLattice:
                 for b in range(lat.cardinality):
                     expected = absolute_leq(rep, lat.elements[a], lat.elements[b])
                     assert (b in above) == expected
+
+    @pytest.mark.parametrize("s", ["A3", "B3", "A4", "B4", "D4", "F4", "G2", "A2xA1"])
+    def test_elements_are_the_interval_cut_from_the_whole_group(self, s):
+        rep = build_rep(s)
+        n = rep.n
+        for order in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+            lat = nc_lattice(s, order)
+            c = coxeter_element(rep, order)
+            assert set(lat.elements) == {w for w in whole_group(rep) if absolute_leq(rep, w, c)}
+            assert len(set(lat.elements)) == lat.cardinality
+            assert [abs_length(g) for g in lat.elements] == list(lat.ranks)
+
+    @pytest.mark.parametrize(
+        "edits", [[(1, 0, 1)], [(1, -1, 1)], [(0, 1, 1), (0, 2, -1)]], ids=["diagonal", "row", "column"]
+    )
+    def test_check_lattice_catches_mobius_edits(self, edits):
+        # each edit (a, pos, delta) adds delta to entry pos of row a; none
+        # touches |L| or mu(0, 1), and the column edit keeps every row sum
+        lat = nc_lattice("A3")
+        rows = [list(row) for row in lat.mobius_rows]
+        for a, pos, delta in edits:
+            b, mu = rows[a][pos]
+            rows[a][pos] = (b, mu + delta)
+        doctored = replace(lat, mobius_rows=tuple(tuple(row) for row in rows))
+        assert doctored.mobius_number == lat.mobius_number
+        with pytest.raises(InvariantViolation):
+            weyl.check_lattice(doctored)
+
+    def test_e7(self):
+        lat = nc_lattice("E7")
+        forms = invariant_formulas("E7")
+        assert (lat.cardinality, lat.mobius_number) == (4160, -2431)
+        assert (forms.cardinality, forms.mobius_number) == (4160, -2431)
+        report = verify_conjecture(lat)
+        assert report.verified and report.evidence.all_pass
 
     def test_grading_via_covers(self):
         # each cover multiplies by one reflection
