@@ -18,12 +18,7 @@ from .cartan import (
     parse_spec,
     parse_type,
 )
-from .conjecture import (
-    ConjectureReport,
-    conjecture_lhs,
-    conjecture_rhs,
-    verify_conjecture,
-)
+from .conjecture import conjecture_rhs, verify_conjecture
 from .errors import ComputationTimeout, InvariantViolation, SpecError
 from .ftriangle import (
     FTriangle,

@@ -9,7 +9,7 @@ freshly built one.  A file is trusted only if it parses, names the requested
 spec and order, and passes ``weyl.check_lattice``; any other file is a miss,
 and the rebuilt lattice replaces it.  Moebius edits that cancel out, keeping
 mu(0, 1) and every row and column sum, are not detected, nor are edits to
-the ranks or element matrices.
+the element matrices.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.

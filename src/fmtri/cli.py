@@ -28,7 +28,7 @@ from .cartan import invariants, parse_spec
 from .conjecture import verify_conjecture
 from .errors import ComputationTimeout, Deadline, InvariantViolation, SpecError
 from .ftriangle import f_triangle, f_vector, h_vector, natural_f_vector, positive_f_vector
-from .weyl import m_triangle
+from .weyl import invariant_formulas, m_triangle
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -115,14 +115,11 @@ def _emit_csv(kind: str, p: dict) -> str:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _triangle_rows(ft) -> list[list[int]]:
-    return [[ft.data.coeff(k, l) for l in range(ft.n + 1 - k)] for k in range(ft.n + 1)]
-
-
 def cmd_ftriangle(args) -> int:
     spec = parse_spec(args.spec)
     ft = f_triangle(spec)
-    payload = {"n": ft.n, "f": _triangle_rows(ft)}
+    rows = ft.data.dense_rows(ft.n)
+    payload = {"n": ft.n, "f": [row[: ft.n + 1 - k] for k, row in enumerate(rows)]}
     print(_emit(str(spec), "ftriangle", args.format, payload), end="")
     return EXIT_OK
 
@@ -142,21 +139,17 @@ def cmd_fvector(args) -> int:
 
 def cmd_mtriangle(args) -> int:
     spec = parse_spec(args.spec)
-    order = _parse_order(args.coxeter_order, spec.rank)
-    lat = load_or_build_lattice(spec, order, args.cache_dir)
-    m = m_triangle(lat)
+    lat = load_or_build_lattice(spec, _parse_order(args.coxeter_order), args.cache_dir)
     payload = {
         "n": lat.n,
         "coxeter_order": list(lat.coxeter_order),
-        "m": [[m.coeff(i, j) for j in range(lat.n + 1)] for i in range(lat.n + 1)],
+        "m": m_triangle(lat).dense_rows(lat.n),
     }
     print(_emit(str(spec), "mtriangle", args.format, payload), end="")
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    from .weyl import invariant_formulas
-
     spec = parse_spec(args.spec)
     forms = invariant_formulas(spec)
     payload = {
@@ -178,48 +171,48 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _verify_payload(spec_str, coxeter_order, max_seconds, cache_dir, with_timings):
-    """Run one verification; returns (payload, exit_code)."""
-    spec = parse_spec(spec_str)
-    order = _parse_order(coxeter_order, spec.rank)
+def _verify_payload(spec, coxeter_order, max_seconds, cache_dir, with_timings):
+    """Run one verification of a parsed spec; returns (payload, exit_code)."""
     deadline = Deadline(max_seconds)
     try:
         t0 = time.perf_counter()
-        lat = load_or_build_lattice(spec, order, cache_dir, deadline=deadline)
+        lat = load_or_build_lattice(spec, coxeter_order, cache_dir, deadline=deadline)
         lattice_s = time.perf_counter() - t0
-        report = verify_conjecture(lat, deadline=deadline)
+        payload, timings = verify_conjecture(lat, deadline=deadline)
     except ComputationTimeout:
         return {"timeout": True, "n": spec.rank, "verified": False}, EXIT_TIMEOUT
-    payload = report.payload(with_timings=with_timings)
     if with_timings:
-        payload["timings"]["lattice"] = round(lattice_s, 6)
+        timings["lattice"] = lattice_s
+        payload["timings"] = {k: round(v, 6) for k, v in timings.items()}
     payload["timeout"] = False
-    code = EXIT_OK if report.verified and report.evidence.all_pass else EXIT_MISMATCH
+    code = EXIT_OK if payload["verified"] and all(payload["evidence"].values()) else EXIT_MISMATCH
     return payload, code
 
 
 def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     payload, code = _verify_payload(
-        str(spec), args.coxeter_order, args.max_seconds, args.cache_dir, args.timings
+        spec, _parse_order(args.coxeter_order), args.max_seconds, args.cache_dir, args.timings
     )
     print(_emit(str(spec), "verify", args.format, payload), end="")
     return code
 
 
 def _sweep_worker(task):
-    """One spec of a sweep; an internal error becomes that spec's report."""
-    spec_str, max_seconds, cache_dir = task
+    """One spec of a sweep: (payload, exit code, error).  An
+    InvariantViolation becomes that spec's report and is returned as
+    ``error``, so the stderr line can name the spec; otherwise ``error``
+    is None."""
+    spec, max_seconds, cache_dir = task
     try:
-        payload, code = _verify_payload(spec_str, None, max_seconds, cache_dir, False)
+        return (*_verify_payload(spec, None, max_seconds, cache_dir, False), None)
     except InvariantViolation as exc:
         payload = {"verified": False, "timeout": False, "error": f"internal: {exc}"}
-        code = EXIT_INTERNAL
-    return spec_str, payload, code
+        return payload, EXIT_INTERNAL, exc
 
 
 def cmd_sweep(args) -> int:
-    specs = [str(parse_spec(s)) for s in args.specs]
+    specs = [parse_spec(s) for s in args.specs]
     tasks = [(s, args.max_seconds, args.cache_dir) for s in specs]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -228,21 +221,20 @@ def cmd_sweep(args) -> int:
         results = [_sweep_worker(t) for t in tasks]
     entries = []
     codes = []
-    for spec_str, payload, code in results:
+    for spec, (payload, code, error) in zip(specs, results):
         entries.append(
             {
-                "spec": spec_str,
+                "spec": str(spec),
                 "verified": bool(payload.get("verified")),
                 "timeout": bool(payload.get("timeout")),
                 "report": payload,
             }
         )
         codes.append(code)
-        if code == EXIT_INTERNAL:
-            message = payload["error"].partition(": ")[2]
-            print(f"error: internal: {spec_str}: {message}", file=sys.stderr)
+        if error is not None:
+            print(f"error: internal: {spec}: {error}", file=sys.stderr)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
-    print(_emit(" ".join(specs), "sweep", args.format, payload), end="")
+    print(_emit(" ".join(map(str, specs)), "sweep", args.format, payload), end="")
     if any(c == EXIT_INTERNAL for c in codes):
         return EXIT_INTERNAL
     if any(c == EXIT_MISMATCH for c in codes):
@@ -252,16 +244,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_order(text, rank) -> tuple[int, ...] | None:
+def _parse_order(text) -> tuple[int, ...] | None:
+    """The integers of a --coxeter-order value; ``weyl.node_order`` checks
+    that they are a permutation."""
     if text is None:
         return None
     try:
-        order = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SpecError(f"--coxeter-order {text!r} is not a comma-separated permutation")
-    if sorted(order) != list(range(1, rank + 1)):
-        raise SpecError(f"--coxeter-order {text!r} is not a permutation of 1..{rank}")
-    return order
 
 
 # --------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .cartan import CartanType, as_spec, delete_node, invariants, spec_of
+from .cartan import CartanType, as_spec, delete_node, invariants
 from .errors import InvariantViolation
-from .poly import BivarPoly, uni_add, uni_mul, uni_scale, uni_trim
+from .poly import BivarPoly, uni_add, uni_scale
 
 
 @dataclass(frozen=True)
@@ -65,37 +65,16 @@ def _bc_normalized(t: CartanType) -> CartanType:
 
 
 @lru_cache(maxsize=None)
-def _f_vector_irreducible(t: CartanType) -> tuple[int, ...]:
-    h = invariants(t).coxeter_number
-    total = ()
-    for i in range(1, t.rank + 1):
-        total = uni_add(total, f_vector(delete_node(t, i)).coeffs)
-    deriv = uni_scale(total, Fraction(h + 2, 2))
-    coeffs = [1] + [Fraction(c, k + 1) for k, c in enumerate(deriv)]
-    out = uni_trim(coeffs)
-    if any(not isinstance(c, int) for c in out):
-        raise InvariantViolation(f"f-vector of {t} is not integral: {coeffs}")
-    return out
-
-
-def f_vector(spec) -> FVector:
-    """The f-vector (cone counts by dimension); multiplicative over products."""
-    spec = as_spec(spec)
-    coeffs = (1,)
-    for t in spec.components:
-        coeffs = uni_mul(coeffs, _f_vector_irreducible(_bc_normalized(t)))
-    return _validate_fvector(spec.rank, coeffs, f"f_vector({spec})")
-
-
-@lru_cache(maxsize=None)
 def _f_triangle_irreducible(t: CartanType) -> BivarPoly:
     rate = BivarPoly.zero()
     for i in range(1, t.rank + 1):
         rate = rate + f_triangle(delete_node(t, i)).data
     g = rate.antiderivative_y()
-    fvec = f_vector(spec_of(t)).coeffs
-    diag = g.diagonal()
-    x_part = uni_add(fvec, uni_scale(diag, -1))
+    # a child's f-vector is the diagonal of its F, so f' = (h+2)/2 * rate(x, x)
+    h = invariants(t).coxeter_number
+    deriv = uni_scale(rate.diagonal(), Fraction(h + 2, 2))
+    fvec = [1] + [Fraction(c, k + 1) for k, c in enumerate(deriv)]
+    x_part = uni_add(fvec, uni_scale(g.diagonal(), -1))
     return BivarPoly.from_x_coeffs(x_part) + g
 
 
@@ -106,6 +85,12 @@ def f_triangle(spec) -> FTriangle:
     for t in spec.components:
         data = data * _f_triangle_irreducible(_bc_normalized(t))
     return _validate_triangle(spec.rank, data, f"f_triangle({spec})")
+
+
+def f_vector(spec) -> FVector:
+    """The f-vector (cone counts by dimension), f(x) = F(x, x)."""
+    spec = as_spec(spec)
+    return _validate_fvector(spec.rank, f_triangle(spec).data.diagonal(), f"f_vector({spec})")
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-Coeff = "int | Fraction"
-
 
 def _norm(c):
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -75,6 +73,10 @@ class BivarPoly:
         if 0 <= k < len(self.rows) and 0 <= l < len(self.rows[k]):
             return self.rows[k][l]
         return 0
+
+    def dense_rows(self, n: int) -> list[list]:
+        """The (n+1) x (n+1) coefficient matrix, zeros included."""
+        return [[self.coeff(k, l) for l in range(n + 1)] for k in range(n + 1)]
 
     def terms(self):
         for k, row in enumerate(self.rows):

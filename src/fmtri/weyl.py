@@ -60,7 +60,6 @@ class ReflectionRep:
 
     spec: RootSystemSpec
     n: int
-    cartan: Matrix
     simple_reflections: tuple[Matrix, ...]
     positive_roots: tuple[tuple[int, ...], ...]
     reflections: tuple[Matrix, ...]
@@ -83,7 +82,6 @@ def build_rep(spec) -> ReflectionRep:
             for j in range(t.rank):
                 cartan[offset + i][offset + j] = block[i][j]
         offset += t.rank
-    cartan = tuple(tuple(row) for row in cartan)
 
     simples = []
     for i in range(n):
@@ -122,14 +120,14 @@ def build_rep(spec) -> ReflectionRep:
         )
     roots = tuple(sorted(refl_of, key=lambda v: (sum(v), v)))
     reflections = tuple(refl_of[v] for v in roots)
-    return ReflectionRep(spec, n, cartan, simples, roots, reflections)
+    return ReflectionRep(spec, n, simples, roots, reflections)
 
 
 def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]:
     """The node order (1-based) naming a Coxeter element; 1, ..., n by default."""
     order = tuple(range(1, n + 1)) if ordering is None else tuple(ordering)
     if sorted(order) != list(range(1, n + 1)):
-        raise SpecError(f"{order!r} is not a permutation of 1..{n}")
+        raise SpecError(f"Coxeter order {','.join(map(str, order))} is not a permutation of 1..{n}")
     return order
 
 
@@ -357,9 +355,11 @@ def invariant_formulas(spec) -> InvariantFormulas:
 
 def check_lattice(lat: NCLattice) -> None:
     """Raise InvariantViolation unless |L| and mu(0, 1) of ``lat`` are the
-    ``invariant_formulas`` values of its spec and its Moebius table keeps
-    the defining sums: row a starts with (a, 1), every row but the top's
-    sums to 0 and every column but the bottom's sums to 0."""
+    ``invariant_formulas`` values of its spec, ``n`` is the rank of its
+    spec, its Moebius table keeps the defining sums (row a starts with
+    (a, 1), every row but the top's sums to 0 and every column but the
+    bottom's sums to 0), and ``ranks`` are the heights in the order the
+    table's support defines."""
     forms = invariant_formulas(lat.spec)
     found = (lat.cardinality, lat.mobius_number)
     if found != (forms.cardinality, forms.mobius_number):
@@ -367,12 +367,23 @@ def check_lattice(lat: NCLattice) -> None:
             f"{lat.spec}: |L| = {found[0]} and mu = {found[1]}, expected "
             f"{forms.cardinality} and {forms.mobius_number}"
         )
+    if lat.n != lat.spec.rank:
+        raise InvariantViolation(f"{lat.spec}: n = {lat.n}, expected {lat.spec.rank}")
     top = lat.cardinality - 1
     column_sums = [0] * lat.cardinality
+    # rows come in index order, which refines the order, so the height of
+    # a is final before its row raises the heights above it
+    heights = [0] * lat.cardinality
     for a, row in enumerate(lat.mobius_rows):
         if row[0] != (a, 1) or (a != top and sum(mu for _, mu in row)):
             raise InvariantViolation(f"{lat.spec}: Moebius row {a} breaks the defining sums")
-        for b, mu in row:
+        column_sums[a] += 1
+        above = heights[a] + 1
+        for b, mu in row[1:]:
             column_sums[b] += mu
+            if heights[b] < above:
+                heights[b] = above
     if any(column_sums[1:]):
         raise InvariantViolation(f"{lat.spec}: a Moebius column breaks the defining sums")
+    if list(lat.ranks) != heights:
+        raise InvariantViolation(f"{lat.spec}: ranks are not the heights of the elements")

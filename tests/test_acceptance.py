@@ -165,14 +165,14 @@ def test_criterion_5_conjecture_verification(lattice_store, tmp_path):
     desc = "change-of-variables identity verified exactly across the sweep"
     with criterion(5, desc):
         for s in CONJECTURE_SPECS:
-            report = verify_conjecture(nc_lattice(s))
-            assert report.verified and report.evidence.all_pass, s
+            payload, _ = verify_conjecture(nc_lattice(s))
+            assert payload["verified"] and all(payload["evidence"].values()), s
         # E6 end to end (fresh lattice build) within its budget
         t0 = time.perf_counter()
         lat = build_nc_lattice(build_rep("E6"))
-        report = verify_conjecture(lat)
+        payload, _ = verify_conjecture(lat)
         e6_elapsed = time.perf_counter() - t0
-        assert report.verified and report.evidence.all_pass
+        assert payload["verified"] and all(payload["evidence"].values())
         assert e6_elapsed < 900.0, f"E6 verification took {e6_elapsed:.2f}s"
         # the scripted sweep must exit 0
         import io

@@ -3,12 +3,15 @@ import time
 
 import pytest
 
-from fmtri import cli
+from fmtri import cli, conjecture
 from fmtri.cache import lattice_from_doc, lattice_to_doc, load_or_build_lattice
+from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
 from fmtri.errors import InvariantViolation
-from fmtri.ftriangle import f_triangle
+from fmtri.ftriangle import FTriangle, f_triangle
 from fmtri.weyl import m_triangle, nc_lattice
+
+from oracles import poly_from_terms
 
 PAPER_A3_TEX = """\\begin{bmatrix}
 1&3&3&1\\\\
@@ -93,6 +96,7 @@ class TestMTriangleCommand:
     def test_bad_order_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "mtriangle", "A3", "--coxeter-order", "1,2")
         assert code == EXIT_USAGE
+        assert run_cli.last_err == "error: Coxeter order 1,2 is not a permutation of 1..3\n"
 
 
 class TestInvariantsCommand:
@@ -142,22 +146,23 @@ class TestVerifyCommand:
     def test_verified_exit_code_mapping(self):
         from fmtri.cli import _verify_payload
 
-        payload, code = _verify_payload("A2", None, None, None, False)
+        payload, code = _verify_payload(parse_spec("A2"), None, None, None, False)
         assert code == EXIT_OK and payload["verified"]
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
-        # no real spec mismatches, so doctor the comparison
-        import fmtri.cli as cli_mod
-        from fmtri.conjecture import verify_conjecture
-
-        real = verify_conjecture(nc_lattice("A2"))
-        from dataclasses import replace
-
-        fake = replace(real, verified=False, mismatches=((0, 0, 1, 2),))
-        monkeypatch.setattr(cli_mod, "verify_conjecture", lambda *a, **k: fake)
-        code, out = run_cli(capsys, "verify", "A2")
+        # no real spec mismatches, so doctor the F side: 1 + 2x + y for A1
+        wrong = FTriangle(1, poly_from_terms((0, 0, 1), (1, 0, 2), (0, 1, 1)))
+        monkeypatch.setattr(conjecture, "f_triangle", lambda spec: wrong)
+        code, out = run_cli(capsys, "verify", "A1")
         assert code == EXIT_MISMATCH
-        assert json.loads(out)["payload"]["mismatches"] == [[0, 0, 1, 2]]
+        assert json.loads(out)["payload"]["mismatches"] == [[0, 1, 2, 1], [1, 0, 2, 1]]
+        code, out = run_cli(capsys, "verify", "A1", "--format", "csv")
+        assert code == EXIT_MISMATCH
+        assert out.startswith("verified,false\n")
+        assert [line for line in out.splitlines() if line.startswith("mismatch,")] == [
+            "mismatch,0,1,2,1",
+            "mismatch,1,0,2,1",
+        ]
 
     def test_timings_flag(self, capsys):
         _, without = run_cli(capsys, "verify", "A2")
@@ -302,8 +307,8 @@ class TestDeterminismAndCache:
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
-    def test_lattice_file_breaking_the_mobius_sums_is_rebuilt(self, capsys, tmp_path):
-        # |L| and mu(0, 1) stay right; the row of the atom no longer sums to 0
+    @pytest.mark.parametrize("edit", ["mu_atom_c", "rank_1", "n_2", "n_4"])
+    def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
         _, cold = run_cli(capsys, "verify", "A3")
         args = ("verify", "A3", "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
@@ -311,7 +316,13 @@ class TestDeterminismAndCache:
         fresh = path.read_bytes()
         doc = json.loads(fresh)
         assert doc["ranks"][1] == 1 and doc["mobius_rows"][1][-1][0] == len(doc["ranks"]) - 1
-        doc["mobius_rows"][1][-1][1] += 1  # mu(atom, c) off by one
+        if edit == "mu_atom_c":
+            # |L| and mu(0, 1) stay right; the row of the atom no longer sums to 0
+            doc["mobius_rows"][1][-1][1] += 1
+        elif edit == "rank_1":
+            doc["ranks"][1] = 2
+        else:
+            doc["n"] = int(edit[-1])
         path.write_text(json.dumps(doc))
         code, out = run_cli(capsys, *args)
         assert code == EXIT_OK

@@ -14,7 +14,14 @@ from fmtri.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 # (command, --coxeter-order or None)
-COMMANDS = (("verify", None), ("mtriangle", None), ("mtriangle", "3,2,1"), ("ftriangle", None))
+COMMANDS = (
+    ("verify", None),
+    ("mtriangle", None),
+    ("mtriangle", "3,2,1"),
+    ("ftriangle", None),
+    ("fvector", None),
+    ("invariants", None),
+)
 CASES = [
     (cmd, spec, order, fmt)
     for cmd, order in COMMANDS

@@ -235,18 +235,26 @@ class TestNCLattice:
             assert len(set(lat.elements)) == lat.cardinality
             assert [abs_length(g) for g in lat.elements] == list(lat.ranks)
 
-    @pytest.mark.parametrize(
-        "edits", [[(1, 0, 1)], [(1, -1, 1)], [(0, 1, 1), (0, 2, -1)]], ids=["diagonal", "row", "column"]
-    )
-    def test_check_lattice_catches_mobius_edits(self, edits):
-        # each edit (a, pos, delta) adds delta to entry pos of row a; none
-        # touches |L| or mu(0, 1), and the column edit keeps every row sum
+    @pytest.mark.parametrize("edit", ["diagonal", "row", "column", "rank", "n"])
+    def test_check_lattice_catches_mobius_edits(self, edit):
+        # each Moebius edit (a, pos, delta) adds delta to entry pos of row a;
+        # none touches |L| or mu(0, 1), and the column edit keeps every row sum
         lat = nc_lattice("A3")
-        rows = [list(row) for row in lat.mobius_rows]
-        for a, pos, delta in edits:
-            b, mu = rows[a][pos]
-            rows[a][pos] = (b, mu + delta)
-        doctored = replace(lat, mobius_rows=tuple(tuple(row) for row in rows))
+        if edit == "rank":
+            doctored = replace(lat, ranks=(0, 2) + lat.ranks[2:])
+        elif edit == "n":
+            doctored = replace(lat, n=4)
+        else:
+            mobius_edits = {
+                "diagonal": [(1, 0, 1)],
+                "row": [(1, -1, 1)],
+                "column": [(0, 1, 1), (0, 2, -1)],
+            }
+            rows = [list(row) for row in lat.mobius_rows]
+            for a, pos, delta in mobius_edits[edit]:
+                b, mu = rows[a][pos]
+                rows[a][pos] = (b, mu + delta)
+            doctored = replace(lat, mobius_rows=tuple(tuple(row) for row in rows))
         assert doctored.mobius_number == lat.mobius_number
         with pytest.raises(InvariantViolation):
             weyl.check_lattice(doctored)
@@ -256,8 +264,8 @@ class TestNCLattice:
         forms = invariant_formulas("E7")
         assert (lat.cardinality, lat.mobius_number) == (4160, -2431)
         assert (forms.cardinality, forms.mobius_number) == (4160, -2431)
-        report = verify_conjecture(lat)
-        assert report.verified and report.evidence.all_pass
+        payload, _ = verify_conjecture(lat)
+        assert payload["verified"] and all(payload["evidence"].values())
 
     def test_grading_via_covers(self):
         # each cover multiplies by one reflection
