@@ -2,7 +2,7 @@
 """Long jobs: ``fmtri verify --timings`` for E7 and E8.
 
 E7 (|L| = 4160) is also built and verified in the test suite; a cold run
-through this script took 2.1 s wall and 45 MB peak RSS on a 2-core Intel
+through this script took 1.7 s wall and 50 MB peak RSS on a 2-core Intel
 Xeon with CPython 3.11.  E8 (|L| = 25080) runs only with --yes; a cold run
 took 62 s wall and 362 MB peak RSS on the same host, mostly in the Moebius
 table.  Every built or cache-loaded lattice must pass

@@ -1,15 +1,15 @@
 """Persistent JSON cache for noncrossing partition lattices.
 
 One file per lattice, keyed by canonical spec string, Coxeter ordering, and
-schema version; writes go through a temp file and an atomic rename so a
-killed run never leaves a truncated cache.  The file stores element
-matrices, ranks, and Moebius rows; the order relation is persisted as the
-support of the Moebius rows, so a loaded lattice is the same value as a
-freshly built one.  A file is trusted only if it parses, names the requested
-spec and order, and passes ``weyl.check_lattice``; any other file is a miss,
-and the rebuilt lattice replaces it.  Moebius edits that cancel out, keeping
-mu(0, 1) and every row and column sum, are not detected, nor are edits to
-the element matrices.
+schema version 2; writes go through a temp file and an atomic rename so a
+killed run never leaves a truncated cache.  The file holds n, the element
+masks as integers, ranks and Moebius rows, and no matrix; the order relation
+is the support of the Moebius rows, so a loaded lattice is the same value as
+a freshly built one.  A file is trusted only if it parses, has schema version
+2, names the requested spec and order, and passes ``weyl.check_lattice``;
+any other file is a miss, and the rebuilt lattice replaces it.  Moebius
+edits that cancel out, keeping mu(0, 1) and every row and column sum, are
+not detected, nor are edits to the masks, which no output reads.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.
@@ -26,7 +26,7 @@ from .cartan import RootSystemSpec, as_spec, parse_spec
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
 from .weyl import NCLattice, check_lattice, nc_lattice, node_order
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def atomic_write_json(path: Path, doc: dict) -> None:
@@ -54,26 +54,28 @@ def lattice_to_doc(lat: NCLattice) -> dict:
         "spec": str(lat.spec),
         "coxeter_order": list(lat.coxeter_order),
         "n": lat.n,
-        "elements": [[list(row) for row in g] for g in lat.elements],
+        "elements": list(lat.elements),
         "ranks": list(lat.ranks),
         "mobius_rows": [[[b, mu] for b, mu in row] for row in lat.mobius_rows],
     }
 
 
 def lattice_from_doc(doc: dict) -> NCLattice:
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"cache schema version {doc['schema_version']!r}, expected {SCHEMA_VERSION}")
     return NCLattice(
         spec=parse_spec(doc["spec"]),
         coxeter_order=tuple(doc["coxeter_order"]),
         n=doc["n"],
-        elements=tuple(tuple(tuple(row) for row in mat) for mat in doc["elements"]),
+        elements=tuple(doc["elements"]),
         ranks=tuple(doc["ranks"]),
         mobius_rows=tuple(tuple((b, mu) for b, mu in row) for row in doc["mobius_rows"]),
     )
 
 
 # what reading a missing, truncated, foreign or doctored file can raise: I/O,
-# JSON and spec parse errors (ValueError), a document of the wrong shape
-# (LookupError, TypeError, AttributeError), and a failed ``check_lattice``
+# JSON, spec and schema version errors (ValueError), a document of the wrong
+# shape (LookupError, TypeError, AttributeError), and a failed ``check_lattice``
 _UNTRUSTED = (OSError, ValueError, LookupError, TypeError, AttributeError, InvariantViolation)
 
 

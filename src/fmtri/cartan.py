@@ -143,15 +143,6 @@ class DynkinDiagram:
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b, _, _ in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
 
 def diagram(t: CartanType) -> DynkinDiagram:
     """The Bourbaki-labeled diagram of an irreducible type."""

@@ -4,7 +4,7 @@ Subcommands: ftriangle | fvector | mtriangle | invariants | verify | sweep.
 Output formats: json (default, stable envelope with a schema version), tex
 (matrix layouts), csv.  Exit codes: 0 success/verified, 1 conjecture
 mismatch or failed evidence check, 2 usage error, 3 time budget exceeded,
-4 internal error (a computed result broke a consistency check).  ``sweep``
+4 internal error (a broken invariant or any unexpected exception).  ``sweep``
 reports an internal error as that spec's entry, goes on, and exits 4.
 
 ``--cache-dir`` exists on the commands that need a lattice (mtriangle,
@@ -21,9 +21,10 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .cache import SCHEMA_VERSION, load_or_build_lattice
+from .cache import load_or_build_lattice
 from .cartan import invariants, parse_spec
 from .conjecture import verify_conjecture
 from .errors import ComputationTimeout, Deadline, InvariantViolation, SpecError
@@ -35,6 +36,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_INTERNAL = 4
+ENVELOPE_VERSION = 1  # the JSON output's schema_version, not the cache file's
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +51,7 @@ def _bmatrix(rows: list[list[int]]) -> str:
 def _emit(spec: str, kind: str, fmt: str, payload: dict) -> str:
     if fmt == "json":
         doc = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": ENVELOPE_VERSION,
             "spec": spec,
             "kind": kind,
             "format": fmt,
@@ -198,17 +200,25 @@ def cmd_verify(args) -> int:
     return code
 
 
+def _internal_error(exc: Exception) -> str:
+    """The message of an internal error, after the traceback of an unexpected one."""
+    if isinstance(exc, InvariantViolation):
+        return str(exc)
+    traceback.print_exception(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _sweep_worker(task):
-    """One spec of a sweep: (payload, exit code, error).  An
-    InvariantViolation becomes that spec's report and is returned as
-    ``error``, so the stderr line can name the spec; otherwise ``error``
-    is None."""
+    """One spec of a sweep: (payload, exit code, error).  An internal error
+    becomes that spec's report and its message is returned as ``error``, so
+    the stderr line can name the spec; otherwise ``error`` is None."""
     spec, max_seconds, cache_dir = task
     try:
         return (*_verify_payload(spec, None, max_seconds, cache_dir, False), None)
-    except InvariantViolation as exc:
-        payload = {"verified": False, "timeout": False, "error": f"internal: {exc}"}
-        return payload, EXIT_INTERNAL, exc
+    except Exception as exc:
+        error = _internal_error(exc)
+        payload = {"verified": False, "timeout": False, "error": f"internal: {error}"}
+        return payload, EXIT_INTERNAL, error
 
 
 def cmd_sweep(args) -> int:
@@ -235,12 +245,9 @@ def cmd_sweep(args) -> int:
             print(f"error: internal: {spec}: {error}", file=sys.stderr)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
     print(_emit(" ".join(map(str, specs)), "sweep", args.format, payload), end="")
-    if any(c == EXIT_INTERNAL for c in codes):
-        return EXIT_INTERNAL
-    if any(c == EXIT_MISMATCH for c in codes):
-        return EXIT_MISMATCH
-    if any(c == EXIT_TIMEOUT for c in codes):
-        return EXIT_TIMEOUT
+    for worst in (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_TIMEOUT):
+        if worst in codes:
+            return worst
     return EXIT_OK
 
 
@@ -329,8 +336,8 @@ def main(argv=None) -> int:
     except ComputationTimeout:
         print("error: time budget exceeded", file=sys.stderr)
         return EXIT_TIMEOUT
-    except InvariantViolation as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: internal: {_internal_error(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

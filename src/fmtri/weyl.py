@@ -1,21 +1,22 @@
 """Weyl groups over the integer reflection representation, and the
 noncrossing partition lattice.
 
-Group elements, reflections and Coxeter elements are plain ``Matrix``
-tuples: n x n integer matrices acting on coordinates in the simple-root
-basis, so every computation is exact.
+Reflections and Coxeter elements are plain ``Matrix`` tuples: n x n integer
+matrices acting on coordinates in the simple-root basis, so every
+computation is exact.
 
 The lattice is the interval [1, c] in absolute order, enumerated level by
 level and never via the full group, which is what keeps the exceptional
-types cheap.  Each element a is named by the bitmask of the reflections t
-whose vector u_t = (1 - c)^-1 beta_t it fixes.  These are exactly the t
-with t*a covering a inside [1, c]: t <= c a^-1 iff beta_t lies in
-Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  A child's mask
-is its parent's AND a precomputed mask of t, so the search needs no rank
-test and every candidate is a cover; the tests check the result against
-whole-group enumeration and the rank test rank(g - 1) for the length.  An
-``NCLattice`` keeps its elements, ranks and Moebius table, and nothing
-else: the support of the Moebius table is the order relation.
+types cheap.  Each element a is named, and only named, by the bitmask F(a)
+of the reflections t whose vector u_t = (1 - c)^-1 beta_t it fixes.  These
+are exactly the t with t*a covering a inside [1, c]: t <= c a^-1 iff beta_t
+lies in Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  A
+child's mask is its parent's AND a precomputed mask of t, so the search
+needs no rank test and every candidate is a cover; the tests check the
+masks against whole-group enumeration and the rank test rank(g - 1).  An
+``NCLattice`` keeps its masks in (rank, mask) order, ranks and Moebius
+table, and nothing else: the support of the Moebius table is the order
+relation.
 """
 
 from __future__ import annotations
@@ -164,18 +165,18 @@ def _power_moment(m: Matrix, e: int) -> Matrix:
 class NCLattice:
     """The interval [1, c], with ranks and Moebius table.
 
-    ``elements`` are sorted by (rank, matrix), so index order refines rank
-    order, element 0 is the identity and element -1 is c.  ``mobius_rows[a]``
-    lists (b, mu(a, b)) for every b >= a in index order.  Its support is
-    the up-set of a, so the rows carry the whole order relation, for fresh
-    and cache-loaded lattices alike; a cover is an entry whose rank
-    difference is 1.
+    ``elements`` are the masks F(a) sorted by (rank, mask), so index order
+    refines rank order, element 0 is the identity (every bit set) and
+    element -1 is c (mask 0).  ``mobius_rows[a]`` lists (b, mu(a, b)) for
+    every b >= a in index order.  Its support is the up-set of a, so the
+    rows carry the whole order relation, for fresh and cache-loaded
+    lattices alike; a cover is an entry whose rank difference is 1.
     """
 
     spec: RootSystemSpec
     coxeter_order: tuple[int, ...]
     n: int
-    elements: tuple[Matrix, ...]
+    elements: tuple[int, ...]
     ranks: tuple[int, ...]
     mobius_rows: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -183,15 +184,10 @@ class NCLattice:
     def cardinality(self) -> int:
         return len(self.elements)
 
-    def mobius(self, a: int, b: int) -> int:
-        for idx, mu in self.mobius_rows[a]:
-            if idx == b:
-                return mu
-        return 0
-
     @property
     def mobius_number(self) -> int:
-        return self.mobius(0, len(self.elements) - 1)
+        """mu(1, c), read from the identity's row; 0 if c is not in it."""
+        return dict(self.mobius_rows[0]).get(len(self.elements) - 1, 0)
 
 
 def build_nc_lattice(
@@ -204,11 +200,11 @@ def build_nc_lattice(
     c is the Coxeter element of ``coxeter_order``.  F(a) is the bitmask of
     the reflections t with a u_t = u_t: F(1) has every bit and F(c) none.
     Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
-    injective on [1, c], so the covers of a are the t*a for t in F(a), and
-    an element's matrix comes from its first parent.  mu comes from the
-    recursion mu(a, b) = -sum_{a <= z < b} mu(a, z) over the closure of the
-    covers.  Element order is canonical, so results are reproducible.  The
-    result passes ``check_lattice`` or the build raises InvariantViolation.
+    injective on [1, c], so the covers of a are the t*a for t in F(a) and
+    the mask names the element.  mu comes from the recursion
+    mu(a, b) = -sum_{a <= z < b} mu(a, z) over the closure of the covers.
+    Element order is canonical, so results are reproducible.  The result
+    passes ``check_lattice`` or the build raises InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
@@ -221,8 +217,8 @@ def build_nc_lattice(
         sum(1 << i for i, v in enumerate(u) if mat_apply(t, v) == v) for t in rep.reflections
     ]
 
-    elem: dict[int, Matrix] = {(1 << len(u)) - 1: mat_identity(n)}
-    levels: list[list[int]] = [list(elem)]
+    levels: list[list[int]] = [[(1 << len(u)) - 1]]
+    seen = set(levels[0])
     cover_masks: list[tuple[int, int]] = []
     for k in range(n):
         next_level: list[int] = []
@@ -231,21 +227,20 @@ def build_nc_lattice(
             for i in _mask_indices(f):
                 g = f & z_masks[i]
                 cover_masks.append((f, g))
-                if g not in elem:
-                    elem[g] = mat_mul(rep.reflections[i], elem[f])
+                if g not in seen:
+                    seen.add(g)
                     next_level.append(g)
         levels.append(next_level)
-    if levels[n] != [0] or elem[0] != c_mat:
+    if levels[n] != [0]:
         raise InvariantViolation("top level of [1, c] is not exactly {c}")
 
-    masks = [f for level in levels for f in sorted(level, key=elem.__getitem__)]
+    masks = [f for level in levels for f in sorted(level)]
     ranks = [k for k, level in enumerate(levels) for _ in level]
-    mats = [elem[f] for f in masks]
     index = {f: i for i, f in enumerate(masks)}
     covers = sorted((index[f], index[g]) for f, g in cover_masks)
     # bitmasks of the up- and down-sets; every cover (a, b) has a < b, so
     # one pass each way closes them
-    up = [1 << i for i in range(len(mats))]
+    up = [1 << i for i in range(len(masks))]
     down = up[:]
     for a, b in reversed(covers):
         up[a] |= up[b]
@@ -255,7 +250,7 @@ def build_nc_lattice(
     # mu(a, b) = -sum of mu(a, z) over a <= z < b; the up/down mask
     # intersection walks exactly the interval [a, b]
     mobius_rows = []
-    for a in range(len(mats)):
+    for a in range(len(masks)):
         deadline.check()
         ua = up[a]
         row = {a: 1}
@@ -271,7 +266,7 @@ def build_nc_lattice(
         spec=rep.spec,
         coxeter_order=order,
         n=n,
-        elements=tuple(mats),
+        elements=tuple(masks),
         ranks=tuple(ranks),
         mobius_rows=tuple(mobius_rows),
     )

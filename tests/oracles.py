@@ -3,10 +3,11 @@
 None of this is on a CLI path.  Each function is written independently of
 the code it checks: the reflection length rank(g - 1) by Bareiss
 elimination, whole-group enumeration and breadth-first word length to check
-it, the pairwise rank test for the absolute order, multichain counting for
-the Zeta polynomial, closed forms for the A and B F-triangles, and the
-second change of variables for the reflection symmetry.  Polynomial helpers
-that only tests need live here too.
+it, the pairwise rank test for the absolute order, the interval [1, c] cut
+from the whole group with each element's matrix under its mask, multichain
+counting for the Zeta polynomial, closed forms for the A and B F-triangles,
+and the second change of variables for the reflection symmetry.  Polynomial
+helpers that only tests need live here too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import FTriangle, _validate_triangle
 from fmtri.poly import BivarPoly, conjecture_substitution
-from fmtri.weyl import Matrix, NCLattice, ReflectionRep, mat_identity, mat_mul
+from fmtri.weyl import Matrix, NCLattice, ReflectionRep, mat_apply, mat_identity, mat_mul
 
 # --------------------------------------------------------------------------
 # Exact rank, and the reflection length rank(g - 1)
@@ -111,6 +112,39 @@ def absolute_leq(rep: ReflectionRep, v: Matrix, w: Matrix) -> bool:
     """v <= w in absolute order (lengths add along v, v^-1 w)."""
     lv, lw = abs_length(v), abs_length(w)
     return lv <= lw and int_rank(mat_sub(w, v)) == lw - lv
+
+
+def solve(a: Matrix, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """The solution x of a x = b for an invertible ``a``, by Gauss-Jordan
+    elimination over Fractions."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = [x / rows[col][col] for x in rows[col]]
+        rows[col] = pivot_row
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot_row)]
+    return tuple(row[n] for row in rows)
+
+
+def interval_by_mask(rep: ReflectionRep, c: Matrix) -> dict[int, Matrix]:
+    """The interval [1, c] cut from the whole group by ``absolute_leq``,
+    keyed by F(w): bit i is set iff w fixes u_i, the solution of
+    (1 - c) u = beta_i for the i-th positive root.  Raises InvariantViolation
+    if two elements share a mask."""
+    one_minus_c = mat_sub(mat_identity(rep.n), c)
+    us = [solve(one_minus_c, beta) for beta in rep.positive_roots]
+    interval = [w for w in whole_group(rep) if absolute_leq(rep, w, c)]
+    by_mask = {
+        sum(1 << i for i, u in enumerate(us) if mat_apply(w, u) == u): w for w in interval
+    }
+    if len(by_mask) != len(interval):
+        raise InvariantViolation("F is not injective on [1, c]")
+    return by_mask
 
 
 def zeta_bruteforce(lat: NCLattice, m: int) -> int:

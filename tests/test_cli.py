@@ -202,6 +202,29 @@ class TestVerifyCommand:
                 "error: internal: A1: doctored lattice\nerror: internal: A2: doctored lattice\n"
             )
 
+    @pytest.mark.parametrize("argv", [("verify", "A2"), ("sweep", "A1", "A2")], ids=["verify", "sweep"])
+    def test_unexpected_exception_exit_code(self, capsys, monkeypatch, argv):
+        # an exception the CLI does not name is an internal error, not a mismatch
+        def broken(lat):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(conjecture, "m_triangle", broken)
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        err = run_cli.last_err
+        assert err.startswith("Traceback (most recent call last):\n")
+        if argv[0] == "verify":
+            assert out == ""
+            assert err.count("Traceback") == 1
+            assert err.endswith("KeyError: 'boom'\nerror: internal: KeyError: 'boom'\n")
+        else:
+            results = json.loads(out)["payload"]["results"]
+            assert [r["report"]["error"] for r in results] == ["internal: KeyError: 'boom'"] * 2
+            assert err.count("Traceback") == 2
+            assert err.endswith(
+                "error: internal: A1: KeyError: 'boom'\nerror: internal: A2: KeyError: 'boom'\n"
+            )
+
 
 class TestSweepCommand:
     def test_small_sweep(self, capsys):
@@ -274,6 +297,10 @@ class TestDeterminismAndCache:
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
+        # version 2 files name the elements by their masks and hold no matrix
+        doc = json.loads(path.read_text())
+        assert path.name.endswith("__v2.json") and doc["schema_version"] == 2
+        assert doc["elements"] == list(lat1.elements) and all(type(f) is int for f in lat1.elements)
         stamp = path.stat().st_mtime_ns
         lat2 = load_or_build_lattice("A2", cache_dir=tmp_path)
         assert path.stat().st_mtime_ns == stamp
@@ -307,7 +334,7 @@ class TestDeterminismAndCache:
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
-    @pytest.mark.parametrize("edit", ["mu_atom_c", "rank_1", "n_2", "n_4"])
+    @pytest.mark.parametrize("edit", ["mu_atom_c", "rank_1", "n_2", "n_4", "schema_1"])
     def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
         _, cold = run_cli(capsys, "verify", "A3")
         args = ("verify", "A3", "--cache-dir", str(tmp_path))
@@ -321,6 +348,9 @@ class TestDeterminismAndCache:
             doc["mobius_rows"][1][-1][1] += 1
         elif edit == "rank_1":
             doc["ranks"][1] = 2
+        elif edit == "schema_1":
+            # a file of another schema version is a miss even under the current name
+            doc["schema_version"] = 1
         else:
             doc["n"] = int(edit[-1])
         path.write_text(json.dumps(doc))

@@ -24,6 +24,7 @@ from oracles import (
     abs_length,
     absolute_leq,
     int_rank,
+    interval_by_mask,
     reflection_word_length,
     uni_eval,
     whole_group,
@@ -195,8 +196,12 @@ class TestNCLattice:
 
     def test_bounds(self):
         lat = nc_lattice("A3")
+        rep = build_rep("A3")
+        c = coxeter_element(rep)
+        by_mask = interval_by_mask(rep, c)
         assert lat.ranks[0] == 0 and lat.ranks[-1] == lat.n
-        assert lat.elements[0] == mat_identity(3)
+        assert lat.elements[0] == (1 << len(rep.reflections)) - 1 and lat.elements[-1] == 0
+        assert by_mask[lat.elements[0]] == mat_identity(3) and by_mask[lat.elements[-1]] == c
 
     def test_formulas_match_bruteforce(self):
         for s in SMALL_TYPES:
@@ -218,10 +223,12 @@ class TestNCLattice:
         for s in ["A2", "A3", "A4", "B3", "D4", "A2xA1"]:
             lat = nc_lattice(s)
             rep = build_rep(s)
+            by_mask = interval_by_mask(rep, coxeter_element(rep))
+            mats = [by_mask[f] for f in lat.elements]
             for a, row in enumerate(lat.mobius_rows):
                 above = {b for b, _ in row}
                 for b in range(lat.cardinality):
-                    expected = absolute_leq(rep, lat.elements[a], lat.elements[b])
+                    expected = absolute_leq(rep, mats[a], mats[b])
                     assert (b in above) == expected
 
     @pytest.mark.parametrize("s", ["A3", "B3", "A4", "B4", "D4", "F4", "G2", "A2xA1"])
@@ -231,9 +238,14 @@ class TestNCLattice:
         for order in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
             lat = nc_lattice(s, order)
             c = coxeter_element(rep, order)
-            assert set(lat.elements) == {w for w in whole_group(rep) if absolute_leq(rep, w, c)}
+            # the oracle raises unless F is injective on [1, c]
+            by_mask = interval_by_mask(rep, c)
+            assert set(lat.elements) == set(by_mask)
             assert len(set(lat.elements)) == lat.cardinality
-            assert [abs_length(g) for g in lat.elements] == list(lat.ranks)
+            assert list(zip(lat.ranks, lat.elements)) == sorted(zip(lat.ranks, lat.elements))
+            assert [abs_length(by_mask[f]) for f in lat.elements] == list(lat.ranks)
+            assert lat.elements[0] == (1 << len(rep.reflections)) - 1 and lat.elements[-1] == 0
+            assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
     @pytest.mark.parametrize("edit", ["diagonal", "row", "column", "rank", "n"])
     def test_check_lattice_catches_mobius_edits(self, edit):
@@ -270,15 +282,17 @@ class TestNCLattice:
     def test_grading_via_covers(self):
         # each cover multiplies by one reflection
         lat = nc_lattice("B3")
-        refls = build_rep("B3").reflections
+        rep = build_rep("B3")
+        by_mask = interval_by_mask(rep, coxeter_element(rep))
+        mats = [by_mask[f] for f in lat.elements]
         for a, b in covers(lat):
-            assert lat.elements[b] in {mat_mul(lat.elements[a], t) for t in refls}
+            assert mats[b] in {mat_mul(mats[a], t) for t in rep.reflections}
 
     def test_mobius_alternating_in_rank_intervals(self):
         lat = nc_lattice("A3")
         # mu(a, b) over one-step intervals is -1
-        for a, b in covers(lat):
-            assert lat.mobius(a, b) == -1
+        mu = {(a, b): m for a, row in enumerate(lat.mobius_rows) for b, m in row}
+        assert all(mu[cover] == -1 for cover in covers(lat))
 
     def test_deterministic_rebuild(self):
         rep = build_rep("B3")
