@@ -21,8 +21,6 @@ from .cartan import (
 from .conjecture import conjecture_rhs, verify_conjecture
 from .errors import ComputationTimeout, InvariantViolation, SpecError
 from .ftriangle import (
-    FTriangle,
-    FVector,
     f_triangle,
     f_vector,
     h_vector,

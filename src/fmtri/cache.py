@@ -1,15 +1,17 @@
 """Persistent JSON cache for noncrossing partition lattices.
 
 One file per lattice, keyed by canonical spec string, Coxeter ordering, and
-schema version 2; writes go through a temp file and an atomic rename so a
-killed run never leaves a truncated cache.  The file holds n, the element
-masks as integers, ranks and Moebius rows, and no matrix; the order relation
-is the support of the Moebius rows, so a loaded lattice is the same value as
-a freshly built one.  A file is trusted only if it parses, has schema version
-2, names the requested spec and order, and passes ``weyl.check_lattice``;
-any other file is a miss, and the rebuilt lattice replaces it.  Moebius
-edits that cancel out, keeping mu(0, 1) and every row and column sum, are
-not detected, nor are edits to the masks, which no output reads.
+schema version 3; writes go through a temp file and an atomic rename so a
+killed run never leaves a truncated cache.  The file holds the spec, the
+Coxeter order, the element masks, ranks and Moebius rows, and nothing else:
+the rank is the spec's, and the order relation is the support of the
+Moebius rows, so a loaded lattice is the same value as a freshly built one.
+A file is trusted only if it parses, has schema version 3, names the
+requested spec and order, holds JSON integers (not 2.0, not true) wherever
+the lattice holds an int, and passes ``weyl.check_lattice``; any other file
+is a miss, and the rebuilt lattice replaces it.  Moebius edits that cancel
+out, keeping mu(0, 1) and every row and column sum, are not detected, nor
+are edits to the masks, which no output reads.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.
@@ -20,13 +22,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from .cartan import RootSystemSpec, as_spec, parse_spec
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
 from .weyl import NCLattice, check_lattice, nc_lattice, node_order
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def atomic_write_json(path: Path, doc: dict) -> None:
@@ -53,24 +56,33 @@ def lattice_to_doc(lat: NCLattice) -> dict:
         "schema_version": SCHEMA_VERSION,
         "spec": str(lat.spec),
         "coxeter_order": list(lat.coxeter_order),
-        "n": lat.n,
         "elements": list(lat.elements),
         "ranks": list(lat.ranks),
         "mobius_rows": [[[b, mu] for b, mu in row] for row in lat.mobius_rows],
     }
 
 
+def _require_ints(values) -> None:
+    """Raise ValueError unless every value is a JSON integer: 2.0 and true
+    equal an int in Python but are not one."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError("a cache entry is not an integer")
+
+
 def lattice_from_doc(doc: dict) -> NCLattice:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"cache schema version {doc['schema_version']!r}, expected {SCHEMA_VERSION}")
-    return NCLattice(
+    lat = NCLattice(
         spec=parse_spec(doc["spec"]),
         coxeter_order=tuple(doc["coxeter_order"]),
-        n=doc["n"],
         elements=tuple(doc["elements"]),
         ranks=tuple(doc["ranks"]),
-        mobius_rows=tuple(tuple((b, mu) for b, mu in row) for row in doc["mobius_rows"]),
+        mobius_rows=tuple(tuple(map(tuple, row)) for row in doc["mobius_rows"]),
     )
+    # an entry of the wrong length fails check_lattice, which unpacks every (b, mu)
+    entries = chain.from_iterable(chain.from_iterable(lat.mobius_rows))
+    _require_ints(chain(lat.coxeter_order, lat.elements, lat.ranks, entries))
+    return lat
 
 
 # what reading a missing, truncated, foreign or doctored file can raise: I/O,

@@ -87,8 +87,6 @@ def spec_of(*types: CartanType) -> RootSystemSpec:
     return RootSystemSpec(tuple(types))
 
 
-EMPTY_SPEC = RootSystemSpec(())
-
 _TYPE_RE = re.compile(r"^([A-Ga-g])([0-9]+)$")
 
 

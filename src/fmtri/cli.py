@@ -22,7 +22,6 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .cache import load_or_build_lattice
 from .cartan import invariants, parse_spec
@@ -119,21 +118,20 @@ def _emit_csv(kind: str, p: dict) -> str:
 
 def cmd_ftriangle(args) -> int:
     spec = parse_spec(args.spec)
-    ft = f_triangle(spec)
-    rows = ft.data.dense_rows(ft.n)
-    payload = {"n": ft.n, "f": [row[: ft.n + 1 - k] for k, row in enumerate(rows)]}
+    n = spec.rank
+    rows = f_triangle(spec).dense_rows(n)
+    payload = {"n": n, "f": [row[: n + 1 - k] for k, row in enumerate(rows)]}
     print(_emit(str(spec), "ftriangle", args.format, payload), end="")
     return EXIT_OK
 
 
 def cmd_fvector(args) -> int:
     spec = parse_spec(args.spec)
-    ft = f_triangle(spec)
     payload = {
         "n": spec.rank,
-        "f": list(f_vector(spec).coeffs),
-        "f_positive": list(positive_f_vector(ft).coeffs),
-        "f_natural": list(natural_f_vector(ft)),
+        "f": list(f_vector(spec)),
+        "f_positive": list(positive_f_vector(spec)),
+        "f_natural": list(natural_f_vector(spec)),
     }
     print(_emit(str(spec), "fvector", args.format, payload), end="")
     return EXIT_OK
@@ -225,6 +223,9 @@ def cmd_sweep(args) -> int:
     specs = [parse_spec(s) for s in args.specs]
     tasks = [(s, args.max_seconds, args.cache_dir) for s in specs]
     if args.jobs > 1:
+        # imported here: only this branch needs the cost of the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
@@ -262,6 +263,17 @@ def _parse_order(text) -> tuple[int, ...] | None:
         raise SpecError(f"--coxeter-order {text!r} is not a comma-separated permutation")
 
 
+def _max_seconds(text: str) -> float:
+    """The type of --max-seconds: a number of seconds >= 0, which nan is not."""
+    try:
+        value = float(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid time budget {text!r}: expected a number >= 0")
+
+
 # --------------------------------------------------------------------------
 # parser and entry point
 # --------------------------------------------------------------------------
@@ -284,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="node order for the Coxeter element, e.g. '2,1,3' (default: 1,2,...,n)",
             )
         if seconds_flag:
-            p.add_argument("--max-seconds", type=float, default=None, help="time budget")
+            p.add_argument("--max-seconds", type=_max_seconds, default=None, help="time budget in seconds")
 
     p = sub.add_parser("ftriangle", help="print the F-triangle of a spec")
     p.add_argument("spec")

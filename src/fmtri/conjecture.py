@@ -20,7 +20,7 @@ import time
 
 from .cartan import RootSystemSpec
 from .errors import Deadline, NO_DEADLINE
-from .ftriangle import FTriangle, f_triangle, h_vector
+from .ftriangle import f_triangle, h_vector
 from .poly import BivarPoly, conjecture_substitution
 from .weyl import NCLattice, m_triangle, nc_lattice, rank_generating_function
 
@@ -36,7 +36,7 @@ def conjecture_rhs(m: BivarPoly) -> BivarPoly:
 
 
 def _check_evidence(
-    spec: RootSystemSpec, ft: FTriangle, lat: NCLattice, m_poly: BivarPoly, deadline: Deadline
+    spec: RootSystemSpec, ft: BivarPoly, lat: NCLattice, m_poly: BivarPoly, deadline: Deadline
 ) -> dict[str, bool]:
     """The five structural checks, each independent of full verification."""
     n = spec.rank
@@ -49,18 +49,18 @@ def _check_evidence(
         f_product = BivarPoly.constant(1)
         for t in spec.components:
             m_product = m_product * m_triangle(nc_lattice(t, deadline=deadline))
-            f_product = f_product * f_triangle(t).data
-        multiplicative = m_poly == m_product and ft.data == f_product
+            f_product = f_product * f_triangle(t)
+        multiplicative = m_poly == m_product and ft == f_product
 
     return {
         "h_vector_match": h_vector(spec) == rank_generating_function(lat),
-        "positive_cluster_count_match": ft.data.coeff(n, 0) == (mu_hat if n % 2 == 0 else -mu_hat),
+        "positive_cluster_count_match": ft.coeff(n, 0) == (mu_hat if n % 2 == 0 else -mu_hat),
         "m_self_dual": all(
             m_poly.coeff(i, j) == m_poly.coeff(n - j, n - i)
             for i in range(n + 1)
             for j in range(n + 1)
         ),
-        "corner_specializations": ft.data.subs_x(-1) == y_pow_n and m_poly.subs_x(1) == y_pow_n,
+        "corner_specializations": ft.subs_x(-1) == y_pow_n and m_poly.subs_x(1) == y_pow_n,
         "multiplicativity": multiplicative,
     }
 
@@ -83,7 +83,7 @@ def verify_conjecture(
 
     t0 = time.perf_counter()
     ft = f_triangle(spec)
-    lhs = conjecture_substitution(ft.data, n).dense_rows(n)
+    lhs = conjecture_substitution(ft, n).dense_rows(n)
     t1 = time.perf_counter()
 
     m_poly = m_triangle(lattice)

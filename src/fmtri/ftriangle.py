@@ -12,35 +12,24 @@ with f(x) = F(x, x), f(0) = 1, and both quantities multiplicative over
 products of root systems.  Integrating the first recursion fixes F up to its
 y-free part, which the second recursion supplies through the diagonal.
 
-Closed forms for the infinite families (types A and B) are implemented
-independently in the test suite's oracles and checked against the recursion.
+The triangle is a plain ``BivarPoly`` and every vector a plain int tuple; the
+rank they live in is the spec's.  Closed forms for the infinite families
+(types A and B) are implemented independently in the test suite's oracles
+and checked against the recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .cartan import CartanType, as_spec, delete_node, invariants
 from .errors import InvariantViolation
-from .poly import BivarPoly, uni_add, uni_scale
+from .poly import BivarPoly
 
 
-@dataclass(frozen=True)
-class FTriangle:
-    n: int
-    data: BivarPoly
-
-
-@dataclass(frozen=True)
-class FVector:
-    n: int
-    coeffs: tuple[int, ...]
-
-
-def _validate_triangle(n: int, p: BivarPoly, origin: str) -> FTriangle:
+def _validate_triangle(n: int, p: BivarPoly, origin: str) -> BivarPoly:
     for k, l, c in p.terms():
         if k + l > n:
             raise InvariantViolation(f"{origin}: support ({k},{l}) beyond rank {n}")
@@ -48,15 +37,15 @@ def _validate_triangle(n: int, p: BivarPoly, origin: str) -> FTriangle:
             raise InvariantViolation(f"{origin}: coefficient f[{k}][{l}] = {c!r}")
     if p.coeff(0, 0) != 1:
         raise InvariantViolation(f"{origin}: constant term {p.coeff(0, 0)} != 1")
-    return FTriangle(n, p)
+    return p
 
 
-def _validate_fvector(n: int, coeffs: tuple, origin: str) -> FVector:
+def _validate_fvector(n: int, coeffs: tuple, origin: str) -> tuple[int, ...]:
     if len(coeffs) != n + 1 or coeffs[0] != 1 or coeffs[-1] <= 0:
         raise InvariantViolation(f"{origin}: bad f-vector {coeffs}")
     if any(not isinstance(c, int) or c < 0 for c in coeffs):
         raise InvariantViolation(f"{origin}: non-integral f-vector {coeffs}")
-    return FVector(n, coeffs)
+    return coeffs
 
 
 def _bc_normalized(t: CartanType) -> CartanType:
@@ -68,45 +57,47 @@ def _bc_normalized(t: CartanType) -> CartanType:
 def _f_triangle_irreducible(t: CartanType) -> BivarPoly:
     rate = BivarPoly.zero()
     for i in range(1, t.rank + 1):
-        rate = rate + f_triangle(delete_node(t, i)).data
+        rate = rate + f_triangle(delete_node(t, i))
     g = rate.antiderivative_y()
     # a child's f-vector is the diagonal of its F, so f' = (h+2)/2 * rate(x, x)
-    h = invariants(t).coxeter_number
-    deriv = uni_scale(rate.diagonal(), Fraction(h + 2, 2))
-    fvec = [1] + [Fraction(c, k + 1) for k, c in enumerate(deriv)]
-    x_part = uni_add(fvec, uni_scale(g.diagonal(), -1))
-    return BivarPoly.from_x_coeffs(x_part) + g
+    scale = Fraction(invariants(t).coxeter_number + 2, 2)
+    f = [1] + [scale * c / (k + 1) for k, c in enumerate(rate.diagonal())]
+    return BivarPoly.from_x_coeffs(f) - BivarPoly.from_x_coeffs(g.diagonal()) + g
 
 
-def f_triangle(spec) -> FTriangle:
-    """The F-triangle, by the memoized node-deletion induction."""
+def f_triangle(spec) -> BivarPoly:
+    """The F-triangle of ``spec``, by the memoized node-deletion induction;
+    its support lies in k + l <= rank."""
     spec = as_spec(spec)
-    data = BivarPoly.constant(1)
+    p = BivarPoly.constant(1)
     for t in spec.components:
-        data = data * _f_triangle_irreducible(_bc_normalized(t))
-    return _validate_triangle(spec.rank, data, f"f_triangle({spec})")
+        p = p * _f_triangle_irreducible(_bc_normalized(t))
+    return _validate_triangle(spec.rank, p, f"f_triangle({spec})")
 
 
-def f_vector(spec) -> FVector:
+def f_vector(spec) -> tuple[int, ...]:
     """The f-vector (cone counts by dimension), f(x) = F(x, x)."""
     spec = as_spec(spec)
-    return _validate_fvector(spec.rank, f_triangle(spec).data.diagonal(), f"f_vector({spec})")
+    return _validate_fvector(spec.rank, f_triangle(spec).diagonal(), f"f_vector({spec})")
 
 
 # --------------------------------------------------------------------------
 # Specializations
 # --------------------------------------------------------------------------
 
-def positive_f_vector(ft: FTriangle) -> FVector:
+def positive_f_vector(spec) -> tuple[int, ...]:
     """Counts of positive cones by dimension: the l = 0 column, F(x, 0)."""
-    coeffs = tuple(ft.data.coeff(k, 0) for k in range(ft.n + 1))
-    return _validate_fvector(ft.n, coeffs, "positive_f_vector")
+    spec = as_spec(spec)
+    ft = f_triangle(spec)
+    coeffs = tuple(ft.coeff(k, 0) for k in range(spec.rank + 1))
+    return _validate_fvector(spec.rank, coeffs, f"positive_f_vector({spec})")
 
 
-def natural_f_vector(ft: FTriangle) -> tuple[int, ...]:
+def natural_f_vector(spec) -> tuple[int, ...]:
     """Coefficients of F(x, -1); counts of natural cones, so must be >= 0."""
-    vals = ft.data.subs_y(-1)
-    out = tuple(vals) + (0,) * (ft.n + 1 - len(vals))
+    spec = as_spec(spec)
+    vals = f_triangle(spec).subs_y(-1)
+    out = vals + (0,) * (spec.rank + 1 - len(vals))
     if any(c < 0 for c in out):
         raise InvariantViolation(f"natural f-vector has a negative entry: {out}")
     return out
@@ -119,9 +110,8 @@ def h_vector(spec) -> tuple[int, ...]:
     """
     spec = as_spec(spec)
     n = spec.rank
-    fvec = f_vector(spec).coeffs
     out = [0] * (n + 1)
-    for k, c in enumerate(fvec):
+    for k, c in enumerate(f_vector(spec)):
         for b in range(n - k + 1):
             sign = comb(n - k, b) if b % 2 == 0 else -comb(n - k, b)
             out[k + b] += c * sign

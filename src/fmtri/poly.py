@@ -203,7 +203,7 @@ def conjecture_substitution(p: BivarPoly, n: int) -> BivarPoly:
 
 
 # --------------------------------------------------------------------------
-# Univariate helpers (plain coefficient tuples, () is the zero polynomial)
+# Univariate results (plain coefficient tuples, () is the zero polynomial)
 # --------------------------------------------------------------------------
 
 def uni_trim(coeffs: Sequence) -> tuple:
@@ -211,29 +211,4 @@ def uni_trim(coeffs: Sequence) -> tuple:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(_norm(c) for c in coeffs)
-
-
-def uni_add(p: Sequence, q: Sequence) -> tuple:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return uni_trim(out)
-
-
-def uni_mul(p: Sequence, q: Sequence) -> tuple:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return uni_trim(out)
-
-
-def uni_scale(p: Sequence, c) -> tuple:
-    return uni_trim([a * c for a in p])
 

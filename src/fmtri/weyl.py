@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
 from .errors import Deadline, InvariantViolation, NO_DEADLINE, SpecError
-from .poly import BivarPoly, uni_mul
+from .poly import BivarPoly
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -170,15 +170,19 @@ class NCLattice:
     element -1 is c (mask 0).  ``mobius_rows[a]`` lists (b, mu(a, b)) for
     every b >= a in index order.  Its support is the up-set of a, so the
     rows carry the whole order relation, for fresh and cache-loaded
-    lattices alike; a cover is an entry whose rank difference is 1.
+    lattices alike; a cover is an entry whose rank difference is 1.  The
+    rank n of the lattice is the rank of ``spec``.
     """
 
     spec: RootSystemSpec
     coxeter_order: tuple[int, ...]
-    n: int
     elements: tuple[int, ...]
     ranks: tuple[int, ...]
     mobius_rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def n(self) -> int:
+        return self.spec.rank
 
     @property
     def cardinality(self) -> int:
@@ -265,7 +269,6 @@ def build_nc_lattice(
     lat = NCLattice(
         spec=rep.spec,
         coxeter_order=order,
-        n=n,
         elements=tuple(masks),
         ranks=tuple(ranks),
         mobius_rows=tuple(mobius_rows),
@@ -335,12 +338,13 @@ def invariant_formulas(spec) -> InvariantFormulas:
     come out integral.  Everything is multiplicative over products.
     """
     spec = as_spec(spec)
-    zeta = (Fraction(1),)
+    z = BivarPoly.constant(1)
     for t in spec.components:
         inv = invariants(t)
         h = inv.coxeter_number
         for e in inv.exponents:
-            zeta = uni_mul(zeta, (Fraction(1 - e, e + 1), Fraction(h, e + 1)))
+            z = z * BivarPoly.from_x_coeffs((Fraction(1 - e, e + 1), Fraction(h, e + 1)))
+    zeta = z.subs_y(0)
     card = sum(c * 2**i for i, c in enumerate(zeta))
     mob = sum(c * (-1) ** i for i, c in enumerate(zeta))
     if card != int(card) or mob != int(mob):
@@ -350,11 +354,10 @@ def invariant_formulas(spec) -> InvariantFormulas:
 
 def check_lattice(lat: NCLattice) -> None:
     """Raise InvariantViolation unless |L| and mu(0, 1) of ``lat`` are the
-    ``invariant_formulas`` values of its spec, ``n`` is the rank of its
-    spec, its Moebius table keeps the defining sums (row a starts with
-    (a, 1), every row but the top's sums to 0 and every column but the
-    bottom's sums to 0), and ``ranks`` are the heights in the order the
-    table's support defines."""
+    ``invariant_formulas`` values of its spec, its Moebius table keeps the
+    defining sums (row a starts with (a, 1), every row but the top's sums to
+    0 and every column but the bottom's sums to 0), and ``ranks`` are the
+    heights in the order the table's support defines."""
     forms = invariant_formulas(lat.spec)
     found = (lat.cardinality, lat.mobius_number)
     if found != (forms.cardinality, forms.mobius_number):
@@ -362,8 +365,6 @@ def check_lattice(lat: NCLattice) -> None:
             f"{lat.spec}: |L| = {found[0]} and mu = {found[1]}, expected "
             f"{forms.cardinality} and {forms.mobius_number}"
         )
-    if lat.n != lat.spec.rank:
-        raise InvariantViolation(f"{lat.spec}: n = {lat.n}, expected {lat.spec.rank}")
     top = lat.cardinality - 1
     column_sums = [0] * lat.cardinality
     # rows come in index order, which refines the order, so the height of

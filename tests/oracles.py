@@ -17,7 +17,7 @@ from math import comb
 from typing import Sequence
 
 from fmtri.errors import InvariantViolation
-from fmtri.ftriangle import FTriangle, _validate_triangle
+from fmtri.ftriangle import _validate_triangle
 from fmtri.poly import BivarPoly, conjecture_substitution
 from fmtri.weyl import Matrix, NCLattice, ReflectionRep, mat_apply, mat_identity, mat_mul
 
@@ -168,7 +168,7 @@ def zeta_bruteforce(lat: NCLattice, m: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def closed_form_A(n: int) -> FTriangle:
+def closed_form_A(n: int) -> BivarPoly:
     """f_{k,l} = (l+1)/(k+l+1) * C(n, k+l) * C(n+k, n)."""
     if n < 0:
         raise ValueError("rank must be >= 0")
@@ -182,7 +182,7 @@ def closed_form_A(n: int) -> FTriangle:
     return _validate_triangle(n, BivarPoly(rows), f"closed_form_A({n})")
 
 
-def closed_form_B(n: int) -> FTriangle:
+def closed_form_B(n: int) -> BivarPoly:
     """f_{k,l} = C(n, k+l) * C(n+k-1, n-1)."""
     if n < 2:
         raise ValueError("rank must be >= 2 (B1 is A1)")
@@ -233,10 +233,11 @@ def alternative_substitution(p: BivarPoly, n: int) -> BivarPoly:
     return BivarPoly(rows)
 
 
-def alternative_form_check(ft: FTriangle) -> bool:
-    """The rewriting (y-1)^n F((x+1)/(y-1), 1/(y-1)) must give the same
-    polynomial; this is the reflection symmetry of the triangle in disguise."""
-    return alternative_substitution(ft.data, ft.n) == conjecture_substitution(ft.data, ft.n)
+def alternative_form_check(ft: BivarPoly, n: int) -> bool:
+    """The rewriting (y-1)^n F((x+1)/(y-1), 1/(y-1)) of a rank-n triangle
+    must give the same polynomial; this is the reflection symmetry of the
+    triangle in disguise."""
+    return alternative_substitution(ft, n) == conjecture_substitution(ft, n)
 
 
 # --------------------------------------------------------------------------

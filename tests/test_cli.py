@@ -8,7 +8,7 @@ from fmtri.cache import lattice_from_doc, lattice_to_doc, load_or_build_lattice
 from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
 from fmtri.errors import InvariantViolation
-from fmtri.ftriangle import FTriangle, f_triangle
+from fmtri.ftriangle import f_triangle
 from fmtri.weyl import m_triangle, nc_lattice
 
 from oracles import poly_from_terms
@@ -53,7 +53,7 @@ class TestFTriangleCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         prod = f_triangle("A2xA1")
-        assert doc["payload"]["f"][0] == [prod.data.coeff(0, l) for l in range(4)]
+        assert doc["payload"]["f"][0] == [prod.coeff(0, l) for l in range(4)]
         assert doc["spec"] == "A2xA1"
 
     def test_unknown_type_is_usage_error(self, capsys):
@@ -151,7 +151,7 @@ class TestVerifyCommand:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # no real spec mismatches, so doctor the F side: 1 + 2x + y for A1
-        wrong = FTriangle(1, poly_from_terms((0, 0, 1), (1, 0, 2), (0, 1, 1)))
+        wrong = poly_from_terms((0, 0, 1), (1, 0, 2), (0, 1, 1))
         monkeypatch.setattr(conjecture, "f_triangle", lambda spec: wrong)
         code, out = run_cli(capsys, "verify", "A1")
         assert code == EXIT_MISMATCH
@@ -297,9 +297,11 @@ class TestDeterminismAndCache:
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
-        # version 2 files name the elements by their masks and hold no matrix
+        # version 3 files name the elements by their masks and hold no matrix
+        # and no rank, which is the spec's
         doc = json.loads(path.read_text())
-        assert path.name.endswith("__v2.json") and doc["schema_version"] == 2
+        assert path.name.endswith("__v3.json") and doc["schema_version"] == 3
+        assert "n" not in doc
         assert doc["elements"] == list(lat1.elements) and all(type(f) is int for f in lat1.elements)
         stamp = path.stat().st_mtime_ns
         lat2 = load_or_build_lattice("A2", cache_dir=tmp_path)
@@ -334,7 +336,9 @@ class TestDeterminismAndCache:
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
-    @pytest.mark.parametrize("edit", ["mu_atom_c", "rank_1", "n_2", "n_4", "schema_1"])
+    @pytest.mark.parametrize(
+        "edit", ["mu_atom_c", "rank_1", "schema_1", "schema_2", "mu_float", "order_float", "mu_bool"]
+    )
     def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
         _, cold = run_cli(capsys, "verify", "A3")
         args = ("verify", "A3", "--cache-dir", str(tmp_path))
@@ -348,11 +352,17 @@ class TestDeterminismAndCache:
             doc["mobius_rows"][1][-1][1] += 1
         elif edit == "rank_1":
             doc["ranks"][1] = 2
-        elif edit == "schema_1":
+        elif edit.startswith("schema_"):
             # a file of another schema version is a miss even under the current name
-            doc["schema_version"] = 1
+            doc["schema_version"] = int(edit[-1])
+        elif edit == "mu_float":
+            # 2.0 == 2 in Python, but a cache file holds JSON integers only
+            doc["mobius_rows"][0][-1][1] = float(doc["mobius_rows"][0][-1][1])
+        elif edit == "order_float":
+            doc["coxeter_order"] = [float(i) for i in doc["coxeter_order"]]
         else:
-            doc["n"] = int(edit[-1])
+            # true == 1 in Python: the diagonal entry mu(a, a) = 1 as a JSON boolean
+            doc["mobius_rows"][2][0][1] = True
         path.write_text(json.dumps(doc))
         code, out = run_cli(capsys, *args)
         assert code == EXIT_OK
@@ -370,6 +380,13 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["ftriangle", "fvector", "invariants"])
     def test_cache_dir_only_on_lattice_commands(self, capsys, tmp_path, command):
         assert run_cli(capsys, command, "A3", "--cache-dir", str(tmp_path))[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("budget", ["nan", "-5"])
+    def test_bad_time_budget_is_usage_error(self, capsys, command, budget):
+        # nan would never expire and a negative budget would expire at once
+        assert run_cli(capsys, command, "A1", "--max-seconds", budget)[0] == EXIT_USAGE
+        assert f"invalid time budget '{budget}'" in run_cli.last_err
 
     @pytest.mark.parametrize("bad", ["A0", "D2", "E5", "XY"])
     def test_bad_specs(self, capsys, bad):

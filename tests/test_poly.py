@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fmtri.poly import BivarPoly, conjecture_substitution, uni_add, uni_mul
+from fmtri.poly import BivarPoly, conjecture_substitution
 
 from oracles import (
     alternative_substitution,
@@ -14,7 +14,6 @@ from oracles import (
     poly_from_terms,
     reflect,
     total_degree,
-    uni_eval,
 )
 
 # small exact polynomials for property tests
@@ -171,14 +170,3 @@ class TestAlternativeSubstitution:
             lhs = (yv - 1) ** n * evaluate(p, (xv + 1) / (yv - 1), 1 / (yv - 1))
             assert evaluate(q, xv, yv) == lhs
 
-
-class TestUnivariateHelpers:
-    def test_add_mul_eval(self):
-        p, q = (1, 2), (0, 1, 1)
-        assert uni_add(p, q) == (1, 3, 1)
-        assert uni_mul(p, q) == (0, 1, 3, 2)
-        assert uni_eval(uni_mul(p, q), 2) == uni_eval(p, 2) * uni_eval(q, 2)
-
-    def test_zero_conventions(self):
-        assert uni_mul((), (1, 2)) == ()
-        assert uni_add((), (1,)) == (1,)

@@ -247,15 +247,13 @@ class TestNCLattice:
             assert lat.elements[0] == (1 << len(rep.reflections)) - 1 and lat.elements[-1] == 0
             assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
-    @pytest.mark.parametrize("edit", ["diagonal", "row", "column", "rank", "n"])
+    @pytest.mark.parametrize("edit", ["diagonal", "row", "column", "rank"])
     def test_check_lattice_catches_mobius_edits(self, edit):
         # each Moebius edit (a, pos, delta) adds delta to entry pos of row a;
         # none touches |L| or mu(0, 1), and the column edit keeps every row sum
         lat = nc_lattice("A3")
         if edit == "rank":
             doctored = replace(lat, ranks=(0, 2) + lat.ranks[2:])
-        elif edit == "n":
-            doctored = replace(lat, n=4)
         else:
             mobius_edits = {
                 "diagonal": [(1, 0, 1)],
