@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Long jobs: ``fmtri verify --timings`` for E7 and E8.
 
-E7 (|L| = 4160) is also built and verified in the test suite; a cold run
-through this script took 1.7 s wall and 50 MB peak RSS on a 2-core Intel
-Xeon with CPython 3.11.  E8 (|L| = 25080) runs only with --yes; a cold run
-took 62 s wall and 362 MB peak RSS on the same host, mostly in the Moebius
-table.  Every built or cache-loaded lattice must pass
-``weyl.check_lattice``, and a failed check exits 4.  With --cache-dir, a
-second run loads the lattice instead of building it.  Output and exit status
-are those of ``fmtri verify``.
+E7 (|L| = 4160) and E8 (|L| = 25080) are also built and verified in the
+test suite.  A cold E7 run through this script took 0.25 s wall and 23 MB
+peak RSS on a 2-core Intel Xeon with CPython 3.11.  E8 runs only with
+--yes; a cold run took 2.0 s wall and 100 MB peak RSS on the same host.
+Every built or cache-loaded lattice must pass ``weyl.check_lattice``, and a
+failed check exits 4.  With --cache-dir, a second run loads the lattice
+instead of building it.  Output and exit status are those of ``fmtri
+verify``.
 
 Usage:
     python scripts/exceptional_longrun.py --type e7 [--cache-dir DIR]

@@ -1,17 +1,17 @@
 """Persistent JSON cache for noncrossing partition lattices.
 
 One file per lattice, keyed by canonical spec string, Coxeter ordering, and
-schema version 3; writes go through a temp file and an atomic rename so a
+schema version 4; writes go through a temp file and an atomic rename so a
 killed run never leaves a truncated cache.  The file holds the spec, the
-Coxeter order, the element masks, ranks and Moebius rows, and nothing else:
-the rank is the spec's, and the order relation is the support of the
-Moebius rows, so a loaded lattice is the same value as a freshly built one.
-A file is trusted only if it parses, has schema version 3, names the
-requested spec and order, holds JSON integers (not 2.0, not true) wherever
-the lattice holds an int, and passes ``weyl.check_lattice``; any other file
-is a miss, and the rebuilt lattice replaces it.  Moebius edits that cancel
-out, keeping mu(0, 1) and every row and column sum, are not detected, nor
-are edits to the masks, which no output reads.
+Coxeter order, the element masks, ranks and covers, and nothing else: the
+rank is the spec's, and the Moebius row is derived again on load by the
+same ``weyl.lattice_from_covers`` a build uses, so a loaded lattice is the
+same value as a freshly built one.  A file is trusted only if it parses,
+has schema version 4, names the requested spec and order, holds JSON
+integers (not 2.0, not true) wherever the lattice holds an int, and passes
+``weyl.check_lattice``, which checks the covers and ranks against the
+masks; any other file is a miss, and the rebuilt lattice replaces it.  A
+mask edit that keeps every check is trusted, but no output reads the masks.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.
@@ -27,9 +27,16 @@ from pathlib import Path
 
 from .cartan import RootSystemSpec, as_spec, parse_spec
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
-from .weyl import NCLattice, check_lattice, nc_lattice, node_order
+from .weyl import (
+    NCLattice,
+    check_lattice,
+    invariant_formulas,
+    lattice_from_covers,
+    nc_lattice,
+    node_order,
+)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def atomic_write_json(path: Path, doc: dict) -> None:
@@ -37,8 +44,8 @@ def atomic_write_json(path: Path, doc: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            # json.dumps runs the C encoder; json.dump always runs the Python one
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,7 +65,7 @@ def lattice_to_doc(lat: NCLattice) -> dict:
         "coxeter_order": list(lat.coxeter_order),
         "elements": list(lat.elements),
         "ranks": list(lat.ranks),
-        "mobius_rows": [[[b, mu] for b, mu in row] for row in lat.mobius_rows],
+        "covers": [list(cover) for cover in lat.covers],
     }
 
 
@@ -69,20 +76,20 @@ def _require_ints(values) -> None:
         raise ValueError("a cache entry is not an integer")
 
 
-def lattice_from_doc(doc: dict) -> NCLattice:
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"cache schema version {doc['schema_version']!r}, expected {SCHEMA_VERSION}")
-    lat = NCLattice(
-        spec=parse_spec(doc["spec"]),
-        coxeter_order=tuple(doc["coxeter_order"]),
-        elements=tuple(doc["elements"]),
-        ranks=tuple(doc["ranks"]),
-        mobius_rows=tuple(tuple(map(tuple, row)) for row in doc["mobius_rows"]),
-    )
-    # an entry of the wrong length fails check_lattice, which unpacks every (b, mu)
-    entries = chain.from_iterable(chain.from_iterable(lat.mobius_rows))
-    _require_ints(chain(lat.coxeter_order, lat.elements, lat.ranks, entries))
-    return lat
+def lattice_from_doc(doc: dict, deadline: Deadline = NO_DEADLINE) -> NCLattice:
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"cache schema version {version!r}, expected {SCHEMA_VERSION}")
+    spec = parse_spec(doc["spec"])
+    order, elements, ranks = doc["coxeter_order"], doc["elements"], doc["ranks"]
+    # the down-sets take |L|^2 / 2 bits, so a file of the wrong size is
+    # refused before they are built
+    if len(elements) != invariant_formulas(spec).cardinality:
+        raise ValueError(f"cache file has {len(elements)} elements")
+    covers = [tuple(cover) for cover in doc["covers"]]
+    # a cover of the wrong length fails lattice_from_covers, which unpacks every (a, b)
+    _require_ints(chain(order, elements, ranks, chain.from_iterable(covers)))
+    return lattice_from_covers(spec, order, elements, ranks, covers, deadline)
 
 
 # what reading a missing, truncated, foreign or doctored file can raise: I/O,
@@ -106,7 +113,7 @@ def load_or_build_lattice(
     path = _lattice_path(Path(cache_dir), spec, order)
     try:
         with open(path) as fh:
-            lat = lattice_from_doc(json.load(fh))
+            lat = lattice_from_doc(json.load(fh), deadline)
         if (lat.spec, lat.coxeter_order) == (spec, order):
             check_lattice(lat)
             return lat

@@ -14,15 +14,17 @@ lies in Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  A
 child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  An
-``NCLattice`` keeps its masks in (rank, mask) order, ranks and Moebius
-table, and nothing else: the support of the Moebius table is the order
-relation.
+``NCLattice`` keeps its masks in (rank, mask) order, ranks, covers and the
+Moebius row mu(1, .), and nothing else.  The M-triangle needs no more: every
+interval [a, b] of [1, c] is isomorphic to [1, a^-1 b], so mu(a, b) is a
+value of that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
@@ -163,22 +165,23 @@ def _power_moment(m: Matrix, e: int) -> Matrix:
 
 @dataclass(frozen=True)
 class NCLattice:
-    """The interval [1, c], with ranks and Moebius table.
+    """The interval [1, c], with ranks, covers and the Moebius row mu(1, .).
 
     ``elements`` are the masks F(a) sorted by (rank, mask), so index order
     refines rank order, element 0 is the identity (every bit set) and
-    element -1 is c (mask 0).  ``mobius_rows[a]`` lists (b, mu(a, b)) for
-    every b >= a in index order.  Its support is the up-set of a, so the
-    rows carry the whole order relation, for fresh and cache-loaded
-    lattices alike; a cover is an entry whose rank difference is 1.  The
-    rank n of the lattice is the rank of ``spec``.
+    element -1 is c (mask 0).  ``covers`` lists the pairs (a, b) with b
+    covering a, sorted; they carry the whole order relation, for fresh and
+    cache-loaded lattices alike.  ``mobius_row[b]`` is mu(1, b), derived
+    from the covers by ``lattice_from_covers``.  The rank n of the lattice
+    is the rank of ``spec``.
     """
 
     spec: RootSystemSpec
     coxeter_order: tuple[int, ...]
     elements: tuple[int, ...]
     ranks: tuple[int, ...]
-    mobius_rows: tuple[tuple[tuple[int, int], ...], ...]
+    covers: tuple[tuple[int, int], ...]
+    mobius_row: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -190,8 +193,33 @@ class NCLattice:
 
     @property
     def mobius_number(self) -> int:
-        """mu(1, c), read from the identity's row; 0 if c is not in it."""
-        return dict(self.mobius_rows[0]).get(len(self.elements) - 1, 0)
+        """mu(1, c), the last entry of the Moebius row."""
+        return self.mobius_row[-1]
+
+    @cached_property
+    def mobius_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The whole Moebius table: row a lists (b, mu(a, b)) for every
+        b >= a in index order.  No library path reads it; it is computed on
+        first use, for the tests and the perfbench tracer."""
+        size = self.cardinality
+        up = [1 << i for i in range(size)]
+        for a, b in reversed(self.covers):
+            up[a] |= up[b]
+        down = down_sets(size, self.covers)
+        # mu(a, b) = -sum of mu(a, z) over a <= z < b; the up/down mask
+        # intersection walks exactly the interval [a, b]
+        mobius_rows = []
+        for a in range(size):
+            ua = up[a]
+            row = {a: 1}
+            for b in _mask_indices(ua)[1:]:
+                total = 0
+                for z in _mask_indices(ua & down[b]):
+                    if z != b:
+                        total += row[z]
+                row[b] = -total
+            mobius_rows.append(tuple(sorted(row.items())))
+        return tuple(mobius_rows)
 
 
 def build_nc_lattice(
@@ -199,16 +227,15 @@ def build_nc_lattice(
     coxeter_order: Sequence[int] | None = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """Enumerate [1, c] level by level, then fill the Moebius table.
+    """Enumerate [1, c] level by level, then derive the Moebius row.
 
     c is the Coxeter element of ``coxeter_order``.  F(a) is the bitmask of
     the reflections t with a u_t = u_t: F(1) has every bit and F(c) none.
     Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
     injective on [1, c], so the covers of a are the t*a for t in F(a) and
-    the mask names the element.  mu comes from the recursion
-    mu(a, b) = -sum_{a <= z < b} mu(a, z) over the closure of the covers.
-    Element order is canonical, so results are reproducible.  The result
-    passes ``check_lattice`` or the build raises InvariantViolation.
+    the mask names the element.  Element order is canonical, so results are
+    reproducible.  The result passes ``check_lattice`` or the build raises
+    InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
@@ -242,39 +269,54 @@ def build_nc_lattice(
     ranks = [k for k, level in enumerate(levels) for _ in level]
     index = {f: i for i, f in enumerate(masks)}
     covers = sorted((index[f], index[g]) for f, g in cover_masks)
-    # bitmasks of the up- and down-sets; every cover (a, b) has a < b, so
-    # one pass each way closes them
-    up = [1 << i for i in range(len(masks))]
-    down = up[:]
-    for a, b in reversed(covers):
-        up[a] |= up[b]
-    for a, b in covers:
-        down[b] |= down[a]
-
-    # mu(a, b) = -sum of mu(a, z) over a <= z < b; the up/down mask
-    # intersection walks exactly the interval [a, b]
-    mobius_rows = []
-    for a in range(len(masks)):
-        deadline.check()
-        ua = up[a]
-        row = {a: 1}
-        for b in _mask_indices(ua)[1:]:
-            total = 0
-            for z in _mask_indices(ua & down[b]):
-                if z != b:
-                    total += row[z]
-            row[b] = -total
-        mobius_rows.append(tuple(sorted(row.items())))
-
-    lat = NCLattice(
-        spec=rep.spec,
-        coxeter_order=order,
-        elements=tuple(masks),
-        ranks=tuple(ranks),
-        mobius_rows=tuple(mobius_rows),
-    )
+    lat = lattice_from_covers(rep.spec, order, masks, ranks, covers, deadline)
     check_lattice(lat)
     return lat
+
+
+def lattice_from_covers(
+    spec: RootSystemSpec,
+    coxeter_order: Sequence[int],
+    elements: Sequence[int],
+    ranks: Sequence[int],
+    covers: Sequence[tuple[int, int]],
+    deadline: Deadline = NO_DEADLINE,
+) -> NCLattice:
+    """The lattice with these elements, ranks and covers, and the Moebius
+    row they give; unchecked, so callers run ``check_lattice``.
+
+    mu(1, b) = -sum of mu(1, w) over w < b.  One bitmask per mu value holds
+    the indices that carry it, so each sum is a popcount per value against
+    the down-set of b.
+    """
+    down = down_sets(len(elements), covers, deadline)
+    row: list[int] = []
+    by_value: dict[int, int] = {}
+    for b, below in enumerate(down):
+        deadline.check()
+        mu = -sum(v * (mask & below).bit_count() for v, mask in by_value.items()) if b else 1
+        row.append(mu)
+        by_value[mu] = by_value.get(mu, 0) | 1 << b
+    return NCLattice(
+        spec=spec,
+        coxeter_order=tuple(coxeter_order),
+        elements=tuple(elements),
+        ranks=tuple(ranks),
+        covers=tuple(covers),
+        mobius_row=tuple(row),
+    )
+
+
+def down_sets(
+    size: int, covers: Sequence[tuple[int, int]], deadline: Deadline = NO_DEADLINE
+) -> list[int]:
+    """Bitmask of the indices w <= b, for each b.  Covers come sorted and
+    each has a < b, so one pass in order closes them."""
+    down = [1 << i for i in range(size)]
+    for a, b in covers:
+        deadline.check()
+        down[b] |= down[a]
+    return down
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -306,13 +348,23 @@ def nc_lattice(spec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NC
 # --------------------------------------------------------------------------
 
 def m_triangle(lat: NCLattice) -> BivarPoly:
-    """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a)."""
+    """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a).
+
+    In NC(W) the interval [a, b] is isomorphic to [1, a^-1 b], and a ->
+    a^-1 b is a bijection of [1, b] (Bessis 2003; Armstrong 2009), so the
+    inner sum over a is the sum over w <= b of mu(1, w) y^(rank b - rank w).
+    One bitmask per (rank, mu) pair holds the indices that carry it, so
+    each b costs a popcount per pair against its down-set.
+    """
     n = lat.n
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for a, row in enumerate(lat.mobius_rows):
-        ra = lat.ranks[a]
-        for b, mu in row:
-            rows[lat.ranks[b]][ra] += mu
+    by_key: dict[tuple[int, int], int] = {}
+    down = down_sets(lat.cardinality, lat.covers)
+    for b, (rank, mu) in enumerate(zip(lat.ranks, lat.mobius_row)):
+        by_key[rank, mu] = by_key.get((rank, mu), 0) | 1 << b
+        below, row = down[b], rows[rank]
+        for (r, v), mask in by_key.items():
+            row[rank - r] += v * (mask & below).bit_count()
     return BivarPoly(rows)
 
 
@@ -353,11 +405,18 @@ def invariant_formulas(spec) -> InvariantFormulas:
 
 
 def check_lattice(lat: NCLattice) -> None:
-    """Raise InvariantViolation unless |L| and mu(0, 1) of ``lat`` are the
-    ``invariant_formulas`` values of its spec, its Moebius table keeps the
-    defining sums (row a starts with (a, 1), every row but the top's sums to
-    0 and every column but the bottom's sums to 0), and ``ranks`` are the
-    heights in the order the table's support defines."""
+    """Raise InvariantViolation unless ``lat`` is consistent with its own
+    masks and with the ``invariant_formulas`` values of its spec.
+
+    The masks must be distinct and in (rank, mask) order, from F(1) with
+    every bit set to F(c) = 0.  The covers must be strictly sorted, and
+    every cover (a, b) must have rank(b) = rank(a) + 1 and F(b) inside
+    F(a), since a <= b iff F(b) is a subset of F(a).  Each a must have
+    exactly popcount(F(a)) upper covers, one per t in F(a); then the covers
+    are the true ones.  ``ranks`` must be the heights, |L| and mu(1, c) the
+    closed forms, and the Moebius row must keep its defining sums: mu(1, 1)
+    = 1, and the row sums to 0 unless c = 1.
+    """
     forms = invariant_formulas(lat.spec)
     found = (lat.cardinality, lat.mobius_number)
     if found != (forms.cardinality, forms.mobius_number):
@@ -365,21 +424,32 @@ def check_lattice(lat: NCLattice) -> None:
             f"{lat.spec}: |L| = {found[0]} and mu = {found[1]}, expected "
             f"{forms.cardinality} and {forms.mobius_number}"
         )
-    top = lat.cardinality - 1
-    column_sums = [0] * lat.cardinality
-    # rows come in index order, which refines the order, so the height of
-    # a is final before its row raises the heights above it
-    heights = [0] * lat.cardinality
-    for a, row in enumerate(lat.mobius_rows):
-        if row[0] != (a, 1) or (a != top and sum(mu for _, mu in row)):
-            raise InvariantViolation(f"{lat.spec}: Moebius row {a} breaks the defining sums")
-        column_sums[a] += 1
-        above = heights[a] + 1
-        for b, mu in row[1:]:
-            column_sums[b] += mu
-            if heights[b] < above:
-                heights[b] = above
-    if any(column_sums[1:]):
-        raise InvariantViolation(f"{lat.spec}: a Moebius column breaks the defining sums")
-    if list(lat.ranks) != heights:
+    elements, ranks, size = lat.elements, lat.ranks, lat.cardinality
+    if lat.mobius_row[0] != 1 or sum(lat.mobius_row) != (size == 1):
+        raise InvariantViolation(f"{lat.spec}: the Moebius row breaks the defining sums")
+    full = (1 << sum(num_positive_roots(t) for t in lat.spec.components)) - 1
+    keys = list(zip(ranks, elements))
+    if (
+        len(ranks) != size
+        or len(set(elements)) != size
+        or any(k0 >= k1 for k0, k1 in zip(keys, keys[1:]))
+        or (elements[0], elements[-1]) != (full, 0)
+    ):
+        raise InvariantViolation(f"{lat.spec}: masks are not distinct, sorted, from F(1) to F(c)")
+    covers = lat.covers
+    if any(c0 >= c1 for c0, c1 in zip(covers, covers[1:])):
+        raise InvariantViolation(f"{lat.spec}: covers are not strictly sorted")
+    # covers come sorted by a, so the height of a is final before its
+    # covers raise the heights above it
+    up_degree = [0] * size
+    heights = [0] * size
+    for a, b in covers:
+        if not (0 <= a < b < size and ranks[b] == ranks[a] + 1 and not elements[b] & ~elements[a]):
+            raise InvariantViolation(f"{lat.spec}: ({a}, {b}) is not a cover")
+        up_degree[a] += 1
+        if heights[b] <= heights[a]:
+            heights[b] = heights[a] + 1
+    if up_degree != [f.bit_count() for f in elements]:
+        raise InvariantViolation(f"{lat.spec}: an element has the wrong number of upper covers")
+    if list(ranks) != heights:
         raise InvariantViolation(f"{lat.spec}: ranks are not the heights of the elements")

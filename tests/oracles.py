@@ -4,10 +4,11 @@ None of this is on a CLI path.  Each function is written independently of
 the code it checks: the reflection length rank(g - 1) by Bareiss
 elimination, whole-group enumeration and breadth-first word length to check
 it, the pairwise rank test for the absolute order, the interval [1, c] cut
-from the whole group with each element's matrix under its mask, multichain
-counting for the Zeta polynomial, closed forms for the A and B F-triangles,
-and the second change of variables for the reflection symmetry.  Polynomial
-helpers that only tests need live here too.
+from the whole group with each element's matrix under its mask, the
+M-triangle summed over the whole Moebius table, multichain counting for the
+Zeta polynomial, closed forms for the A and B F-triangles, and the second
+change of variables for the reflection symmetry.  Polynomial helpers that
+only tests need live here too.
 """
 
 from __future__ import annotations
@@ -145,6 +146,16 @@ def interval_by_mask(rep: ReflectionRep, c: Matrix) -> dict[int, Matrix]:
     if len(by_mask) != len(interval):
         raise InvariantViolation("F is not injective on [1, c]")
     return by_mask
+
+
+def m_triangle_from_table(lat: NCLattice) -> BivarPoly:
+    """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a), read off
+    the whole Moebius table ``lat.mobius_rows``."""
+    rows = [[0] * (lat.n + 1) for _ in range(lat.n + 1)]
+    for a, row in enumerate(lat.mobius_rows):
+        for b, mu in row:
+            rows[lat.ranks[b]][lat.ranks[a]] += mu
+    return BivarPoly(rows)
 
 
 def zeta_bruteforce(lat: NCLattice, m: int) -> int:

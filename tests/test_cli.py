@@ -1,9 +1,14 @@
+import functools
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmtri import cli, conjecture
+from fmtri import cache, cli, conjecture, weyl
 from fmtri.cache import lattice_from_doc, lattice_to_doc, load_or_build_lattice
 from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
@@ -133,13 +138,14 @@ class TestVerifyCommand:
         expected = [[1, 4, 1], [4, 4, 0], [3, 0, 0]]
         assert payload["lhs"] == expected and payload["rhs"] == expected
 
+    # a zero budget fires at the first check, on any host
     def test_timeout_budget(self, capsys):
-        code, out = run_cli(capsys, "verify", "A9", "--max-seconds", "0.5")
+        code, out = run_cli(capsys, "verify", "A9", "--max-seconds", "0")
         assert code == EXIT_TIMEOUT
         assert json.loads(out)["payload"]["timeout"] is True
 
     def test_timeout_partial_report_csv(self, capsys):
-        code, out = run_cli(capsys, "verify", "A9", "--max-seconds", "0.5", "--format", "csv")
+        code, out = run_cli(capsys, "verify", "A9", "--max-seconds", "0", "--format", "csv")
         assert code == EXIT_TIMEOUT
         assert "timeout,true" in out
 
@@ -240,7 +246,7 @@ class TestSweepCommand:
         assert out == "A1,true\nA2,true\n"
 
     def test_sweep_timeout_exit(self, capsys):
-        code, out = run_cli(capsys, "sweep", "A1", "A9", "--max-seconds", "0.5")
+        code, out = run_cli(capsys, "sweep", "A1", "A9", "--max-seconds", "0")
         assert code == EXIT_TIMEOUT
         payload = json.loads(out)["payload"]
         assert payload["results"][1]["timeout"] is True
@@ -288,8 +294,8 @@ class TestDeterminismAndCache:
         assert cold == warm
 
     def test_lattice_cache_round_trip(self, tmp_path):
-        # the Moebius rows carry the order relation, so a loaded lattice is
-        # the same value as a fresh one
+        # the covers carry the order relation and the Moebius row is derived
+        # from them again, so a loaded lattice is the same value as a fresh one
         for s in ["A3", "B3", "D4", "A2xA1"]:
             lat = nc_lattice(s)
             assert lattice_from_doc(lattice_to_doc(lat)) == lat
@@ -297,16 +303,19 @@ class TestDeterminismAndCache:
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
-        # version 3 files name the elements by their masks and hold no matrix
-        # and no rank, which is the spec's
+        # version 4 files name the elements by their masks and hold their
+        # ranks and covers: no matrix, no rank, which is the spec's, and no
+        # Moebius value
         doc = json.loads(path.read_text())
-        assert path.name.endswith("__v3.json") and doc["schema_version"] == 3
-        assert "n" not in doc
+        assert path.name.endswith("__v4.json") and doc["schema_version"] == 4
+        keys = ["covers", "coxeter_order", "elements", "ranks", "schema_version", "spec"]
+        assert sorted(doc) == keys
         assert doc["elements"] == list(lat1.elements) and all(type(f) is int for f in lat1.elements)
+        assert doc["covers"] == [list(cover) for cover in lat1.covers]
         stamp = path.stat().st_mtime_ns
         lat2 = load_or_build_lattice("A2", cache_dir=tmp_path)
         assert path.stat().st_mtime_ns == stamp
-        assert lat2.mobius_rows == lat1.mobius_rows
+        assert lat2 == lat1 and lat2.mobius_row == lat1.mobius_row
 
     def test_truncated_lattice_file_is_rebuilt(self, capsys, tmp_path):
         _, cold = run_cli(capsys, "verify", "A3")
@@ -331,13 +340,30 @@ class TestDeterminismAndCache:
         load_or_build_lattice("A3", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
         doc = json.loads(path.read_text())
-        doc["mobius_rows"][0][-1][1] += 1  # mu(0, 1) off by one
+        # without its last cover, the last coatom drops out of the down-set
+        # of c, and mu(1, c) changes
+        del doc["covers"][-1]
         path.write_text(json.dumps(doc))
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
+    def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self, monkeypatch):
+        doc = lattice_to_doc(nc_lattice("A3"))
+        doc["elements"].append(0)
+
+        def derive(*args, **kwargs):
+            raise AssertionError("derived the Moebius row of a file of the wrong size")
+
+        monkeypatch.setattr(cache, "lattice_from_covers", derive)
+        with pytest.raises(ValueError):
+            lattice_from_doc(doc)
+
     @pytest.mark.parametrize(
-        "edit", ["mu_atom_c", "rank_1", "schema_1", "schema_2", "mu_float", "order_float", "mu_bool"]
+        "edit",
+        [
+            "cover_target", "cover_float", "cover_bool", "mask_bit", "rank_1",
+            "schema_1", "schema_2", "schema_3", "order_float",
+        ],
     )
     def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
         _, cold = run_cli(capsys, "verify", "A3")
@@ -346,28 +372,96 @@ class TestDeterminismAndCache:
         path = next(tmp_path.iterdir())
         fresh = path.read_bytes()
         doc = json.loads(fresh)
-        assert doc["ranks"][1] == 1 and doc["mobius_rows"][1][-1][0] == len(doc["ranks"]) - 1
-        if edit == "mu_atom_c":
-            # |L| and mu(0, 1) stay right; the row of the atom no longer sums to 0
-            doc["mobius_rows"][1][-1][1] += 1
+        assert doc["ranks"][1] == 1 and doc["covers"][0] == [0, 1]
+        if edit == "cover_target":
+            # a cover (a, b) out of an atom becomes a second copy of its
+            # successor (a, b + 1)
+            covers = doc["covers"]
+            k = next(
+                k
+                for k, ((a, b), after) in enumerate(zip(covers, covers[1:]))
+                if doc["ranks"][a] == 1 and after == [a, b + 1]
+            )
+            covers[k][1] += 1
+        elif edit == "cover_float":
+            # 1.0 == 1 in Python, but a cache file holds JSON integers only
+            doc["covers"][0][1] = 1.0
+        elif edit == "cover_bool":
+            # true == 1 in Python: the cover (0, 1) as (0, true)
+            doc["covers"][0][1] = True
+        elif edit == "mask_bit":
+            # atom 1 gains or loses a reflection, so its count of upper covers is off
+            doc["elements"][1] ^= 1
         elif edit == "rank_1":
             doc["ranks"][1] = 2
         elif edit.startswith("schema_"):
             # a file of another schema version is a miss even under the current name
             doc["schema_version"] = int(edit[-1])
-        elif edit == "mu_float":
-            # 2.0 == 2 in Python, but a cache file holds JSON integers only
-            doc["mobius_rows"][0][-1][1] = float(doc["mobius_rows"][0][-1][1])
-        elif edit == "order_float":
-            doc["coxeter_order"] = [float(i) for i in doc["coxeter_order"]]
         else:
-            # true == 1 in Python: the diagonal entry mu(a, a) = 1 as a JSON boolean
-            doc["mobius_rows"][2][0][1] = True
+            doc["coxeter_order"] = [float(i) for i in doc["coxeter_order"]]
         path.write_text(json.dumps(doc))
         code, out = run_cli(capsys, *args)
         assert code == EXIT_OK
         assert out == cold
         assert path.read_bytes() == fresh
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from(["A3", "B3"]), data=st.data())
+    def test_one_changed_integer_keeps_the_cold_output(self, spec, data):
+        # any one integer of the file off by one, or made a float or a bool:
+        # the file is a miss, or it still describes the same lattice
+        cold, name, fresh = cold_run_and_cache_file(spec)
+        doc = json.loads(fresh)
+        keys = ["schema_version", "coxeter_order", "elements", "ranks", "covers"]
+        key = data.draw(st.sampled_from(keys))
+        if key == "schema_version":
+            holder, at = doc, key
+        else:
+            holder = doc[key]
+            at = data.draw(st.integers(0, len(holder) - 1))
+            if key == "covers":
+                holder, at = holder[at], data.draw(st.integers(0, 1))
+        holder[at] = data.draw(
+            st.sampled_from([holder[at] + 1, holder[at] - 1, float(holder[at])]) | st.booleans()
+        )
+        with tempfile.TemporaryDirectory() as cache_dir:
+            (Path(cache_dir) / name).write_text(json.dumps(doc))
+            code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
+        assert (code, out) == (EXIT_OK, cold)
+
+    def test_warm_hit_respects_the_time_budget(self, capsys, tmp_path):
+        args = ("verify", "E7", "--cache-dir", str(tmp_path))
+        assert run_cli(capsys, *args)[0] == EXIT_OK
+        code, out = run_cli(capsys, *args, "--max-seconds", "0")
+        assert code == EXIT_TIMEOUT
+        assert json.loads(out)["payload"]["timeout"] is True
+
+    def test_no_command_computes_the_whole_moebius_table(self, capsys, tmp_path, monkeypatch):
+        lattices = []
+        real = cli.load_or_build_lattice
+
+        def keep(*args, **kwargs):
+            lattices.append(real(*args, **kwargs))
+            return lattices[-1]
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", keep)
+        monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
+        for command in ("verify", "mtriangle"):
+            for _ in ("cold", "warm"):
+                args = (command, "B6", "--cache-dir", str(tmp_path / command))
+                assert run_cli(capsys, *args)[0] == EXIT_OK
+        assert len(lattices) == 4
+        assert all("mobius_rows" not in lat.__dict__ for lat in lattices)
+
+
+@functools.cache
+def cold_run_and_cache_file(spec):
+    """The stdout of ``verify spec`` and the name and bytes of its cache file."""
+    _, cold = run_cli(None, "verify", spec)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        run_cli(None, "verify", spec, "--cache-dir", cache_dir)
+        path = next(Path(cache_dir).iterdir())
+        return cold, path.name, path.read_text()
 
 
 class TestUsage:

@@ -1,5 +1,8 @@
+import random
+import runpy
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from oracles import (
     absolute_leq,
     int_rank,
     interval_by_mask,
+    m_triangle_from_table,
     reflection_word_length,
     uni_eval,
     whole_group,
@@ -32,16 +36,14 @@ from oracles import (
 )
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C4", "D4", "F4", "G2"]
+DESK_SPECS = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+)["DESK_SPECS"]
 
 
-def covers(lat):
-    """Entries of the Moebius table whose rank difference is 1."""
-    return [
-        (a, b)
-        for a, row in enumerate(lat.mobius_rows)
-        for b, _ in row
-        if lat.ranks[b] == lat.ranks[a] + 1
-    ]
+def three_orders(n):
+    """The default Coxeter order, its reverse, and one fixed permutation."""
+    return [None, tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))]
 
 
 class TestIntRank:
@@ -247,24 +249,56 @@ class TestNCLattice:
             assert lat.elements[0] == (1 << len(rep.reflections)) - 1 and lat.elements[-1] == 0
             assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
-    @pytest.mark.parametrize("edit", ["diagonal", "row", "column", "rank"])
+    @pytest.mark.parametrize("edit", ["diagonal", "row", "rank"])
     def test_check_lattice_catches_mobius_edits(self, edit):
-        # each Moebius edit (a, pos, delta) adds delta to entry pos of row a;
-        # none touches |L| or mu(0, 1), and the column edit keeps every row sum
+        # neither edit touches |L| or mu(1, c)
         lat = nc_lattice("A3")
-        if edit == "rank":
-            doctored = replace(lat, ranks=(0, 2) + lat.ranks[2:])
+        row = list(lat.mobius_row)
+        if edit == "diagonal":
+            row[0] += 1  # mu(1, 1) = 2
+            doctored = replace(lat, mobius_row=tuple(row))
+        elif edit == "row":
+            row[1] += 1  # the row no longer sums to 0
+            doctored = replace(lat, mobius_row=tuple(row))
         else:
-            mobius_edits = {
-                "diagonal": [(1, 0, 1)],
-                "row": [(1, -1, 1)],
-                "column": [(0, 1, 1), (0, 2, -1)],
-            }
-            rows = [list(row) for row in lat.mobius_rows]
-            for a, pos, delta in mobius_edits[edit]:
-                b, mu = rows[a][pos]
-                rows[a][pos] = (b, mu + delta)
-            doctored = replace(lat, mobius_rows=tuple(tuple(row) for row in rows))
+            doctored = replace(lat, ranks=(0, 2) + lat.ranks[2:])
+        assert doctored.mobius_number == lat.mobius_number
+        with pytest.raises(InvariantViolation):
+            weyl.check_lattice(doctored)
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["mask_order", "mask_bit", "cover_dropped", "cover_added", "cover_copied", "cover_moved"],
+    )
+    def test_check_lattice_catches_mask_and_cover_edits(self, edit):
+        # no edit touches |L| or mu(1, c); the last two move a cover out of
+        # an atom a, away from an element b of rank 2, which has other lower
+        # covers, so the heights and the counts of upper covers stay right
+        lat = nc_lattice("A3")
+        elements, covers = list(lat.elements), list(lat.covers)
+        atoms = [b for a, b in covers if a == 0]
+        k, (a, b) = next((k, c) for k, c in enumerate(covers) if lat.ranks[c[0]] == 1)
+        if edit == "mask_order":
+            # two atoms swap names
+            elements[atoms[0]], elements[atoms[1]] = elements[atoms[1]], elements[atoms[0]]
+        elif edit == "mask_bit":
+            # a coatom's mask gains a bit, so it lacks an upper cover
+            elements[-2] |= elements[-2] + 1
+        elif edit == "cover_dropped":
+            del covers[-1]
+        elif edit == "cover_added":
+            # the identity below c, a pair that is ordered but not a cover
+            covers = sorted(covers + [(0, lat.cardinality - 1)])
+        elif edit == "cover_copied":
+            # (a, b) becomes a second copy of the next cover out of a
+            covers[k] = covers[k + 1]
+        else:
+            # (a, b) becomes (a, b') for a b' of rank 2 that is not above a
+            other = next(
+                i for i, f in enumerate(elements) if lat.ranks[i] == 2 and f & ~elements[a]
+            )
+            covers = sorted(covers[:k] + covers[k + 1 :] + [(a, other)])
+        doctored = replace(lat, elements=tuple(elements), covers=tuple(covers))
         assert doctored.mobius_number == lat.mobius_number
         with pytest.raises(InvariantViolation):
             weyl.check_lattice(doctored)
@@ -277,20 +311,28 @@ class TestNCLattice:
         payload, _ = verify_conjecture(lat)
         assert payload["verified"] and all(payload["evidence"].values())
 
+    def test_e8(self):
+        lat = nc_lattice("E8")
+        forms = invariant_formulas("E8")
+        assert lat.cardinality == forms.cardinality == 25080
+        assert lat.mobius_number == forms.mobius_number == uni_eval(forms.zeta, -1)
+        payload, _ = verify_conjecture(lat)
+        assert payload["verified"] and all(payload["evidence"].values())
+
     def test_grading_via_covers(self):
         # each cover multiplies by one reflection
         lat = nc_lattice("B3")
         rep = build_rep("B3")
         by_mask = interval_by_mask(rep, coxeter_element(rep))
         mats = [by_mask[f] for f in lat.elements]
-        for a, b in covers(lat):
+        for a, b in lat.covers:
             assert mats[b] in {mat_mul(mats[a], t) for t in rep.reflections}
 
     def test_mobius_alternating_in_rank_intervals(self):
         lat = nc_lattice("A3")
         # mu(a, b) over one-step intervals is -1
         mu = {(a, b): m for a, row in enumerate(lat.mobius_rows) for b, m in row}
-        assert all(mu[cover] == -1 for cover in covers(lat))
+        assert all(mu[cover] == -1 for cover in lat.covers)
 
     def test_deterministic_rebuild(self):
         rep = build_rep("B3")
@@ -339,6 +381,14 @@ class TestMTriangle:
         m2 = m_triangle(nc_lattice(s, (3, 2, 1)))
         m3 = m_triangle(nc_lattice(s, (2, 3, 1)))
         assert m1 == m2 == m3
+
+    @pytest.mark.parametrize("s", DESK_SPECS + ["E6", "E7"])
+    def test_equals_the_whole_moebius_table(self, s):
+        orders = three_orders(parse_spec(s).rank) if s in DESK_SPECS else [None]
+        for order in orders:
+            lat = build_nc_lattice(build_rep(s), order)
+            assert m_triangle(lat) == m_triangle_from_table(lat)
+            assert tuple(mu for _, mu in lat.mobius_rows[0]) == lat.mobius_row
 
     def test_multiplicative_over_products(self):
         for pair in [("A1", "A1"), ("A2", "A1"), ("B2", "A1")]:
