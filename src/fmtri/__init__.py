@@ -35,7 +35,6 @@ from .weyl import (
     build_rep,
     coxeter_element,
     invariant_formulas,
-    m_triangle,
     nc_lattice,
     rank_generating_function,
 )

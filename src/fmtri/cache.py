@@ -4,14 +4,15 @@ One file per lattice, keyed by canonical spec string, Coxeter ordering, and
 schema version 4; writes go through a temp file and an atomic rename so a
 killed run never leaves a truncated cache.  The file holds the spec, the
 Coxeter order, the element masks, ranks and covers, and nothing else: the
-rank is the spec's, and the Moebius row is derived again on load by the
-same ``weyl.lattice_from_covers`` a build uses, so a loaded lattice is the
-same value as a freshly built one.  A file is trusted only if it parses,
-has schema version 4, names the requested spec and order, holds JSON
-integers (not 2.0, not true) wherever the lattice holds an int, and passes
-``weyl.check_lattice``, which checks the covers and ranks against the
-masks; any other file is a miss, and the rebuilt lattice replaces it.  A
-mask edit that keeps every check is trusted, but no output reads the masks.
+rank is the spec's, and the Moebius row and M-triangle are derived in one
+pass on load by the same ``weyl.lattice_from_covers`` a build uses, so a
+loaded lattice is the same value as a freshly built one.  A file is trusted
+only if it parses, has schema version 4, names the requested spec and
+order, holds JSON integers (not 2.0, not true) wherever the lattice holds
+an int, and passes ``weyl.check_lattice``, which checks the covers and
+ranks against the masks; any other file is a miss, and the rebuilt lattice
+replaces it.  A mask edit that keeps every check is trusted, but no output
+reads the masks.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.

@@ -28,7 +28,7 @@ from .cartan import invariants, parse_spec
 from .conjecture import verify_conjecture
 from .errors import ComputationTimeout, Deadline, InvariantViolation, SpecError
 from .ftriangle import f_triangle, f_vector, h_vector, natural_f_vector, positive_f_vector
-from .weyl import invariant_formulas, m_triangle
+from .weyl import invariant_formulas
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -143,7 +143,7 @@ def cmd_mtriangle(args) -> int:
     payload = {
         "n": lat.n,
         "coxeter_order": list(lat.coxeter_order),
-        "m": m_triangle(lat).dense_rows(lat.n),
+        "m": lat.m_triangle.dense_rows(lat.n),
     }
     print(_emit(str(spec), "mtriangle", args.format, payload), end="")
     return EXIT_OK

@@ -22,7 +22,7 @@ from .cartan import RootSystemSpec
 from .errors import Deadline, NO_DEADLINE
 from .ftriangle import f_triangle, h_vector
 from .poly import BivarPoly, conjecture_substitution
-from .weyl import NCLattice, m_triangle, nc_lattice, rank_generating_function
+from .weyl import NCLattice, nc_lattice, rank_generating_function
 
 
 def conjecture_rhs(m: BivarPoly) -> BivarPoly:
@@ -36,11 +36,12 @@ def conjecture_rhs(m: BivarPoly) -> BivarPoly:
 
 
 def _check_evidence(
-    spec: RootSystemSpec, ft: BivarPoly, lat: NCLattice, m_poly: BivarPoly, deadline: Deadline
+    spec: RootSystemSpec, ft: BivarPoly, lat: NCLattice, deadline: Deadline
 ) -> dict[str, bool]:
     """The five structural checks, each independent of full verification."""
     n = spec.rank
     mu_hat = lat.mobius_number
+    m_poly = lat.m_triangle
     y_pow_n = tuple([0] * n + [1]) if n else (1,)
     if spec.is_irreducible or not spec.components:
         multiplicative = True
@@ -48,7 +49,7 @@ def _check_evidence(
         m_product = BivarPoly.constant(1)
         f_product = BivarPoly.constant(1)
         for t in spec.components:
-            m_product = m_product * m_triangle(nc_lattice(t, deadline=deadline))
+            m_product = m_product * nc_lattice(t, deadline=deadline).m_triangle
             f_product = f_product * f_triangle(t)
         multiplicative = m_poly == m_product and ft == f_product
 
@@ -86,15 +87,14 @@ def verify_conjecture(
     lhs = conjecture_substitution(ft, n).dense_rows(n)
     t1 = time.perf_counter()
 
-    m_poly = m_triangle(lattice)
-    rhs = conjecture_rhs(m_poly).dense_rows(n)
+    rhs = conjecture_rhs(lattice.m_triangle).dense_rows(n)
     mismatches = [
         [k, l, a, b]
         for k, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs))
         for l, (a, b) in enumerate(zip(lhs_row, rhs_row))
         if a != b
     ]
-    evidence = _check_evidence(spec, ft, lattice, m_poly, deadline)
+    evidence = _check_evidence(spec, ft, lattice, deadline)
     t2 = time.perf_counter()
 
     payload = {

@@ -15,9 +15,10 @@ child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  An
 ``NCLattice`` keeps its masks in (rank, mask) order, ranks, covers and the
-Moebius row mu(1, .), and nothing else.  The M-triangle needs no more: every
-interval [a, b] of [1, c] is isomorphic to [1, a^-1 b], so mu(a, b) is a
-value of that row.
+M-triangle, and nothing else.  The M-triangle needs only the first Moebius
+row mu(1, .): every interval [a, b] of [1, c] is isomorphic to [1, a^-1 b],
+so mu(a, b) is a value of that row, and one pass over the down-sets derives
+the row and M together.
 """
 
 from __future__ import annotations
@@ -165,15 +166,16 @@ def _power_moment(m: Matrix, e: int) -> Matrix:
 
 @dataclass(frozen=True)
 class NCLattice:
-    """The interval [1, c], with ranks, covers and the Moebius row mu(1, .).
+    """The interval [1, c], with ranks, covers and the M-triangle.
 
     ``elements`` are the masks F(a) sorted by (rank, mask), so index order
     refines rank order, element 0 is the identity (every bit set) and
     element -1 is c (mask 0).  ``covers`` lists the pairs (a, b) with b
     covering a, sorted; they carry the whole order relation, for fresh and
-    cache-loaded lattices alike.  ``mobius_row[b]`` is mu(1, b), derived
-    from the covers by ``lattice_from_covers``.  The rank n of the lattice
-    is the rank of ``spec``.
+    cache-loaded lattices alike.  ``m_triangle`` is M(x, y) = sum over
+    a <= b of mu(a, b) x^rank(b) y^rank(a), derived from the covers by
+    ``lattice_from_covers``; its y^0 column holds the sums of mu(1, b) by
+    rank.  The rank n of the lattice is the rank of ``spec``.
     """
 
     spec: RootSystemSpec
@@ -181,7 +183,7 @@ class NCLattice:
     elements: tuple[int, ...]
     ranks: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
-    mobius_row: tuple[int, ...]
+    m_triangle: BivarPoly
 
     @property
     def n(self) -> int:
@@ -193,8 +195,9 @@ class NCLattice:
 
     @property
     def mobius_number(self) -> int:
-        """mu(1, c), the last entry of the Moebius row."""
-        return self.mobius_row[-1]
+        """mu(1, c), the coefficient of x^n y^0 in M: c is the one element
+        of rank n."""
+        return self.m_triangle.coeff(self.n, 0)
 
     @cached_property
     def mobius_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -227,7 +230,7 @@ def build_nc_lattice(
     coxeter_order: Sequence[int] | None = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """Enumerate [1, c] level by level, then derive the Moebius row.
+    """Enumerate [1, c] level by level, then derive the M-triangle.
 
     c is the Coxeter element of ``coxeter_order``.  F(a) is the bitmask of
     the reflections t with a u_t = u_t: F(1) has every bit and F(c) none.
@@ -282,28 +285,38 @@ def lattice_from_covers(
     covers: Sequence[tuple[int, int]],
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """The lattice with these elements, ranks and covers, and the Moebius
-    row they give; unchecked, so callers run ``check_lattice``.
+    """The lattice with these elements, ranks and covers, and the M-triangle
+    they give; unchecked, so callers run ``check_lattice``.
 
-    mu(1, b) = -sum of mu(1, w) over w < b.  One bitmask per mu value holds
-    the indices that carry it, so each sum is a popcount per value against
-    the down-set of b.
+    [a, b] is isomorphic to [1, a^-1 b], and a -> a^-1 b is a bijection of
+    [1, b] (Bessis 2003; Armstrong 2009), so the x^rank(b) row of M is the
+    sum over w <= b of mu(1, w) y^(rank b - rank w), and mu(1, b) = -sum of
+    mu(1, w) over w < b.  One bitmask per (rank, mu) pair holds the indices
+    that carry it.  Index order extends the order, so when b's turn comes
+    the buckets hold exactly the w before it, and their popcounts against
+    the down-set of b give both the y-terms of its row and mu(1, b).
     """
+    n = spec.rank
     down = down_sets(len(elements), covers, deadline)
-    row: list[int] = []
-    by_value: dict[int, int] = {}
-    for b, below in enumerate(down):
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    buckets: dict[tuple[int, int], int] = {}
+    for b, (below, rank) in enumerate(zip(down, ranks)):
         deadline.check()
-        mu = -sum(v * (mask & below).bit_count() for v, mask in by_value.items()) if b else 1
-        row.append(mu)
-        by_value[mu] = by_value.get(mu, 0) | 1 << b
+        row, total = rows[rank], 0
+        for (r, v), mask in buckets.items():
+            term = v * (mask & below).bit_count()
+            row[rank - r] += term
+            total += term
+        mu = -total if b else 1
+        row[0] += mu
+        buckets[rank, mu] = buckets.get((rank, mu), 0) | 1 << b
     return NCLattice(
         spec=spec,
         coxeter_order=tuple(coxeter_order),
         elements=tuple(elements),
         ranks=tuple(ranks),
         covers=tuple(covers),
-        mobius_row=tuple(row),
+        m_triangle=BivarPoly(rows),
     )
 
 
@@ -344,29 +357,8 @@ def nc_lattice(spec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NC
 
 
 # --------------------------------------------------------------------------
-# Derived data: M-triangle, rank counts, Zeta polynomial
+# Derived data: rank counts, Zeta polynomial
 # --------------------------------------------------------------------------
-
-def m_triangle(lat: NCLattice) -> BivarPoly:
-    """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a).
-
-    In NC(W) the interval [a, b] is isomorphic to [1, a^-1 b], and a ->
-    a^-1 b is a bijection of [1, b] (Bessis 2003; Armstrong 2009), so the
-    inner sum over a is the sum over w <= b of mu(1, w) y^(rank b - rank w).
-    One bitmask per (rank, mu) pair holds the indices that carry it, so
-    each b costs a popcount per pair against its down-set.
-    """
-    n = lat.n
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    by_key: dict[tuple[int, int], int] = {}
-    down = down_sets(lat.cardinality, lat.covers)
-    for b, (rank, mu) in enumerate(zip(lat.ranks, lat.mobius_row)):
-        by_key[rank, mu] = by_key.get((rank, mu), 0) | 1 << b
-        below, row = down[b], rows[rank]
-        for (r, v), mask in by_key.items():
-            row[rank - r] += v * (mask & below).bit_count()
-    return BivarPoly(rows)
-
 
 def rank_generating_function(lat: NCLattice) -> tuple[int, ...]:
     out = [0] * (lat.n + 1)
@@ -414,8 +406,9 @@ def check_lattice(lat: NCLattice) -> None:
     F(a), since a <= b iff F(b) is a subset of F(a).  Each a must have
     exactly popcount(F(a)) upper covers, one per t in F(a); then the covers
     are the true ones.  ``ranks`` must be the heights, |L| and mu(1, c) the
-    closed forms, and the Moebius row must keep its defining sums: mu(1, 1)
-    = 1, and the row sums to 0 unless c = 1.
+    closed forms, and M's y^0 column, the sums of mu(1, b) by rank, must
+    keep the defining sums: mu(1, 1) = 1, and the row sums to 0 unless
+    c = 1.
     """
     forms = invariant_formulas(lat.spec)
     found = (lat.cardinality, lat.mobius_number)
@@ -425,7 +418,8 @@ def check_lattice(lat: NCLattice) -> None:
             f"{forms.cardinality} and {forms.mobius_number}"
         )
     elements, ranks, size = lat.elements, lat.ranks, lat.cardinality
-    if lat.mobius_row[0] != 1 or sum(lat.mobius_row) != (size == 1):
+    m = lat.m_triangle
+    if m.coeff(0, 0) != 1 or sum(m.subs_y(0)) != (size == 1):
         raise InvariantViolation(f"{lat.spec}: the Moebius row breaks the defining sums")
     full = (1 << sum(num_positive_roots(t) for t in lat.spec.components)) - 1
     keys = list(zip(ranks, elements))

@@ -6,9 +6,9 @@ elimination, whole-group enumeration and breadth-first word length to check
 it, the pairwise rank test for the absolute order, the interval [1, c] cut
 from the whole group with each element's matrix under its mask, the
 M-triangle summed over the whole Moebius table, multichain counting for the
-Zeta polynomial, closed forms for the A and B F-triangles, and the second
-change of variables for the reflection symmetry.  Polynomial helpers that
-only tests need live here too.
+Zeta polynomial, the F-triangle counted on the cluster complex, closed forms
+for the A and B F-triangles, and the second change of variables for the
+reflection symmetry.  Polynomial helpers that only tests need live here too.
 """
 
 from __future__ import annotations
@@ -218,6 +218,98 @@ def closed_f_vector_A(n: int) -> tuple[int, ...]:
 def closed_f_vector_B(n: int) -> tuple[int, ...]:
     """f_k = C(n, k) * C(n+k, k)."""
     return tuple(comb(n, k) * comb(n + k, k) for k in range(n + 1))
+
+
+# --------------------------------------------------------------------------
+# The cluster complex (every type)
+# --------------------------------------------------------------------------
+
+
+def cluster_f_triangle(rep: ReflectionRep) -> BivarPoly:
+    """The F-triangle counted on the cluster complex (Fomin-Zelevinsky,
+    *Y-systems and generalized associahedra*, Ann. Math. 2003): its faces
+    are the sets of pairwise compatible roots of Phi>=-1, and f_kl counts
+    the faces with k positive roots and l negated simple roots.
+
+    The Dynkin graph is coloured in two, I+ and I-.  tau_e fixes -alpha_i
+    for i not in I_e and applies the product of the s_i, i in I_e, to every
+    other root; both are permutations of Phi>=-1.  The compatibility degree
+    is invariant under them and (-alpha_i || beta) = [beta : alpha_i]_+,
+    and every orbit meets -Pi, so (alpha || beta) is read off after tau+
+    and tau- are applied alternately to both roots until alpha is a negated
+    simple root.  Compatible means degree 0.
+    """
+    n, simples = rep.n, rep.simple_reflections
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # i and j are joined in the Dynkin graph iff s_i moves alpha_j
+    colour: list[int | None] = [None] * n
+    for start in range(n):
+        if colour[start] is not None:
+            continue
+        colour[start], stack = 0, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or mat_apply(simples[i], unit[j]) == unit[j]:
+                    continue
+                if colour[j] == colour[i]:
+                    raise InvariantViolation("the Dynkin graph is not bipartite")
+                if colour[j] is None:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+
+    positive = len(rep.positive_roots)
+    roots = list(rep.positive_roots) + [tuple(-x for x in e) for e in unit]
+    index = {r: k for k, r in enumerate(roots)}
+
+    def tau(side: int) -> list[int]:
+        perm = []
+        for k, r in enumerate(roots):
+            if k < positive or colour[k - positive] == side:
+                for i in range(n):
+                    if colour[i] == side:
+                        r = mat_apply(simples[i], r)
+            perm.append(index[r])
+        return perm
+
+    taus = (tau(0), tau(1))
+    size = len(roots)
+    compatible = []
+    for a in range(size):
+        images = list(range(size))
+        for step in range(2 * size + 1):
+            if images[a] >= positive:
+                break
+            t = taus[step % 2]
+            images = [t[x] for x in images]
+        else:
+            raise InvariantViolation(f"the tau-orbit of {roots[a]} misses -Pi")
+        i = images[a] - positive
+        compatible.append(
+            sum(1 << b for b in range(size) if b != a and roots[images[b]][i] <= 0)
+        )
+    for a in range(size):
+        for b in range(size):
+            if (compatible[a] >> b & 1) != (compatible[b] >> a & 1):
+                raise InvariantViolation(
+                    f"compatibility of {roots[a]} and {roots[b]} is not symmetric"
+                )
+
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def grow(candidates: int, k: int, l: int) -> None:
+        counts[k][l] += 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            b = low.bit_length() - 1
+            if b < positive:
+                grow(candidates & compatible[b], k + 1, l)
+            else:
+                grow(candidates & compatible[b], k, l + 1)
+
+    grow((1 << size) - 1, 0, 0)
+    return BivarPoly(counts)
 
 
 # --------------------------------------------------------------------------

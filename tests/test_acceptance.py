@@ -21,7 +21,6 @@ from fmtri.weyl import (
     build_nc_lattice,
     build_rep,
     invariant_formulas,
-    m_triangle,
     nc_lattice,
     rank_generating_function,
 )
@@ -196,7 +195,7 @@ def test_criterion_6_evidence_suite(lattice_store):
             ft = f_triangle(s)
             sign = 1 if n % 2 == 0 else -1
             assert ft.coeff(n, 0) == sign * lat.mobius_number, s
-            m = m_triangle(lat)
+            m = lat.m_triangle
             for i in range(n + 1):
                 for j in range(n + 1):
                     assert m.coeff(i, j) == m.coeff(n - j, n - i), s
@@ -232,8 +231,8 @@ def test_criterion_8_determinism_and_invariance(tmp_path):
     with criterion(8, desc):
         for s in ("A3", "B3"):
             rep = build_rep(s)
-            m1 = m_triangle(build_nc_lattice(rep, coxeter_order=(1, 2, 3)))
-            m2 = m_triangle(build_nc_lattice(rep, coxeter_order=(3, 2, 1)))
+            m1 = build_nc_lattice(rep, coxeter_order=(1, 2, 3)).m_triangle
+            m2 = build_nc_lattice(rep, coxeter_order=(3, 2, 1)).m_triangle
             assert m1 == m2, s
         # repeated runs
         code1, out1 = _run_cli_capture(["verify", "A3"])

@@ -14,7 +14,7 @@ from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
 from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import f_triangle
-from fmtri.weyl import m_triangle, nc_lattice
+from fmtri.weyl import nc_lattice
 
 from oracles import poly_from_terms
 
@@ -95,7 +95,7 @@ class TestMTriangleCommand:
         assert code == EXIT_OK
         assert payload["coxeter_order"] == [3, 2, 1]
         assert payload["m"] == [
-            [m_triangle(nc_lattice("A3")).coeff(i, j) for j in range(4)] for i in range(4)
+            [nc_lattice("A3").m_triangle.coeff(i, j) for j in range(4)] for i in range(4)
         ]
 
     def test_bad_order_is_usage_error(self, capsys):
@@ -211,10 +211,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [("verify", "A2"), ("sweep", "A1", "A2")], ids=["verify", "sweep"])
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch, argv):
         # an exception the CLI does not name is an internal error, not a mismatch
-        def broken(lat):
+        def broken(m):
             raise KeyError("boom")
 
-        monkeypatch.setattr(conjecture, "m_triangle", broken)
+        monkeypatch.setattr(conjecture, "conjecture_rhs", broken)
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_INTERNAL
         err = run_cli.last_err
@@ -315,7 +315,7 @@ class TestDeterminismAndCache:
         stamp = path.stat().st_mtime_ns
         lat2 = load_or_build_lattice("A2", cache_dir=tmp_path)
         assert path.stat().st_mtime_ns == stamp
-        assert lat2 == lat1 and lat2.mobius_row == lat1.mobius_row
+        assert lat2 == lat1 and lat2.m_triangle == lat1.m_triangle
 
     def test_truncated_lattice_file_is_rebuilt(self, capsys, tmp_path):
         _, cold = run_cli(capsys, "verify", "A3")
@@ -429,6 +429,22 @@ class TestDeterminismAndCache:
             code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
         assert (code, out) == (EXIT_OK, cold)
 
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from(["A3", "B3"]), data=st.data())
+    def test_one_corrupted_byte_keeps_the_cold_output(self, spec, data):
+        # one byte deleted, inserted, or overwritten with a byte of JSON's
+        # numbers and structure: the file is a miss, or it still describes
+        # the same lattice
+        cold, name, fresh = cold_run_and_cache_file(spec)
+        edit = data.draw(st.sampled_from(["delete", "insert", "overwrite"]))
+        at = data.draw(st.integers(0, len(fresh) - 1))
+        byte = "" if edit == "delete" else data.draw(st.sampled_from('0123456789-,[]{}":.e'))
+        text = fresh[:at] + byte + fresh[at + (edit != "insert") :]
+        with tempfile.TemporaryDirectory() as cache_dir:
+            (Path(cache_dir) / name).write_text(text)
+            code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
+        assert (code, out) == (EXIT_OK, cold)
+
     def test_warm_hit_respects_the_time_budget(self, capsys, tmp_path):
         args = ("verify", "E7", "--cache-dir", str(tmp_path))
         assert run_cli(capsys, *args)[0] == EXIT_OK
@@ -452,6 +468,31 @@ class TestDeterminismAndCache:
                 assert run_cli(capsys, *args)[0] == EXIT_OK
         assert len(lattices) == 4
         assert all("mobius_rows" not in lat.__dict__ for lat in lattices)
+
+    def test_each_lattice_builds_its_down_sets_once(self, capsys, tmp_path, monkeypatch):
+        # one pass over the down-sets gives the Moebius row and M together,
+        # for a fresh build and a cache load alike
+        calls = []
+        real = weyl.down_sets
+
+        def count(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weyl, "down_sets", count)
+
+        def down_set_calls(*argv):
+            monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
+            calls.clear()
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            return len(calls)
+
+        cached = ("verify", "B6", "--cache-dir", str(tmp_path))
+        assert down_set_calls("verify", "B6") == 1
+        assert down_set_calls(*cached) == 1
+        assert any(tmp_path.iterdir())
+        assert down_set_calls(*cached) == 1
+        assert down_set_calls("mtriangle", "B6") == 1
 
 
 @functools.cache

@@ -9,7 +9,7 @@ from fmtri.conjecture import conjecture_rhs, verify_conjecture
 from fmtri.errors import ComputationTimeout, Deadline
 from fmtri.ftriangle import f_triangle, h_vector
 from fmtri.poly import BivarPoly, conjecture_substitution
-from fmtri.weyl import m_triangle, nc_lattice, rank_generating_function
+from fmtri.weyl import nc_lattice, rank_generating_function
 
 from oracles import alternative_form_check, evaluate, poly_from_terms
 
@@ -44,17 +44,17 @@ class TestLHS:
 class TestRHS:
     def test_a1_brute_force(self):
         # three interval pairs on the 2-chain
-        assert conjecture_rhs(m_triangle(nc_lattice("A1"))) == poly_from_terms(
+        assert conjecture_rhs(nc_lattice("A1").m_triangle) == poly_from_terms(
             (0, 0, 1), (1, 0, 1), (0, 1, 1)
         )
 
     def test_a2_brute_force(self):
-        assert conjecture_rhs(m_triangle(nc_lattice("A2"))) == poly_from_terms(
+        assert conjecture_rhs(nc_lattice("A2").m_triangle) == poly_from_terms(
             (0, 0, 1), (1, 0, 3), (2, 0, 2), (0, 1, 3), (1, 1, 3), (0, 2, 1)
         )
 
     def test_rank_zero(self):
-        assert conjecture_rhs(m_triangle(nc_lattice(spec_of()))) == BivarPoly.constant(1)
+        assert conjecture_rhs(nc_lattice(spec_of()).m_triangle) == BivarPoly.constant(1)
 
     def test_support_guard(self):
         # y without x cannot come from an interval a <= b
@@ -64,12 +64,12 @@ class TestRHS:
     def test_x0_slice_counts_ranks(self):
         for s in ["A2", "B3", "D4"]:
             lat = nc_lattice(s)
-            assert conjecture_rhs(m_triangle(lat)).subs_x(0) == rank_generating_function(lat)
+            assert conjecture_rhs(lat.m_triangle).subs_x(0) == rank_generating_function(lat)
 
     def test_matches_m_triangle_pointwise(self):
         """Independent oracle: evaluate M(-x, -y/x) at rational points."""
         for s in ["A2", "A3", "B3", "G2"]:
-            m = m_triangle(nc_lattice(s))
+            m = nc_lattice(s).m_triangle
             rhs = conjecture_rhs(m)
             for xv, yv in [(2, 3), (-3, 5), (Fraction(1, 2), Fraction(2, 3))]:
                 xv, yv = Fraction(xv), Fraction(yv)

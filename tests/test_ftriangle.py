@@ -13,8 +13,16 @@ from fmtri.ftriangle import (
     positive_f_vector,
 )
 from fmtri.poly import BivarPoly
+from fmtri.weyl import build_rep
 
-from oracles import closed_f_vector_A, closed_f_vector_B, closed_form_A, closed_form_B, reflect
+from oracles import (
+    closed_f_vector_A,
+    closed_f_vector_B,
+    closed_form_A,
+    closed_form_B,
+    cluster_f_triangle,
+    reflect,
+)
 from test_cartan import ALL_TYPES
 
 # the reference A3 values (rows k = 0..3, entries l = 0..3-k)
@@ -91,6 +99,13 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_type_b_oracle(self, n):
         assert closed_form_B(n) == f_triangle(CartanType("B", n))
+
+
+class TestClusterComplex:
+    # every type of rank <= 8, E8 included (about 0.3 s), and three products
+    @pytest.mark.parametrize("s", [str(t) for t in ALL_TYPES] + ["A2xA1", "D4xA2", "F4xG2"])
+    def test_faces_count_the_f_triangle(self, s):
+        assert cluster_f_triangle(build_rep(s)) == f_triangle(s)
 
 
 class TestSymmetries:

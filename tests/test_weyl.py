@@ -11,12 +11,12 @@ from fmtri.cartan import parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
+from fmtri.poly import BivarPoly
 from fmtri.weyl import (
     build_nc_lattice,
     build_rep,
     coxeter_element,
     invariant_formulas,
-    m_triangle,
     mat_identity,
     mat_mul,
     nc_lattice,
@@ -251,15 +251,15 @@ class TestNCLattice:
 
     @pytest.mark.parametrize("edit", ["diagonal", "row", "rank"])
     def test_check_lattice_catches_mobius_edits(self, edit):
-        # neither edit touches |L| or mu(1, c)
+        # no edit touches |L| or mu(1, c), the coefficient of x^3 y^0
         lat = nc_lattice("A3")
-        row = list(lat.mobius_row)
+        rows = [list(row) for row in lat.m_triangle.rows]
         if edit == "diagonal":
-            row[0] += 1  # mu(1, 1) = 2
-            doctored = replace(lat, mobius_row=tuple(row))
+            rows[0][0] += 1  # mu(1, 1) = 2
+            doctored = replace(lat, m_triangle=BivarPoly(rows))
         elif edit == "row":
-            row[1] += 1  # the row no longer sums to 0
-            doctored = replace(lat, mobius_row=tuple(row))
+            rows[1][0] += 1  # the row mu(1, .) no longer sums to 0
+            doctored = replace(lat, m_triangle=BivarPoly(rows))
         else:
             doctored = replace(lat, ranks=(0, 2) + lat.ranks[2:])
         assert doctored.mobius_number == lat.mobius_number
@@ -352,24 +352,24 @@ class TestNCLattice:
 class TestMTriangle:
     def test_a1(self):
         # 1 - x + xy
-        m = m_triangle(nc_lattice("A1"))
+        m = nc_lattice("A1").m_triangle
         assert m.rows == ((1, 0), (-1, 1))
 
     def test_a2(self):
         # 1 - 3x + 2x^2 + 3xy - 3x^2y + x^2y^2
-        m = m_triangle(nc_lattice("A2"))
+        m = nc_lattice("A2").m_triangle
         assert m.rows == ((1, 0, 0), (-3, 3, 0), (2, -3, 1))
 
     def test_column_sums(self):
         # M(1, y) = y^n for every lattice
         for s in SMALL_TYPES:
             lat = nc_lattice(s)
-            assert m_triangle(lat).subs_x(1) == tuple([0] * lat.n + [1])
+            assert lat.m_triangle.subs_x(1) == tuple([0] * lat.n + [1])
 
     def test_self_duality(self):
         for s in SMALL_TYPES:
             lat = nc_lattice(s)
-            m = m_triangle(lat)
+            m = lat.m_triangle
             n = lat.n
             for i in range(n + 1):
                 for j in range(n + 1):
@@ -377,9 +377,9 @@ class TestMTriangle:
 
     @pytest.mark.parametrize("s", ["A3", "B3"])
     def test_coxeter_order_invariance(self, s):
-        m1 = m_triangle(nc_lattice(s, (1, 2, 3)))
-        m2 = m_triangle(nc_lattice(s, (3, 2, 1)))
-        m3 = m_triangle(nc_lattice(s, (2, 3, 1)))
+        m1 = nc_lattice(s, (1, 2, 3)).m_triangle
+        m2 = nc_lattice(s, (3, 2, 1)).m_triangle
+        m3 = nc_lattice(s, (2, 3, 1)).m_triangle
         assert m1 == m2 == m3
 
     @pytest.mark.parametrize("s", DESK_SPECS + ["E6", "E7"])
@@ -387,14 +387,13 @@ class TestMTriangle:
         orders = three_orders(parse_spec(s).rank) if s in DESK_SPECS else [None]
         for order in orders:
             lat = build_nc_lattice(build_rep(s), order)
-            assert m_triangle(lat) == m_triangle_from_table(lat)
-            assert tuple(mu for _, mu in lat.mobius_rows[0]) == lat.mobius_row
+            assert lat.m_triangle == m_triangle_from_table(lat)
 
     def test_multiplicative_over_products(self):
         for pair in [("A1", "A1"), ("A2", "A1"), ("B2", "A1")]:
             prod = parse_spec("x".join(pair))
-            direct = m_triangle(nc_lattice(prod))
-            split = m_triangle(nc_lattice(pair[0])) * m_triangle(nc_lattice(pair[1]))
+            direct = nc_lattice(prod).m_triangle
+            split = nc_lattice(pair[0]).m_triangle * nc_lattice(pair[1]).m_triangle
             assert direct == split
 
 
@@ -456,4 +455,4 @@ class TestRankZero:
     def test_trivial_lattice(self):
         lat = nc_lattice(spec_of())
         assert lat.cardinality == 1
-        assert m_triangle(lat).rows == ((1,),)
+        assert lat.m_triangle.rows == ((1,),)
