@@ -10,8 +10,7 @@ resulting subdiagrams are what drive the triangle recursions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, SpecError
 
@@ -20,15 +19,22 @@ FAMILIES = "ABCDEFG"
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 
 
-@dataclass(frozen=True)
-class CartanType:
-    """One irreducible type, e.g. ``CartanType("A", 3)``, printed as ``A3``."""
-
+class _CartanFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        fam, n = self.family.upper(), self.rank
+
+class CartanType(_CartanFields):
+    """One irreducible type, e.g. ``CartanType("A", 3)``, printed as ``A3``.
+
+    A named tuple, so it is immutable, hashable, equal by field and
+    picklable; ``__new__`` puts the low-rank coincidences in canonical form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        fam, n = family.upper(), rank
         # low-rank coincidences get a single canonical representative
         if (fam, n) in (("B", 1), ("C", 1)):
             fam = "A"
@@ -45,8 +51,7 @@ class CartanType:
             ok = False
         if not ok or n < 1:
             raise SpecError(f"{fam}{n} is not an admissible Cartan type")
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "rank", n)
+        return super().__new__(cls, fam, n)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -57,16 +62,18 @@ class CartanType:
         return (-self.rank, self.family)
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
-    """A finite multiset of irreducible types; empty means the rank-0 system."""
-
+class _SpecFields(NamedTuple):
     components: tuple[CartanType, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=lambda t: t.sort_key))
-        )
+
+class RootSystemSpec(_SpecFields):
+    """A finite multiset of irreducible types; empty means the rank-0 system.
+    ``__new__`` sorts the components into canonical order."""
+
+    __slots__ = ()
+
+    def __new__(cls, components: Iterable[CartanType]):
+        return super().__new__(cls, tuple(sorted(components, key=lambda t: t.sort_key)))
 
     @property
     def rank(self) -> int:
@@ -136,8 +143,7 @@ def as_spec(obj) -> RootSystemSpec:
 Edge = tuple[int, int, int, int | None]
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
 
@@ -275,8 +281,7 @@ def delete_node(t: CartanType, i: int) -> RootSystemSpec:
 # Coxeter numbers and exponents
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoxeterInvariants:
+class CoxeterInvariants(NamedTuple):
     coxeter_number: int
     exponents: tuple[int, ...]
 

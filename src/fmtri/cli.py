@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
 
 from .cache import load_or_build_lattice
 from .cartan import invariants, parse_spec
@@ -202,6 +201,9 @@ def _internal_error(exc: Exception) -> str:
     """The message of an internal error, after the traceback of an unexpected one."""
     if isinstance(exc, InvariantViolation):
         return str(exc)
+    # imported here: only this path needs the cost of the import
+    import traceback
+
     traceback.print_exception(exc)
     return f"{type(exc).__name__}: {exc}"
 
@@ -222,11 +224,14 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     specs = [parse_spec(s) for s in args.specs]
     tasks = [(s, args.max_seconds, args.cache_dir) for s in specs]
-    if args.jobs > 1:
+    # the fork start method starts every worker up front, so no more than
+    # one per spec
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         # imported here: only this branch needs the cost of the import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -261,6 +266,17 @@ def _parse_order(text) -> tuple[int, ...] | None:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SpecError(f"--coxeter-order {text!r} is not a comma-separated permutation")
+
+
+def _jobs(text: str) -> int:
+    """The type of --jobs: a number of worker processes >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid job count {text!r}: expected an integer >= 1")
 
 
 def _max_seconds(text: str) -> float:
@@ -327,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify a list of specs; exit 0 only if all pass")
     p.add_argument("specs", nargs="+")
     common(p, cache_flag=True, seconds_flag=True)
-    p.add_argument("--jobs", type=int, default=1, help="verify specs in parallel processes")
+    p.add_argument("--jobs", type=_jobs, default=1, help="verify specs in parallel processes")
     p.set_defaults(fn=cmd_sweep)
 
     return parser

@@ -23,10 +23,9 @@ the row and M together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
 from .errors import Deadline, InvariantViolation, NO_DEADLINE, SpecError
@@ -58,8 +57,7 @@ def mat_apply(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 # Group elements and the reflection representation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReflectionRep:
+class ReflectionRep(NamedTuple):
     """Simple reflections, positive roots, and all reflections of W."""
 
     spec: RootSystemSpec
@@ -164,8 +162,16 @@ def _power_moment(m: Matrix, e: int) -> Matrix:
 # The noncrossing partition lattice: interval [1, c] in absolute order
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NCLattice:
+class _LatticeFields(NamedTuple):
+    spec: RootSystemSpec
+    coxeter_order: tuple[int, ...]
+    elements: tuple[int, ...]
+    ranks: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
+    m_triangle: BivarPoly
+
+
+class NCLattice(_LatticeFields):
     """The interval [1, c], with ranks, covers and the M-triangle.
 
     ``elements`` are the masks F(a) sorted by (rank, mask), so index order
@@ -176,14 +182,16 @@ class NCLattice:
     a <= b of mu(a, b) x^rank(b) y^rank(a), derived from the covers by
     ``lattice_from_covers``; its y^0 column holds the sums of mu(1, b) by
     rank.  The rank n of the lattice is the rank of ``spec``.
+
+    A named tuple of those six fields.  It keeps an instance ``__dict__``
+    only as the store of the cached ``mobius_rows``, and sets no other
+    attribute.
     """
 
-    spec: RootSystemSpec
-    coxeter_order: tuple[int, ...]
-    elements: tuple[int, ...]
-    ranks: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
-    m_triangle: BivarPoly
+    def __setattr__(self, name, _value=None):
+        raise AttributeError(f"NCLattice is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -367,8 +375,7 @@ def rank_generating_function(lat: NCLattice) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class InvariantFormulas:
+class InvariantFormulas(NamedTuple):
     zeta: tuple[Fraction, ...]
     cardinality: int
     mobius_number: int

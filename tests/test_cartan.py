@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,7 +41,8 @@ class TestCartanType:
     def test_low_rank_coincidences(self):
         assert CartanType("B", 1) == CartanType("A", 1)
         assert CartanType("C", 1) == CartanType("A", 1)
-        assert CartanType("C", 2) == CartanType("B", 2)
+        c2, b2 = CartanType("c", 2), CartanType("B", 2)
+        assert (c2, hash(c2), str(c2)) == (b2, hash(b2), "B2")
         assert CartanType("D", 3) == CartanType("A", 3)
 
     @pytest.mark.parametrize("bad", ["A0", "E5", "E9", "F5", "G3", "D2", "Q3", "A", "3"])
@@ -57,6 +60,22 @@ class TestCartanType:
         for bad in ["", "x", "A1x", "A1xxA2"]:
             with pytest.raises(SpecError):
                 parse_spec(bad)
+
+    def test_records_are_immutable(self):
+        t, spec = CartanType("A", 3), parse_spec("B2xA1")
+        with pytest.raises(AttributeError):
+            t.rank = 4
+        with pytest.raises(AttributeError):
+            spec.components = ()
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+
+    @pytest.mark.parametrize("text", ["A1", "a1xb2", "D4xA2xA2", "E8"])
+    def test_pickle_round_trip(self, text):
+        spec = parse_spec(text)
+        for record in (spec, *spec.components):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
 
     def test_as_spec_coercions(self):
         t = CartanType("A", 3)

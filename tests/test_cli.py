@@ -1,5 +1,9 @@
+import concurrent.futures
 import functools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmtri
 from fmtri import cache, cli, conjecture, weyl
 from fmtri.cache import lattice_from_doc, lattice_to_doc, load_or_build_lattice
 from fmtri.cartan import parse_spec
@@ -277,6 +282,33 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert json.loads(out)["payload"]["all_verified"] is True
 
+    @pytest.mark.parametrize(
+        "specs, pools", [(("A1", "A2"), [2]), (("A1",), [])], ids=["two_specs", "one_spec"]
+    )
+    def test_jobs_are_capped_at_the_spec_count(self, capsys, monkeypatch, specs, pools):
+        # the stand-in pool records max_workers and maps in this process, so
+        # no large pool is ever started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        code, out = run_cli(capsys, "sweep", *specs, "--jobs", "10000")
+        assert code == EXIT_OK
+        assert started == pools
+        assert out == run_cli(capsys, "sweep", *specs)[1]
+
 
 class TestDeterminismAndCache:
     def test_repeat_runs_byte_identical(self, capsys):
@@ -523,6 +555,30 @@ class TestUsage:
         assert run_cli(capsys, command, "A1", "--max-seconds", budget)[0] == EXIT_USAGE
         assert f"invalid time budget '{budget}'" in run_cli.last_err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
+    def test_bad_job_count_is_usage_error(self, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        assert run_cli(capsys, "sweep", "A1", "A2", "--jobs", jobs)[0] == EXIT_USAGE
+        assert f"invalid job count '{jobs}'" in run_cli.last_err
+
     @pytest.mark.parametrize("bad", ["A0", "D2", "E5", "XY"])
     def test_bad_specs(self, capsys, bad):
         assert run_cli(capsys, "ftriangle", bad)[0] == EXIT_USAGE
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_inspect_or_traceback(self):
+        # which modules load, not how long they take: start-up pays for
+        # every module on the import path of the CLI
+        script = (
+            "import sys; before = set(sys.modules); import fmtri.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        src = str(Path(fmtri.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = set(done.stdout.split())
+        assert "fmtri.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "traceback"})

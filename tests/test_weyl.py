@@ -1,6 +1,6 @@
+import pickle
 import random
 import runpy
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +108,11 @@ class TestReflectionRep:
             assert abs_length(t) == 1
             assert mat_mul(t, t) == mat_identity(rep.n)
 
+    @pytest.mark.parametrize("s", ["A1", "B3", "A2xA1"])
+    def test_pickle_round_trip(self, s):
+        rep = build_rep(s)
+        assert pickle.loads(pickle.dumps(rep)) == rep
+
     def test_block_rep_for_products(self):
         rep = build_rep("A2xA1")
         assert rep.n == 3
@@ -161,7 +166,7 @@ class TestCoxeterElement:
     def test_rejects_a_product_that_is_not_full_length(self, s):
         rep = build_rep(s)
         ident = mat_identity(rep.n)
-        rep = replace(rep, simple_reflections=(ident,) + rep.simple_reflections[1:])
+        rep = rep._replace(simple_reflections=(ident,) + rep.simple_reflections[1:])
         with pytest.raises(InvariantViolation):
             coxeter_element(rep)
 
@@ -187,6 +192,27 @@ class TestAbsoluteOrder:
 
 
 class TestNCLattice:
+    @pytest.mark.parametrize("s", ["A1", "A3", "B2xA1"])
+    def test_pickle_round_trip(self, s):
+        lat = nc_lattice(s)
+        copy = pickle.loads(pickle.dumps(lat))
+        assert copy == lat and type(copy) is type(lat)
+
+    def test_mobius_rows_are_computed_once(self):
+        lat = build_nc_lattice(build_rep("A3"))
+        assert lat.mobius_rows is lat.mobius_rows
+
+    def test_lattice_is_immutable(self):
+        lat = build_nc_lattice(build_rep("A2"))
+        with pytest.raises(AttributeError):
+            lat.ranks = ()
+        with pytest.raises(AttributeError):
+            lat.extra = 1
+        rows = lat.mobius_rows
+        with pytest.raises(AttributeError):
+            del lat.mobius_rows
+        assert lat.mobius_rows is rows
+
     def test_sizes(self):
         assert nc_lattice("A1").cardinality == 2
         assert nc_lattice("A2").cardinality == 5
@@ -215,7 +241,7 @@ class TestNCLattice:
     def test_build_checks_the_closed_forms(self, monkeypatch):
         real = weyl.invariant_formulas
         monkeypatch.setattr(
-            weyl, "invariant_formulas", lambda s: replace(real(s), cardinality=real(s).cardinality + 1)
+            weyl, "invariant_formulas", lambda s: real(s)._replace(cardinality=real(s).cardinality + 1)
         )
         with pytest.raises(InvariantViolation):
             build_nc_lattice(build_rep("A2"))
@@ -256,12 +282,12 @@ class TestNCLattice:
         rows = [list(row) for row in lat.m_triangle.rows]
         if edit == "diagonal":
             rows[0][0] += 1  # mu(1, 1) = 2
-            doctored = replace(lat, m_triangle=BivarPoly(rows))
+            doctored = lat._replace(m_triangle=BivarPoly(rows))
         elif edit == "row":
             rows[1][0] += 1  # the row mu(1, .) no longer sums to 0
-            doctored = replace(lat, m_triangle=BivarPoly(rows))
+            doctored = lat._replace(m_triangle=BivarPoly(rows))
         else:
-            doctored = replace(lat, ranks=(0, 2) + lat.ranks[2:])
+            doctored = lat._replace(ranks=(0, 2) + lat.ranks[2:])
         assert doctored.mobius_number == lat.mobius_number
         with pytest.raises(InvariantViolation):
             weyl.check_lattice(doctored)
@@ -298,7 +324,7 @@ class TestNCLattice:
                 i for i, f in enumerate(elements) if lat.ranks[i] == 2 and f & ~elements[a]
             )
             covers = sorted(covers[:k] + covers[k + 1 :] + [(a, other)])
-        doctored = replace(lat, elements=tuple(elements), covers=tuple(covers))
+        doctored = lat._replace(elements=tuple(elements), covers=tuple(covers))
         assert doctored.mobius_number == lat.mobius_number
         with pytest.raises(InvariantViolation):
             weyl.check_lattice(doctored)
