@@ -1,9 +1,10 @@
 """Weyl groups over the integer reflection representation, and the
 noncrossing partition lattice.
 
-Reflections and Coxeter elements are plain ``Matrix`` tuples: n x n integer
-matrices acting on coordinates in the simple-root basis, so every
-computation is exact.
+Simple reflections and Coxeter elements are plain ``Matrix`` tuples: n x n
+integer matrices acting on coordinates in the simple-root basis, so every
+computation is exact.  Every reflection t is its root beta_t and coroot
+functional phi_t, with t v = v - phi_t(v) beta_t, so t fixes v iff phi_t(v) = 0.
 
 The lattice is the interval [1, c] in absolute order, enumerated level by
 level and never via the full group, which is what keeps the exceptional
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
@@ -58,21 +61,22 @@ def mat_apply(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 class ReflectionRep(NamedTuple):
-    """Simple reflections, positive roots, and all reflections of W."""
+    """Simple reflections, and each reflection t as its positive root beta_t
+    and coroot phi_t = <., beta_t^vee>, in one order: t v = v - phi_t(v) beta_t."""
 
     spec: RootSystemSpec
     n: int
     simple_reflections: tuple[Matrix, ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    reflections: tuple[Matrix, ...]
+    coroots: tuple[tuple[int, ...], ...]
 
 
 def build_rep(spec) -> ReflectionRep:
     """Build the reflection representation for a (possibly reducible) spec.
 
     Reducible specs get the block-diagonal representation; positive roots are
-    enumerated by orbit closure under the simple reflections, and each
-    reflection matrix is carried along as a conjugate of a simple reflection.
+    enumerated by orbit closure under the simple reflections, each with its
+    coroot: alpha_i's is row i of the Cartan matrix, and phi_(s t s) = phi_t s.
     """
     spec = as_spec(spec)
     n = spec.rank
@@ -93,36 +97,31 @@ def build_rep(spec) -> ReflectionRep:
         simples.append(tuple(tuple(r) for r in rows))
     simples = tuple(simples)
 
-    # orbit closure: root -> reflection matrix about it
-    refl_of: dict[tuple[int, ...], Matrix] = {}
-    frontier: list[tuple[tuple[int, ...], Matrix]] = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        refl_of[e] = simples[i]
-        frontier.append((e, simples[i]))
+    # orbit closure: root -> coroot, with phi_t s_i = phi_t - phi_t(alpha_i) A_i;
+    # only alpha_i leaves the positive roots under s_i, so no new root is negated
+    coroot_of = {tuple(int(i == j) for j in range(n)): tuple(cartan[i]) for i in range(n)}
+    frontier = list(coroot_of.items())
     while frontier:
         fresh = []
-        for v, t in frontier:
-            for s in simples:
+        for v, phi in frontier:
+            for i, s in enumerate(simples):
                 w = mat_apply(s, v)
                 if all(c <= 0 for c in w):
                     w = tuple(-c for c in w)
                 elif not all(c >= 0 for c in w):
                     raise InvariantViolation(f"mixed-sign root coordinates {w}")
-                if w not in refl_of:
-                    tw = mat_mul(s, mat_mul(t, s))
-                    refl_of[w] = tw
-                    fresh.append((w, tw))
+                if w not in coroot_of:
+                    coroot_of[w] = psi = tuple(x - phi[i] * y for x, y in zip(phi, cartan[i]))
+                    fresh.append((w, psi))
         frontier = fresh
 
     expected = sum(num_positive_roots(t) for t in spec.components)
-    if len(refl_of) != expected:
+    if len(coroot_of) != expected:
         raise InvariantViolation(
-            f"{spec}: found {len(refl_of)} positive roots, expected {expected}"
+            f"{spec}: found {len(coroot_of)} positive roots, expected {expected}"
         )
-    roots = tuple(sorted(refl_of, key=lambda v: (sum(v), v)))
-    reflections = tuple(refl_of[v] for v in roots)
-    return ReflectionRep(spec, n, simples, roots, reflections)
+    roots = tuple(sorted(coroot_of, key=lambda v: (sum(v), v)))
+    return ReflectionRep(spec, n, simples, roots, tuple(coroot_of[v] for v in roots))
 
 
 def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -256,7 +255,7 @@ def build_nc_lattice(
     p_mat = _power_moment(c_mat, 1)
     u = [mat_apply(p_mat, beta) for beta in rep.positive_roots]
     z_masks = [
-        sum(1 << i for i, v in enumerate(u) if mat_apply(t, v) == v) for t in rep.reflections
+        sum(1 << i for i, v in enumerate(u) if not sum(map(mul, phi, v))) for phi in rep.coroots
     ]
 
     levels: list[list[int]] = [[(1 << len(u)) - 1]]
@@ -379,28 +378,35 @@ class InvariantFormulas(NamedTuple):
     zeta: tuple[Fraction, ...]
     cardinality: int
     mobius_number: int
+    maximal_chains: int
 
 
 def invariant_formulas(spec) -> InvariantFormulas:
-    """Closed-form Zeta polynomial, cardinality, and Moebius number of [1, c].
+    """Closed-form Zeta polynomial, cardinality, Moebius number and number of
+    maximal chains of [1, c].
 
     Z(X) is the product over all exponents of (h X - e + 1)/(e + 1); the
-    cardinality is Z(2) and the Moebius number is Z(-1), both of which must
-    come out integral.  Everything is multiplicative over products.
+    cardinality is Z(2) and the Moebius number is Z(-1).  There are
+    n! prod h_i^n_i / |W_i| maximal chains, with |W_i| the product of e + 1
+    over the exponents of component i.  All three must come out integral.
+    Z is multiplicative over products, and the chains of a product are
+    shuffles of the chains of its components.
     """
     spec = as_spec(spec)
     z = BivarPoly.constant(1)
+    chains = Fraction(factorial(spec.rank))
     for t in spec.components:
         inv = invariants(t)
         h = inv.coxeter_number
         for e in inv.exponents:
             z = z * BivarPoly.from_x_coeffs((Fraction(1 - e, e + 1), Fraction(h, e + 1)))
+            chains *= Fraction(h, e + 1)
     zeta = z.subs_y(0)
     card = sum(c * 2**i for i, c in enumerate(zeta))
     mob = sum(c * (-1) ** i for i, c in enumerate(zeta))
-    if card != int(card) or mob != int(mob):
+    if card != int(card) or mob != int(mob) or chains != int(chains):
         raise InvariantViolation(f"non-integral lattice invariants for {spec}")
-    return InvariantFormulas(tuple(Fraction(c) for c in zeta), int(card), int(mob))
+    return InvariantFormulas(tuple(Fraction(c) for c in zeta), int(card), int(mob), int(chains))
 
 
 def check_lattice(lat: NCLattice) -> None:
@@ -412,10 +418,10 @@ def check_lattice(lat: NCLattice) -> None:
     every cover (a, b) must have rank(b) = rank(a) + 1 and F(b) inside
     F(a), since a <= b iff F(b) is a subset of F(a).  Each a must have
     exactly popcount(F(a)) upper covers, one per t in F(a); then the covers
-    are the true ones.  ``ranks`` must be the heights, |L| and mu(1, c) the
-    closed forms, and M's y^0 column, the sums of mu(1, b) by rank, must
-    keep the defining sums: mu(1, 1) = 1, and the row sums to 0 unless
-    c = 1.
+    are the true ones.  ``ranks`` must be the heights; |L|, mu(1, c) and the
+    number of maximal chains, counted over the covers, the closed forms; and
+    M's y^0 column, the sums of mu(1, b) by rank, must keep the defining
+    sums: mu(1, 1) = 1, and the row sums to 0 unless c = 1.
     """
     forms = invariant_formulas(lat.spec)
     found = (lat.cardinality, lat.mobius_number)
@@ -440,17 +446,23 @@ def check_lattice(lat: NCLattice) -> None:
     covers = lat.covers
     if any(c0 >= c1 for c0, c1 in zip(covers, covers[1:])):
         raise InvariantViolation(f"{lat.spec}: covers are not strictly sorted")
-    # covers come sorted by a, so the height of a is final before its
-    # covers raise the heights above it
+    # covers come sorted by a, so the height of a and the number of maximal
+    # chains of [1, a] are final before its covers pass them on
     up_degree = [0] * size
     heights = [0] * size
+    chains = [1] + [0] * (size - 1)
     for a, b in covers:
         if not (0 <= a < b < size and ranks[b] == ranks[a] + 1 and not elements[b] & ~elements[a]):
             raise InvariantViolation(f"{lat.spec}: ({a}, {b}) is not a cover")
         up_degree[a] += 1
         if heights[b] <= heights[a]:
             heights[b] = heights[a] + 1
+        chains[b] += chains[a]
     if up_degree != [f.bit_count() for f in elements]:
         raise InvariantViolation(f"{lat.spec}: an element has the wrong number of upper covers")
     if list(ranks) != heights:
         raise InvariantViolation(f"{lat.spec}: ranks are not the heights of the elements")
+    if chains[-1] != forms.maximal_chains:
+        raise InvariantViolation(
+            f"{lat.spec}: {chains[-1]} maximal chains, expected {forms.maximal_chains}"
+        )

@@ -2,13 +2,15 @@
 
 None of this is on a CLI path.  Each function is written independently of
 the code it checks: the reflection length rank(g - 1) by Bareiss
-elimination, whole-group enumeration and breadth-first word length to check
-it, the pairwise rank test for the absolute order, the interval [1, c] cut
-from the whole group with each element's matrix under its mask, the
-M-triangle summed over the whole Moebius table, multichain counting for the
-Zeta polynomial, the F-triangle counted on the cluster complex, closed forms
-for the A and B F-triangles, and the second change of variables for the
-reflection symmetry.  Polynomial helpers that only tests need live here too.
+elimination, the reflection matrices rebuilt from root and coroot,
+whole-group enumeration and breadth-first word length to check it, the
+pairwise rank test for the absolute order, the interval [1, c] cut from the
+whole group with each element's matrix under its mask, the M-triangle summed
+over the whole Moebius table, multichain counting for the Zeta polynomial,
+maximal chains counted from the covers, the F-triangle counted on the
+cluster complex, closed forms for the A and B F-triangles, and the second
+change of variables for the reflection symmetry.  Polynomial helpers that
+only tests need live here too.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def abs_length(m: Matrix) -> int:
 # --------------------------------------------------------------------------
 
 
+def reflections(rep: ReflectionRep) -> tuple[Matrix, ...]:
+    """The reflection matrices t = 1 - beta_t phi_t, rebuilt from the roots
+    and coroots, in the order of ``rep.positive_roots``."""
+    ident = mat_identity(rep.n)
+    return tuple(
+        tuple(tuple(e - b * p for e, p in zip(row, phi)) for row, b in zip(ident, beta))
+        for beta, phi in zip(rep.positive_roots, rep.coroots)
+    )
+
+
 def whole_group(rep: ReflectionRep) -> set[Matrix]:
     """Every element of W, by closure under the simple reflections."""
     frontier = [mat_identity(rep.n)]
@@ -93,12 +105,13 @@ def reflection_word_length(rep: ReflectionRep, g: Matrix) -> int:
         return 0
     seen = {mat_identity(rep.n)}
     frontier = list(seen)
+    ts = reflections(rep)
     dist = 0
     while frontier:
         dist += 1
         fresh = []
         for a in frontier:
-            for t in rep.reflections:
+            for t in ts:
                 b = mat_mul(a, t)
                 if b == g:
                     return dist
@@ -172,6 +185,19 @@ def zeta_bruteforce(lat: NCLattice, m: int) -> int:
     for _ in range(m - 2):
         weights = [sum(weights[a] for a in below) for below in down]
     return sum(weights)
+
+
+def maximal_chains(lat: NCLattice) -> int:
+    """Number of maximal chains 1 = a_0 < ... < a_n = c, counted down from c:
+    each a has as many chains to c as its upper covers have together."""
+    above: list[list[int]] = [[] for _ in range(lat.cardinality)]
+    for a, b in lat.covers:
+        above[a].append(b)
+    to_top = [0] * lat.cardinality
+    to_top[-1] = 1
+    for a in reversed(range(lat.cardinality - 1)):
+        to_top[a] = sum(to_top[b] for b in above[a])
+    return to_top[0]
 
 
 # --------------------------------------------------------------------------

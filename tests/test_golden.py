@@ -1,9 +1,14 @@
-"""CLI stdout pinned byte for byte against files under ``tests/golden/``.
+"""CLI stdout, and the lattice cache files ``verify --cache-dir`` writes,
+pinned byte for byte against files under ``tests/golden/``.
 
-To regenerate after a deliberate output change, run from the repository
-root: ``PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"``
+To regenerate the stdout files after a deliberate output change, run from
+the repository root:
+``PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"``.
+``cache_sha256.txt`` is ``sha256sum`` output for the files that
+``fmtri verify <spec> --coxeter-order <order> --cache-dir <dir>`` writes.
 """
 
+import hashlib
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -53,3 +58,19 @@ def write_all():
 @pytest.mark.parametrize("case", CASES, ids=lambda c: _name(*c))
 def test_stdout_matches_golden(case):
     assert _run(*case) == (GOLDEN / _name(*case)).read_text()
+
+
+# (sha256, file name) for each pinned cache file
+CACHE_DIGESTS = [
+    tuple(line.split()) for line in (GOLDEN / "cache_sha256.txt").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("digest, name", CACHE_DIGESTS, ids=[name for _, name in CACHE_DIGESTS])
+def test_cache_file_matches_digest(digest, name, tmp_path):
+    _, spec, order, _ = name.split("__")
+    order = order.removeprefix("order_").replace("-", ",")
+    argv = ["verify", spec, "--coxeter-order", order, "--cache-dir", str(tmp_path)]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

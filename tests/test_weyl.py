@@ -2,12 +2,13 @@ import pickle
 import random
 import runpy
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 from fmtri import weyl
-from fmtri.cartan import parse_spec, spec_of
+from fmtri.cartan import cartan_matrix, parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
@@ -17,6 +18,7 @@ from fmtri.weyl import (
     build_rep,
     coxeter_element,
     invariant_formulas,
+    mat_apply,
     mat_identity,
     mat_mul,
     nc_lattice,
@@ -29,7 +31,9 @@ from oracles import (
     int_rank,
     interval_by_mask,
     m_triangle_from_table,
+    maximal_chains,
     reflection_word_length,
+    reflections,
     uni_eval,
     whole_group,
     zeta_bruteforce,
@@ -90,7 +94,7 @@ class TestReflectionRep:
         for s in SMALL_TYPES:
             rep = build_rep(s)
             expected = sum(num_positive_roots(t) for t in rep.spec.components)
-            assert len(rep.positive_roots) == len(rep.reflections) == expected
+            assert len(rep.positive_roots) == len(rep.coroots) == expected
 
     def test_simple_reflections_are_involutions(self):
         for s in SMALL_TYPES:
@@ -98,15 +102,31 @@ class TestReflectionRep:
             for i, m in enumerate(rep.simple_reflections):
                 assert mat_mul(m, m) == mat_identity(rep.n)
                 alpha = tuple(1 if j == i else 0 for j in range(rep.n))
-                from fmtri.weyl import mat_apply
-
                 assert mat_apply(m, alpha) == tuple(-c for c in alpha)
 
     def test_reflections_have_length_one(self):
         rep = build_rep("B3")
-        for t in rep.reflections:
+        for t in reflections(rep):
             assert abs_length(t) == 1
             assert mat_mul(t, t) == mat_identity(rep.n)
+
+    @pytest.mark.parametrize("s", SMALL_TYPES + ["E6", "E7", "E8", "F4xG2", "A2xA1"])
+    def test_coroots(self, s):
+        rep = build_rep(s)
+        n = rep.n
+        cartan = [[0] * n for _ in range(n)]
+        offset = 0
+        for t in rep.spec.components:
+            for i, row in enumerate(cartan_matrix(t)):
+                cartan[offset + i][offset : offset + t.rank] = row
+            offset += t.rank
+        coroot_of = dict(zip(rep.positive_roots, rep.coroots))
+        for i in range(n):
+            assert coroot_of[tuple(int(i == j) for j in range(n))] == tuple(cartan[i])
+        assert all(sum(map(mul, phi, beta)) == 2 for beta, phi in coroot_of.items())
+        roots = set(rep.positive_roots) | {tuple(-c for c in beta) for beta in rep.positive_roots}
+        for t in reflections(rep):
+            assert {mat_apply(t, v) for v in roots} == roots
 
     @pytest.mark.parametrize("s", ["A1", "B3", "A2xA1"])
     def test_pickle_round_trip(self, s):
@@ -125,7 +145,7 @@ class TestAbsLength:
 
     def test_reflections(self):
         rep = build_rep("A3")
-        assert all(abs_length(t) == 1 for t in rep.reflections)
+        assert all(abs_length(t) == 1 for t in reflections(rep))
 
     def test_coxeter_element_is_full_length(self):
         for s in SMALL_TYPES:
@@ -145,7 +165,7 @@ class TestAbsLength:
 class TestCoxeterElement:
     def test_a1(self):
         rep = build_rep("A1")
-        assert coxeter_element(rep) == rep.reflections[0]
+        assert coxeter_element(rep) == reflections(rep)[0]
 
     def test_a2_has_order_h(self):
         rep = build_rep("A2")
@@ -177,18 +197,18 @@ class TestAbsoluteOrder:
         e = mat_identity(3)
         c = coxeter_element(rep)
         assert absolute_leq(rep, e, c)
-        assert all(absolute_leq(rep, e, t) for t in rep.reflections)
+        assert all(absolute_leq(rep, e, t) for t in reflections(rep))
 
     def test_reflexive(self):
         rep = build_rep("A2")
-        t = rep.reflections[0]
+        t = reflections(rep)[0]
         assert absolute_leq(rep, t, t)
 
     def test_a2_atom_below_coxeter(self):
         rep = build_rep("A2")
         c = coxeter_element(rep)
-        assert all(absolute_leq(rep, t, c) for t in rep.reflections)
-        assert not absolute_leq(rep, c, rep.reflections[0])
+        assert all(absolute_leq(rep, t, c) for t in reflections(rep))
+        assert not absolute_leq(rep, c, reflections(rep)[0])
 
 
 class TestNCLattice:
@@ -228,7 +248,7 @@ class TestNCLattice:
         c = coxeter_element(rep)
         by_mask = interval_by_mask(rep, c)
         assert lat.ranks[0] == 0 and lat.ranks[-1] == lat.n
-        assert lat.elements[0] == (1 << len(rep.reflections)) - 1 and lat.elements[-1] == 0
+        assert lat.elements[0] == (1 << len(reflections(rep))) - 1 and lat.elements[-1] == 0
         assert by_mask[lat.elements[0]] == mat_identity(3) and by_mask[lat.elements[-1]] == c
 
     def test_formulas_match_bruteforce(self):
@@ -244,6 +264,29 @@ class TestNCLattice:
             weyl, "invariant_formulas", lambda s: real(s)._replace(cardinality=real(s).cardinality + 1)
         )
         with pytest.raises(InvariantViolation):
+            build_nc_lattice(build_rep("A2"))
+
+    @pytest.mark.parametrize("s", ["A1", "A2xA1", "B3", "D5", "E6", "F4xG2", "A3xA3"])
+    def test_maximal_chains_match_the_formula(self, s):
+        n = parse_spec(s).rank
+        for order in (None, tuple(range(n, 0, -1))):
+            assert maximal_chains(nc_lattice(s, order)) == invariant_formulas(s).maximal_chains
+
+    def test_maximal_chain_formula_values(self):
+        # (n + 1)^(n - 1) for A_n (Cayley) and n^n for B_n
+        assert [invariant_formulas(f"A{n}").maximal_chains for n in (1, 2, 3, 4)] == [1, 3, 16, 125]
+        assert [invariant_formulas(f"B{n}").maximal_chains for n in (2, 3, 4)] == [4, 27, 256]
+        assert invariant_formulas("A2xA1").maximal_chains == 3 * 3
+        assert invariant_formulas(spec_of()).maximal_chains == 1
+
+    def test_build_checks_the_maximal_chains(self, monkeypatch):
+        real = weyl.invariant_formulas
+        monkeypatch.setattr(
+            weyl,
+            "invariant_formulas",
+            lambda s: real(s)._replace(maximal_chains=real(s).maximal_chains + 1),
+        )
+        with pytest.raises(InvariantViolation, match="maximal chains"):
             build_nc_lattice(build_rep("A2"))
 
     def test_leq_matches_direct_rank_characterization(self):
@@ -272,7 +315,7 @@ class TestNCLattice:
             assert len(set(lat.elements)) == lat.cardinality
             assert list(zip(lat.ranks, lat.elements)) == sorted(zip(lat.ranks, lat.elements))
             assert [abs_length(by_mask[f]) for f in lat.elements] == list(lat.ranks)
-            assert lat.elements[0] == (1 << len(rep.reflections)) - 1 and lat.elements[-1] == 0
+            assert lat.elements[0] == (1 << len(reflections(rep))) - 1 and lat.elements[-1] == 0
             assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
     @pytest.mark.parametrize("edit", ["diagonal", "row", "rank"])
@@ -334,6 +377,7 @@ class TestNCLattice:
         forms = invariant_formulas("E7")
         assert (lat.cardinality, lat.mobius_number) == (4160, -2431)
         assert (forms.cardinality, forms.mobius_number) == (4160, -2431)
+        assert maximal_chains(lat) == forms.maximal_chains == 1062882
         payload, _ = verify_conjecture(lat)
         assert payload["verified"] and all(payload["evidence"].values())
 
@@ -342,6 +386,7 @@ class TestNCLattice:
         forms = invariant_formulas("E8")
         assert lat.cardinality == forms.cardinality == 25080
         assert lat.mobius_number == forms.mobius_number == uni_eval(forms.zeta, -1)
+        assert maximal_chains(lat) == forms.maximal_chains == 37968750
         payload, _ = verify_conjecture(lat)
         assert payload["verified"] and all(payload["evidence"].values())
 
@@ -352,7 +397,7 @@ class TestNCLattice:
         by_mask = interval_by_mask(rep, coxeter_element(rep))
         mats = [by_mask[f] for f in lat.elements]
         for a, b in lat.covers:
-            assert mats[b] in {mat_mul(mats[a], t) for t in rep.reflections}
+            assert mats[b] in {mat_mul(mats[a], t) for t in reflections(rep)}
 
     def test_mobius_alternating_in_rank_intervals(self):
         lat = nc_lattice("A3")
