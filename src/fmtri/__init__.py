@@ -33,7 +33,6 @@ from .weyl import (
     ReflectionRep,
     build_nc_lattice,
     build_rep,
-    coxeter_element,
     invariant_formulas,
     nc_lattice,
     rank_generating_function,

@@ -9,8 +9,9 @@ pass on load by the same ``weyl.lattice_from_covers`` a build uses, so a
 loaded lattice is the same value as a freshly built one.  A file is trusted
 only if it parses, has schema version 4, names the requested spec and
 order, holds JSON integers (not 2.0, not true) wherever the lattice holds
-an int, and passes ``weyl.check_lattice``, which checks the covers and
-ranks against the masks; any other file is a miss, and the rebuilt lattice
+an int, holds Z(3) pairs a <= b (checked by ``weyl.lattice_from_covers``)
+and passes ``weyl.check_lattice``, which checks the covers and ranks
+against the masks; any other file is a miss, and the rebuilt lattice
 replaces it.  A mask edit that keeps every check is trusted, but no output
 reads the masks.
 

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ftriangle | fvector | mtriangle | invariants | verify | sweep.
-Output formats: json (default, stable envelope with a schema version), tex
-(matrix layouts), csv.  Exit codes: 0 success/verified, 1 conjecture
-mismatch or failed evidence check, 2 usage error, 3 time budget exceeded,
-4 internal error (a broken invariant or any unexpected exception).  ``sweep``
-reports an internal error as that spec's entry, goes on, and exits 4.
+Output formats: json (default, stable envelope with a schema version), csv,
+and tex (matrix layouts) for ftriangle, fvector and mtriangle only.  Exit
+codes: 0 success/verified, 1 conjecture mismatch or failed evidence check,
+2 usage error, 3 time budget exceeded, 4 internal error (a broken invariant
+or any unexpected exception).  ``sweep`` reports an internal error as that
+spec's entry, goes on, and exits 4.
 
 ``--cache-dir`` exists on the commands that need a lattice (mtriangle,
 verify, sweep) and persists lattices only.
@@ -58,19 +59,16 @@ def _emit(spec: str, kind: str, fmt: str, payload: dict) -> str:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt == "tex":
         return _emit_tex(kind, payload)
-    if fmt == "csv":
-        return _emit_csv(kind, payload)
-    raise SpecError(f"unknown format {fmt!r}")
+    return _emit_csv(kind, payload)
 
 
 def _emit_tex(kind: str, p: dict) -> str:
+    """The parser offers tex for ftriangle, mtriangle and fvector only."""
     if kind == "ftriangle":
         return _bmatrix(p["f"])
     if kind == "mtriangle":
         return _bmatrix(p["m"])
-    if kind == "fvector":
-        return _bmatrix([p["f"]])
-    raise SpecError(f"tex output is not defined for {kind!r}")
+    return _bmatrix([p["f"]])
 
 
 def _emit_csv(kind: str, p: dict) -> str:
@@ -301,8 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache_flag=False, order_flag=False, seconds_flag=False):
-        p.add_argument("--format", choices=("json", "tex", "csv"), default="json")
+    def common(p, tex=False, cache_flag=False, order_flag=False, seconds_flag=False):
+        formats = ("json", "tex", "csv") if tex else ("json", "csv")
+        p.add_argument("--format", choices=formats, default="json")
         if cache_flag:
             p.add_argument("--cache-dir", default=None, help="directory for JSON lattice caches")
         if order_flag:
@@ -316,17 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ftriangle", help="print the F-triangle of a spec")
     p.add_argument("spec")
-    common(p)
+    common(p, tex=True)
     p.set_defaults(fn=cmd_ftriangle)
 
     p = sub.add_parser("fvector", help="print f, positive f, and natural f vectors")
     p.add_argument("spec")
-    common(p)
+    common(p, tex=True)
     p.set_defaults(fn=cmd_fvector)
 
     p = sub.add_parser("mtriangle", help="print the M-triangle of the noncrossing partition lattice")
     p.add_argument("spec")
-    common(p, cache_flag=True, order_flag=True)
+    common(p, tex=True, cache_flag=True, order_flag=True)
     p.set_defaults(fn=cmd_mtriangle)
 
     p = sub.add_parser("invariants", help="print closed-form lattice invariants")

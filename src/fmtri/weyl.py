@@ -1,10 +1,12 @@
 """Weyl groups over the integer reflection representation, and the
 noncrossing partition lattice.
 
-Simple reflections and Coxeter elements are plain ``Matrix`` tuples: n x n
-integer matrices acting on coordinates in the simple-root basis, so every
-computation is exact.  Every reflection t is its root beta_t and coroot
-functional phi_t, with t v = v - phi_t(v) beta_t, so t fixes v iff phi_t(v) = 0.
+Vectors are integer tuples in the simple-root basis, so every computation
+is exact, and no group element is ever a matrix.  Every reflection t is its
+root beta_t and coroot functional phi_t, with t v = v - phi_t(v) beta_t, so
+t fixes v iff phi_t(v) = 0.  A simple reflection s_i moves coordinate i
+only, by the coroot of alpha_i (row i of the Cartan matrix), and the
+Coxeter element c = s_o1 ... s_on applies these steps in reverse node order.
 
 The lattice is the interval [1, c] in absolute order, enumerated level by
 level and never via the full group, which is what keeps the exceptional
@@ -12,6 +14,10 @@ types cheap.  Each element a is named, and only named, by the bitmask F(a)
 of the reflections t whose vector u_t = (1 - c)^-1 beta_t it fixes.  These
 are exactly the t with t*a covering a inside [1, c]: t <= c a^-1 iff beta_t
 lies in Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  A
+multiple of u_t comes from the c-orbit of beta_t: if the orbit has length d
+and sums to zero, u = sum_{r<d} r c^r beta_t has (1 - c) u = -d beta_t.
+Every orbit sums to zero iff c fixes no vector, i.e. has full reflection
+length: the mean over <c> projects onto Fix(c), and the roots span.  A
 child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  An
@@ -34,39 +40,19 @@ from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_posi
 from .errors import Deadline, InvariantViolation, NO_DEADLINE, SpecError
 from .poly import BivarPoly
 
-Matrix = tuple[tuple[int, ...], ...]
-
 
 # --------------------------------------------------------------------------
-# Exact integer linear algebra
-# --------------------------------------------------------------------------
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_apply(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-# --------------------------------------------------------------------------
-# Group elements and the reflection representation
+# Roots, coroots and the Coxeter element
 # --------------------------------------------------------------------------
 
 class ReflectionRep(NamedTuple):
-    """Simple reflections, and each reflection t as its positive root beta_t
-    and coroot phi_t = <., beta_t^vee>, in one order: t v = v - phi_t(v) beta_t."""
+    """Each reflection t as its positive root beta_t and coroot
+    phi_t = <., beta_t^vee>, in one order: t v = v - phi_t(v) beta_t.  The
+    simple root alpha_i is the unit vector e_i, and its coroot is row i of
+    the Cartan matrix."""
 
     spec: RootSystemSpec
     n: int
-    simple_reflections: tuple[Matrix, ...]
     positive_roots: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
 
@@ -74,9 +60,10 @@ class ReflectionRep(NamedTuple):
 def build_rep(spec) -> ReflectionRep:
     """Build the reflection representation for a (possibly reducible) spec.
 
-    Reducible specs get the block-diagonal representation; positive roots are
-    enumerated by orbit closure under the simple reflections, each with its
-    coroot: alpha_i's is row i of the Cartan matrix, and phi_(s t s) = phi_t s.
+    Reducible specs get the block-diagonal Cartan matrix; positive roots are
+    enumerated by orbit closure under the simple reflections
+    s_i v = v - A_i(v) e_i, with A_i row i of the Cartan matrix, each root
+    with its coroot: alpha_i's is A_i, and phi_(s t s) = phi_t s.
     """
     spec = as_spec(spec)
     n = spec.rank
@@ -89,29 +76,23 @@ def build_rep(spec) -> ReflectionRep:
                 cartan[offset + i][offset + j] = block[i][j]
         offset += t.rank
 
-    simples = []
-    for i in range(n):
-        rows = [list(r) for r in mat_identity(n)]
-        for j in range(n):
-            rows[i][j] -= cartan[i][j]
-        simples.append(tuple(tuple(r) for r in rows))
-    simples = tuple(simples)
-
     # orbit closure: root -> coroot, with phi_t s_i = phi_t - phi_t(alpha_i) A_i;
     # only alpha_i leaves the positive roots under s_i, so no new root is negated
-    coroot_of = {tuple(int(i == j) for j in range(n)): tuple(cartan[i]) for i in range(n)}
+    coroot_of = {_unit(n, i): tuple(row) for i, row in enumerate(cartan)}
     frontier = list(coroot_of.items())
     while frontier:
         fresh = []
         for v, phi in frontier:
-            for i, s in enumerate(simples):
-                w = mat_apply(s, v)
+            for i, row in enumerate(cartan):
+                w = list(v)
+                w[i] -= sum(map(mul, row, v))
                 if all(c <= 0 for c in w):
-                    w = tuple(-c for c in w)
+                    w = [-c for c in w]
                 elif not all(c >= 0 for c in w):
                     raise InvariantViolation(f"mixed-sign root coordinates {w}")
+                w = tuple(w)
                 if w not in coroot_of:
-                    coroot_of[w] = psi = tuple(x - phi[i] * y for x, y in zip(phi, cartan[i]))
+                    coroot_of[w] = psi = tuple(x - phi[i] * y for x, y in zip(phi, row))
                     fresh.append((w, psi))
         frontier = fresh
 
@@ -121,7 +102,11 @@ def build_rep(spec) -> ReflectionRep:
             f"{spec}: found {len(coroot_of)} positive roots, expected {expected}"
         )
     roots = tuple(sorted(coroot_of, key=lambda v: (sum(v), v)))
-    return ReflectionRep(spec, n, simples, roots, tuple(coroot_of[v] for v in roots))
+    return ReflectionRep(spec, n, roots, tuple(coroot_of[v] for v in roots))
+
+
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for j in range(n))
 
 
 def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -132,29 +117,34 @@ def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]
     return order
 
 
-def coxeter_element(rep: ReflectionRep, ordering: Sequence[int] | None = None) -> Matrix:
-    """Product of all simple reflections in the given node order (1-based)."""
-    m = mat_identity(rep.n)
-    for i in node_order(rep.n, ordering):
-        m = mat_mul(m, rep.simple_reflections[i - 1])
-    # sum_{j<h} c^j is h times the projection onto Fix(c), so it is zero
-    # exactly when c fixes no vector, i.e. has full reflection length n
-    if any(map(any, _power_moment(m, 0))):
-        raise InvariantViolation("Coxeter element does not have full reflection length")
-    return m
-
-
-def _power_moment(m: Matrix, e: int) -> Matrix:
-    """sum_{0 <= j < h} j^e m^j, where h is the order of m."""
-    ident = mat_identity(len(m))
-    powers, p = [ident], m
-    while p != ident:
-        powers.append(p)
-        p = mat_mul(p, m)
-    return tuple(
-        tuple(sum(j**e * x for j, x in enumerate(entries)) for entries in zip(*rows))
-        for rows in zip(*powers)
-    )
+def _u_vectors(rep: ReflectionRep, order: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """sum_{r<d} r c^r beta for each positive root beta, d the length of its
+    c-orbit; raises InvariantViolation unless every orbit sums to zero."""
+    coroot_of = dict(zip(rep.positive_roots, rep.coroots))
+    # c = s_o1 ... s_on, so a vector meets s_on first
+    steps = [(i - 1, coroot_of[_unit(rep.n, i - 1)]) for i in reversed(order)]
+    u: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for beta in rep.positive_roots:
+        if beta in u:
+            continue
+        orbit, v = [beta], list(beta)
+        while True:
+            for i, phi in steps:
+                v[i] -= sum(map(mul, phi, v))
+            if tuple(v) == beta:
+                break
+            orbit.append(tuple(v))
+        if any(map(sum, zip(*orbit))):
+            raise InvariantViolation("Coxeter element does not have full reflection length")
+        # u at orbit position p is sum_r r c^r o_p; as the orbit sums to
+        # zero, the next position's is this one's plus d o_p
+        d = len(orbit)
+        w = [sum(r * x for r, x in enumerate(xs)) for xs in zip(*orbit)]
+        for gamma in orbit:
+            if gamma in coroot_of:
+                u[gamma] = tuple(w)
+            w = [x + d * y for x, y in zip(w, gamma)]
+    return [u[beta] for beta in rep.positive_roots]
 
 
 # --------------------------------------------------------------------------
@@ -241,6 +231,10 @@ def build_nc_lattice(
 
     c is the Coxeter element of ``coxeter_order``.  F(a) is the bitmask of
     the reflections t with a u_t = u_t: F(1) has every bit and F(c) none.
+    u_t is sum_{r<d} r c^r beta_t over the c-orbit of beta_t, of length d:
+    a nonzero multiple of (1 - c)^-1 beta_t if every orbit sums to zero, and
+    if one does not, c lacks full reflection length and the build raises
+    InvariantViolation.
     Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
     injective on [1, c], so the covers of a are the t*a for t in F(a) and
     the mask names the element.  Element order is canonical, so results are
@@ -249,11 +243,8 @@ def build_nc_lattice(
     """
     n = rep.n
     order = node_order(n, coxeter_order)
-    c_mat = coxeter_element(rep, order)
-    # P = sum_j j c^j satisfies (1 - c) P = -h, so P beta_t is a nonzero
-    # multiple of u_t and the test a u_t = u_t needs no fractions
-    p_mat = _power_moment(c_mat, 1)
-    u = [mat_apply(p_mat, beta) for beta in rep.positive_roots]
+    # u is integral, so the test a u_t = u_t needs no fractions
+    u = _u_vectors(rep, order)
     z_masks = [
         sum(1 << i for i, v in enumerate(u) if not sum(map(mul, phi, v))) for phi in rep.coroots
     ]
@@ -293,7 +284,9 @@ def lattice_from_covers(
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
     """The lattice with these elements, ranks and covers, and the M-triangle
-    they give; unchecked, so callers run ``check_lattice``.
+    they give.  The one check made here is that the down-sets hold Z(3)
+    pairs a <= b, as ``invariant_formulas`` gives; callers run
+    ``check_lattice`` for the rest.
 
     [a, b] is isomorphic to [1, a^-1 b], and a -> a^-1 b is a bijection of
     [1, b] (Bessis 2003; Armstrong 2009), so the x^rank(b) row of M is the
@@ -305,6 +298,9 @@ def lattice_from_covers(
     """
     n = spec.rank
     down = down_sets(len(elements), covers, deadline)
+    # a count that rests on the covers alone, not on the mask theory
+    if sum(d.bit_count() for d in down) != invariant_formulas(spec).intervals:
+        raise InvariantViolation(f"{spec}: the pairs a <= b are not Z(3) in number")
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     buckets: dict[tuple[int, int], int] = {}
     for b, (below, rank) in enumerate(zip(down, ranks)):
@@ -379,16 +375,18 @@ class InvariantFormulas(NamedTuple):
     cardinality: int
     mobius_number: int
     maximal_chains: int
+    intervals: int
 
 
 def invariant_formulas(spec) -> InvariantFormulas:
-    """Closed-form Zeta polynomial, cardinality, Moebius number and number of
-    maximal chains of [1, c].
+    """Closed-form Zeta polynomial, cardinality, Moebius number, number of
+    maximal chains and number of intervals of [1, c].
 
     Z(X) is the product over all exponents of (h X - e + 1)/(e + 1); the
-    cardinality is Z(2) and the Moebius number is Z(-1).  There are
-    n! prod h_i^n_i / |W_i| maximal chains, with |W_i| the product of e + 1
-    over the exponents of component i.  All three must come out integral.
+    cardinality is Z(2), the Moebius number is Z(-1) and the number of
+    pairs a <= b is Z(3).  There are n! prod h_i^n_i / |W_i| maximal chains,
+    with |W_i| the product of e + 1 over the exponents of component i.  All
+    four must come out integral.
     Z is multiplicative over products, and the chains of a product are
     shuffles of the chains of its components.
     """
@@ -402,11 +400,12 @@ def invariant_formulas(spec) -> InvariantFormulas:
             z = z * BivarPoly.from_x_coeffs((Fraction(1 - e, e + 1), Fraction(h, e + 1)))
             chains *= Fraction(h, e + 1)
     zeta = z.subs_y(0)
-    card = sum(c * 2**i for i, c in enumerate(zeta))
-    mob = sum(c * (-1) ** i for i, c in enumerate(zeta))
-    if card != int(card) or mob != int(mob) or chains != int(chains):
+    card, mob, pairs = (sum(c * x**i for i, c in enumerate(zeta)) for x in (2, -1, 3))
+    if any(v != int(v) for v in (card, mob, chains, pairs)):
         raise InvariantViolation(f"non-integral lattice invariants for {spec}")
-    return InvariantFormulas(tuple(Fraction(c) for c in zeta), int(card), int(mob), int(chains))
+    return InvariantFormulas(
+        tuple(Fraction(c) for c in zeta), int(card), int(mob), int(chains), int(pairs)
+    )
 
 
 def check_lattice(lat: NCLattice) -> None:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 None of this is on a CLI path.  Each function is written independently of
-the code it checks: the reflection length rank(g - 1) by Bareiss
-elimination, the reflection matrices rebuilt from root and coroot,
+the code it checks: exact integer matrices, the reflection length
+rank(g - 1) by Bareiss elimination, the reflection matrices (the simple
+ones and the Coxeter element among them) rebuilt from root and coroot,
 whole-group enumeration and breadth-first word length to check it, the
 pairwise rank test for the absolute order, the interval [1, c] cut from the
 whole group with each element's matrix under its mask, the M-triangle summed
@@ -22,11 +23,28 @@ from typing import Sequence
 from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import _validate_triangle
 from fmtri.poly import BivarPoly, conjecture_substitution
-from fmtri.weyl import Matrix, NCLattice, ReflectionRep, mat_apply, mat_identity, mat_mul
+from fmtri.weyl import NCLattice, ReflectionRep
+
+Matrix = tuple[tuple[int, ...], ...]
 
 # --------------------------------------------------------------------------
-# Exact rank, and the reflection length rank(g - 1)
+# Exact integer matrices, and the reflection length rank(g - 1)
 # --------------------------------------------------------------------------
+
+
+def mat_identity(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def mat_apply(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -83,14 +101,32 @@ def reflections(rep: ReflectionRep) -> tuple[Matrix, ...]:
     )
 
 
+def simple_reflections(rep: ReflectionRep) -> tuple[Matrix, ...]:
+    """The matrices of s_1, ..., s_n: the reflections whose roots are the
+    unit vectors."""
+    by_root = dict(zip(rep.positive_roots, reflections(rep)))
+    return tuple(by_root[row] for row in mat_identity(rep.n))
+
+
+def coxeter_element(rep: ReflectionRep, order: Sequence[int] | None = None) -> Matrix:
+    """The matrix of s_o1 ... s_on for the node order o (1-based), 1, ..., n
+    by default."""
+    simples = simple_reflections(rep)
+    c = mat_identity(rep.n)
+    for i in range(1, rep.n + 1) if order is None else order:
+        c = mat_mul(c, simples[i - 1])
+    return c
+
+
 def whole_group(rep: ReflectionRep) -> set[Matrix]:
     """Every element of W, by closure under the simple reflections."""
+    simples = simple_reflections(rep)
     frontier = [mat_identity(rep.n)]
     group = set(frontier)
     while frontier:
         nxt = []
         for a in frontier:
-            for m in rep.simple_reflections:
+            for m in simples:
                 b = mat_mul(a, m)
                 if b not in group:
                     group.add(b)
@@ -265,7 +301,7 @@ def cluster_f_triangle(rep: ReflectionRep) -> BivarPoly:
     and tau- are applied alternately to both roots until alpha is a negated
     simple root.  Compatible means degree 0.
     """
-    n, simples = rep.n, rep.simple_reflections
+    n, simples = rep.n, simple_reflections(rep)
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     # i and j are joined in the Dynkin graph iff s_i moves alpha_j
     colour: list[int | None] = [None] * n

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fmtri
@@ -477,6 +477,27 @@ class TestDeterminismAndCache:
             code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
         assert (code, out) == (EXIT_OK, cold)
 
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from(["A3", "B3", "D4"]), data=st.data())
+    def test_one_repointed_cover_is_rebuilt(self, spec, data):
+        # a cover (a, b) becomes (a, b') for another b' of the same rank,
+        # the covers kept sorted and distinct: the file is a miss, and the
+        # rebuilt lattice replaces it
+        cold, name, fresh = cold_run_and_cache_file(spec)
+        doc = json.loads(fresh)
+        covers, ranks = doc["covers"], doc["ranks"]
+        a, b = covers.pop(data.draw(st.integers(0, len(covers) - 1)))
+        others = [x for x, r in enumerate(ranks) if r == ranks[b] and [a, x] not in covers + [[a, b]]]
+        assume(others)
+        covers.append([a, data.draw(st.sampled_from(others))])
+        covers.sort()
+        with tempfile.TemporaryDirectory() as cache_dir:
+            path = Path(cache_dir) / name
+            path.write_text(json.dumps(doc))
+            code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
+            assert (code, out) == (EXIT_OK, cold)
+            assert path.read_text() == fresh
+
     def test_warm_hit_respects_the_time_budget(self, capsys, tmp_path):
         args = ("verify", "E7", "--cache-dir", str(tmp_path))
         assert run_cli(capsys, *args)[0] == EXIT_OK
@@ -541,8 +562,13 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 
-    def test_tex_not_defined_for_invariants(self, capsys):
-        assert run_cli(capsys, "invariants", "A2", "--format", "tex")[0] == EXIT_USAGE
+    @pytest.mark.parametrize("command", ["invariants", "verify", "sweep"])
+    def test_tex_not_defined_for(self, capsys, tmp_path, command):
+        # the parser refuses it, before a lattice is built or a cache file written
+        cache = () if command == "invariants" else ("--cache-dir", str(tmp_path))
+        assert run_cli(capsys, command, "A2", "--format", "tex", *cache)[0] == EXIT_USAGE
+        assert "invalid choice: 'tex'" in run_cli.last_err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["ftriangle", "fvector", "invariants"])
     def test_cache_dir_only_on_lattice_commands(self, capsys, tmp_path, command):

@@ -16,11 +16,7 @@ from fmtri.poly import BivarPoly
 from fmtri.weyl import (
     build_nc_lattice,
     build_rep,
-    coxeter_element,
     invariant_formulas,
-    mat_apply,
-    mat_identity,
-    mat_mul,
     nc_lattice,
     rank_generating_function,
 )
@@ -28,12 +24,17 @@ from fmtri.weyl import (
 from oracles import (
     abs_length,
     absolute_leq,
+    coxeter_element,
     int_rank,
     interval_by_mask,
     m_triangle_from_table,
+    mat_apply,
+    mat_identity,
+    mat_mul,
     maximal_chains,
     reflection_word_length,
     reflections,
+    simple_reflections,
     uni_eval,
     whole_group,
     zeta_bruteforce,
@@ -99,7 +100,7 @@ class TestReflectionRep:
     def test_simple_reflections_are_involutions(self):
         for s in SMALL_TYPES:
             rep = build_rep(s)
-            for i, m in enumerate(rep.simple_reflections):
+            for i, m in enumerate(simple_reflections(rep)):
                 assert mat_mul(m, m) == mat_identity(rep.n)
                 alpha = tuple(1 if j == i else 0 for j in range(rep.n))
                 assert mat_apply(m, alpha) == tuple(-c for c in alpha)
@@ -180,15 +181,18 @@ class TestCoxeterElement:
     def test_invalid_ordering(self):
         rep = build_rep("A2")
         with pytest.raises(SpecError):
-            coxeter_element(rep, (1, 1))
+            build_nc_lattice(rep, (1, 1))
 
     @pytest.mark.parametrize("s", ["A1", "A3", "B3", "A2xA1"])
     def test_rejects_a_product_that_is_not_full_length(self, s):
+        # s_1 becomes the identity, so c fixes a vector and some c-orbit of
+        # the roots does not sum to zero
         rep = build_rep(s)
-        ident = mat_identity(rep.n)
-        rep = rep._replace(simple_reflections=(ident,) + rep.simple_reflections[1:])
-        with pytest.raises(InvariantViolation):
-            coxeter_element(rep)
+        at = rep.positive_roots.index(tuple(int(j == 0) for j in range(rep.n)))
+        coroots = list(rep.coroots)
+        coroots[at] = (0,) * rep.n
+        with pytest.raises(InvariantViolation, match="full reflection length"):
+            build_nc_lattice(rep._replace(coroots=tuple(coroots)))
 
 
 class TestAbsoluteOrder:
@@ -278,6 +282,18 @@ class TestNCLattice:
         assert [invariant_formulas(f"B{n}").maximal_chains for n in (2, 3, 4)] == [4, 27, 256]
         assert invariant_formulas("A2xA1").maximal_chains == 3 * 3
         assert invariant_formulas(spec_of()).maximal_chains == 1
+
+    def test_repointed_cover_breaks_the_interval_count(self):
+        # (a, b) becomes (a, b') for a b' of the same rank not above a; the
+        # count of pairs a <= b sees it without reading the masks
+        lat = nc_lattice("D4")
+        a, b = next(c for c in lat.covers if lat.ranks[c[0]] == 1)
+        other = next(
+            x for x, f in enumerate(lat.elements) if lat.ranks[x] == 2 and f & ~lat.elements[a]
+        )
+        covers = sorted(set(lat.covers) - {(a, b)} | {(a, other)})
+        with pytest.raises(InvariantViolation, match="Z\\(3\\)"):
+            weyl.lattice_from_covers(lat.spec, lat.coxeter_order, lat.elements, lat.ranks, covers)
 
     def test_build_checks_the_maximal_chains(self, monkeypatch):
         real = weyl.invariant_formulas
@@ -481,7 +497,11 @@ class TestInvariantFormulas:
         assert forms.mobius_number == -5
 
     def test_zeta_at_three(self):
+        # Z(3) counts the pairs a <= b; for A_n it is C(3n + 3, n + 1) / (2n + 3)
         assert uni_eval(invariant_formulas("A2").zeta, 3) == 12
+        assert [invariant_formulas(f"A{n}").intervals for n in (1, 2, 3)] == [3, 12, 55]
+        assert invariant_formulas("E8").intervals == 1520922
+        assert invariant_formulas(spec_of()).intervals == 1
 
     def test_zeta_at_minus_one_is_mobius(self):
         for s in SMALL_TYPES:
@@ -508,6 +528,7 @@ class TestZetaBruteforce:
             zeta = invariant_formulas(s).zeta
             for m in range(1, 6):
                 assert zeta_bruteforce(lat, m) == uni_eval(zeta, m)
+            assert zeta_bruteforce(lat, 3) == invariant_formulas(s).intervals
 
 
 class TestRankGeneratingFunction:
