@@ -6,12 +6,12 @@ killed run never leaves a truncated cache.  The file holds the spec, the
 Coxeter order, the element masks, ranks and covers, and nothing else: the
 rank is the spec's, and the Moebius row and M-triangle are derived in one
 pass on load by the same ``weyl.lattice_from_covers`` a build uses, so a
-loaded lattice is the same value as a freshly built one.  A file is trusted
-only if it parses, has schema version 4, names the requested spec and
-order, holds JSON integers (not 2.0, not true) wherever the lattice holds
-an int, holds Z(3) pairs a <= b (checked by ``weyl.lattice_from_covers``)
-and passes ``weyl.check_lattice``, which checks the covers and ranks
-against the masks; any other file is a miss, and the rebuilt lattice
+loaded lattice is the same value as a freshly built one and passes the same
+checks.  A file is trusted only if it parses, has schema version 4, names
+the requested spec and order, holds JSON integers (not 2.0, not true)
+wherever the lattice holds an int, and passes ``weyl.lattice_from_covers``,
+which checks the covers and ranks against the masks and the counts against
+the closed forms; any other file is a miss, and the rebuilt lattice
 replaces it.  A mask edit that keeps every check is trusted, but no output
 reads the masks.
 
@@ -29,14 +29,7 @@ from pathlib import Path
 
 from .cartan import RootSystemSpec, as_spec, parse_spec
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
-from .weyl import (
-    NCLattice,
-    check_lattice,
-    invariant_formulas,
-    lattice_from_covers,
-    nc_lattice,
-    node_order,
-)
+from .weyl import NCLattice, lattice_from_covers, nc_lattice, node_order
 
 SCHEMA_VERSION = 4
 
@@ -84,10 +77,6 @@ def lattice_from_doc(doc: dict, deadline: Deadline = NO_DEADLINE) -> NCLattice:
         raise ValueError(f"cache schema version {version!r}, expected {SCHEMA_VERSION}")
     spec = parse_spec(doc["spec"])
     order, elements, ranks = doc["coxeter_order"], doc["elements"], doc["ranks"]
-    # the down-sets take |L|^2 / 2 bits, so a file of the wrong size is
-    # refused before they are built
-    if len(elements) != invariant_formulas(spec).cardinality:
-        raise ValueError(f"cache file has {len(elements)} elements")
     covers = [tuple(cover) for cover in doc["covers"]]
     # a cover of the wrong length fails lattice_from_covers, which unpacks every (a, b)
     _require_ints(chain(order, elements, ranks, chain.from_iterable(covers)))
@@ -96,7 +85,8 @@ def lattice_from_doc(doc: dict, deadline: Deadline = NO_DEADLINE) -> NCLattice:
 
 # what reading a missing, truncated, foreign or doctored file can raise: I/O,
 # JSON, spec and schema version errors (ValueError), a document of the wrong
-# shape (LookupError, TypeError, AttributeError), and a failed ``check_lattice``
+# shape (LookupError, TypeError, AttributeError), and a lattice that fails a
+# check of ``weyl.lattice_from_covers``
 _UNTRUSTED = (OSError, ValueError, LookupError, TypeError, AttributeError, InvariantViolation)
 
 
@@ -117,7 +107,6 @@ def load_or_build_lattice(
         with open(path) as fh:
             lat = lattice_from_doc(json.load(fh), deadline)
         if (lat.spec, lat.coxeter_order) == (spec, order):
-            check_lattice(lat)
             return lat
     except _UNTRUSTED:
         pass

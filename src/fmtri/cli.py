@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -136,7 +137,8 @@ def cmd_fvector(args) -> int:
 
 def cmd_mtriangle(args) -> int:
     spec = parse_spec(args.spec)
-    lat = load_or_build_lattice(spec, _parse_order(args.coxeter_order), args.cache_dir)
+    order, cache_dir = _parse_order(args.coxeter_order), _cache_dir(args.cache_dir)
+    lat = load_or_build_lattice(spec, order, cache_dir)
     payload = {
         "n": lat.n,
         "coxeter_order": list(lat.coxeter_order),
@@ -188,9 +190,8 @@ def _verify_payload(spec, coxeter_order, max_seconds, cache_dir, with_timings):
 
 def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
-    payload, code = _verify_payload(
-        spec, _parse_order(args.coxeter_order), args.max_seconds, args.cache_dir, args.timings
-    )
+    order, cache_dir = _parse_order(args.coxeter_order), _cache_dir(args.cache_dir)
+    payload, code = _verify_payload(spec, order, args.max_seconds, cache_dir, args.timings)
     print(_emit(str(spec), "verify", args.format, payload), end="")
     return code
 
@@ -221,7 +222,8 @@ def _sweep_worker(task):
 
 def cmd_sweep(args) -> int:
     specs = [parse_spec(s) for s in args.specs]
-    tasks = [(s, args.max_seconds, args.cache_dir) for s in specs]
+    cache_dir = _cache_dir(args.cache_dir)
+    tasks = [(s, args.max_seconds, cache_dir) for s in specs]
     # the fork start method starts every worker up front, so no more than
     # one per spec
     workers = min(args.jobs, len(tasks))
@@ -264,6 +266,14 @@ def _parse_order(text) -> tuple[int, ...] | None:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SpecError(f"--coxeter-order {text!r} is not a comma-separated permutation")
+
+
+def _cache_dir(path: str | None) -> str | None:
+    """A --cache-dir value, refused before any work if it names something
+    that is not a directory, where no lattice file could be written."""
+    if path is not None and os.path.exists(path) and not os.path.isdir(path):
+        raise SpecError(f"--cache-dir {path!r} exists and is not a directory")
+    return path
 
 
 def _jobs(text: str) -> int:

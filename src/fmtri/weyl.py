@@ -22,10 +22,12 @@ child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  An
 ``NCLattice`` keeps its masks in (rank, mask) order, ranks, covers and the
-M-triangle, and nothing else.  The M-triangle needs only the first Moebius
-row mu(1, .): every interval [a, b] of [1, c] is isomorphic to [1, a^-1 b],
-so mu(a, b) is a value of that row, and one pass over the down-sets derives
-the row and M together.
+M-triangle, and nothing else.  ``lattice_from_covers`` is its one
+constructor: a build and a cache load both hand it masks, ranks and covers,
+and it checks them against the masks and the closed forms before it derives
+M.  The M-triangle needs only the first Moebius row mu(1, .): every interval
+[a, b] of [1, c] is isomorphic to [1, a^-1 b], so mu(a, b) is a value of that
+row, and one pass over the down-sets derives the row and M together.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ class ReflectionRep(NamedTuple):
     coroots: tuple[tuple[int, ...], ...]
 
 
-def build_rep(spec) -> ReflectionRep:
+def build_rep(spec, deadline: Deadline = NO_DEADLINE) -> ReflectionRep:
     """Build the reflection representation for a (possibly reducible) spec.
 
     Reducible specs get the block-diagonal Cartan matrix; positive roots are
     enumerated by orbit closure under the simple reflections
     s_i v = v - A_i(v) e_i, with A_i row i of the Cartan matrix, each root
-    with its coroot: alpha_i's is A_i, and phi_(s t s) = phi_t s.
+    with its coroot: alpha_i's is A_i, and phi_(s t s) = phi_t s.  The
+    closure checks ``deadline`` once per root.
     """
     spec = as_spec(spec)
     n = spec.rank
@@ -83,6 +86,7 @@ def build_rep(spec) -> ReflectionRep:
     while frontier:
         fresh = []
         for v, phi in frontier:
+            deadline.check()
             for i, row in enumerate(cartan):
                 w = list(v)
                 w[i] -= sum(map(mul, row, v))
@@ -117,7 +121,9 @@ def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]
     return order
 
 
-def _u_vectors(rep: ReflectionRep, order: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _u_vectors(
+    rep: ReflectionRep, order: tuple[int, ...], deadline: Deadline
+) -> list[tuple[int, ...]]:
     """sum_{r<d} r c^r beta for each positive root beta, d the length of its
     c-orbit; raises InvariantViolation unless every orbit sums to zero."""
     coroot_of = dict(zip(rep.positive_roots, rep.coroots))
@@ -125,6 +131,7 @@ def _u_vectors(rep: ReflectionRep, order: tuple[int, ...]) -> list[tuple[int, ..
     steps = [(i - 1, coroot_of[_unit(rep.n, i - 1)]) for i in reversed(order)]
     u: dict[tuple[int, ...], tuple[int, ...]] = {}
     for beta in rep.positive_roots:
+        deadline.check()
         if beta in u:
             continue
         orbit, v = [beta], list(beta)
@@ -205,7 +212,9 @@ class NCLattice(_LatticeFields):
         up = [1 << i for i in range(size)]
         for a, b in reversed(self.covers):
             up[a] |= up[b]
-        down = down_sets(size, self.covers)
+        down = [1 << i for i in range(size)]
+        for a, b in self.covers:
+            down[b] |= down[a]
         # mu(a, b) = -sum of mu(a, z) over a <= z < b; the up/down mask
         # intersection walks exactly the interval [a, b]
         mobius_rows = []
@@ -238,16 +247,17 @@ def build_nc_lattice(
     Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
     injective on [1, c], so the covers of a are the t*a for t in F(a) and
     the mask names the element.  Element order is canonical, so results are
-    reproducible.  The result passes ``check_lattice`` or the build raises
-    InvariantViolation.
+    reproducible.  The lattice comes from ``lattice_from_covers``, so it
+    passes every check made there or the build raises InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
     # u is integral, so the test a u_t = u_t needs no fractions
-    u = _u_vectors(rep, order)
-    z_masks = [
-        sum(1 << i for i, v in enumerate(u) if not sum(map(mul, phi, v))) for phi in rep.coroots
-    ]
+    u = _u_vectors(rep, order, deadline)
+    z_masks = []
+    for phi in rep.coroots:
+        deadline.check()
+        z_masks.append(sum(1 << i for i, v in enumerate(u) if not sum(map(mul, phi, v))))
 
     levels: list[list[int]] = [[(1 << len(u)) - 1]]
     seen = set(levels[0])
@@ -270,9 +280,7 @@ def build_nc_lattice(
     ranks = [k for k, level in enumerate(levels) for _ in level]
     index = {f: i for i, f in enumerate(masks)}
     covers = sorted((index[f], index[g]) for f, g in cover_masks)
-    lat = lattice_from_covers(rep.spec, order, masks, ranks, covers, deadline)
-    check_lattice(lat)
-    return lat
+    return lattice_from_covers(rep.spec, order, masks, ranks, covers, deadline)
 
 
 def lattice_from_covers(
@@ -284,9 +292,21 @@ def lattice_from_covers(
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
     """The lattice with these elements, ranks and covers, and the M-triangle
-    they give.  The one check made here is that the down-sets hold Z(3)
-    pairs a <= b, as ``invariant_formulas`` gives; callers run
-    ``check_lattice`` for the rest.
+    they give; the one constructor of ``NCLattice``, for fresh builds and
+    cache loads alike.  Raises InvariantViolation unless the input is
+    consistent with its own masks and with ``invariant_formulas(spec)``.
+
+    |L| must be the closed form, checked before the down-sets, which take
+    |L|^2 / 2 bits, are allocated.  The masks must be distinct and in
+    (rank, mask) order, from F(1) with every bit set to F(c) = 0, and the
+    covers strictly sorted.  Every cover (a, b) must have rank(b) =
+    rank(a) + 1 and F(b) inside F(a), since a <= b iff F(b) is a subset of
+    F(a).  Each a must have exactly popcount(F(a)) upper covers, one per t
+    in F(a); then the covers are the true ones.  ``ranks`` must be the
+    heights, and the maximal chains and the pairs a <= b, counted over the
+    covers and not over the masks, must be as many as the closed forms say.
+    Then mu(1, c) must be the closed form, mu(1, 1) = 1, and the row
+    mu(1, .) must sum to 0 unless c = 1.
 
     [a, b] is isomorphic to [1, a^-1 b], and a -> a^-1 b is a bijection of
     [1, b] (Bessis 2003; Armstrong 2009), so the x^rank(b) row of M is the
@@ -296,11 +316,47 @@ def lattice_from_covers(
     the buckets hold exactly the w before it, and their popcounts against
     the down-set of b give both the y-terms of its row and mu(1, b).
     """
-    n = spec.rank
-    down = down_sets(len(elements), covers, deadline)
-    # a count that rests on the covers alone, not on the mask theory
-    if sum(d.bit_count() for d in down) != invariant_formulas(spec).intervals:
+    n, size = spec.rank, len(elements)
+    forms = invariant_formulas(spec)
+    if size != forms.cardinality:
+        raise InvariantViolation(f"{spec}: |L| = {size}, expected {forms.cardinality}")
+    full = (1 << sum(num_positive_roots(t) for t in spec.components)) - 1
+    keys = list(zip(ranks, elements))
+    if (
+        len(ranks) != size
+        or len(set(elements)) != size
+        or any(k0 >= k1 for k0, k1 in zip(keys, keys[1:]))
+        or (elements[0], elements[-1]) != (full, 0)
+    ):
+        raise InvariantViolation(f"{spec}: masks are not distinct, sorted, from F(1) to F(c)")
+    if any(c0 >= c1 for c0, c1 in zip(covers, covers[1:])):
+        raise InvariantViolation(f"{spec}: covers are not strictly sorted")
+    # covers come sorted by a, so the down-set, the height and the number of
+    # maximal chains of [1, a] are final before its covers pass them on
+    down = [1 << i for i in range(size)]
+    up_degree = [0] * size
+    heights = [0] * size
+    chains = [1] + [0] * (size - 1)
+    for a, b in covers:
+        deadline.check()
+        if not (0 <= a < b < size and ranks[b] == ranks[a] + 1 and not elements[b] & ~elements[a]):
+            raise InvariantViolation(f"{spec}: ({a}, {b}) is not a cover")
+        down[b] |= down[a]
+        up_degree[a] += 1
+        if heights[b] <= heights[a]:
+            heights[b] = heights[a] + 1
+        chains[b] += chains[a]
+    if up_degree != [f.bit_count() for f in elements]:
+        raise InvariantViolation(f"{spec}: an element has the wrong number of upper covers")
+    if list(ranks) != heights:
+        raise InvariantViolation(f"{spec}: ranks are not the heights of the elements")
+    if chains[-1] != forms.maximal_chains:
+        raise InvariantViolation(
+            f"{spec}: {chains[-1]} maximal chains, expected {forms.maximal_chains}"
+        )
+    if sum(d.bit_count() for d in down) != forms.intervals:
         raise InvariantViolation(f"{spec}: the pairs a <= b are not Z(3) in number")
+
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     buckets: dict[tuple[int, int], int] = {}
     for b, (below, rank) in enumerate(zip(down, ranks)):
@@ -313,26 +369,20 @@ def lattice_from_covers(
         mu = -total if b else 1
         row[0] += mu
         buckets[rank, mu] = buckets.get((rank, mu), 0) | 1 << b
+    m = BivarPoly(rows)
+    mobius = m.coeff(n, 0)
+    if mobius != forms.mobius_number:
+        raise InvariantViolation(f"{spec}: mu(1, c) = {mobius}, expected {forms.mobius_number}")
+    if m.coeff(0, 0) != 1 or sum(m.subs_y(0)) != (size == 1):
+        raise InvariantViolation(f"{spec}: the Moebius row breaks the defining sums")
     return NCLattice(
         spec=spec,
         coxeter_order=tuple(coxeter_order),
         elements=tuple(elements),
         ranks=tuple(ranks),
         covers=tuple(covers),
-        m_triangle=BivarPoly(rows),
+        m_triangle=m,
     )
-
-
-def down_sets(
-    size: int, covers: Sequence[tuple[int, int]], deadline: Deadline = NO_DEADLINE
-) -> list[int]:
-    """Bitmask of the indices w <= b, for each b.  Covers come sorted and
-    each has a < b, so one pass in order closes them."""
-    down = [1 << i for i in range(size)]
-    for a, b in covers:
-        deadline.check()
-        down[b] |= down[a]
-    return down
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -354,7 +404,7 @@ def nc_lattice(spec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NC
     key = (spec, node_order(spec.rank, coxeter_order))
     if key not in _LATTICE_MEMO:
         _LATTICE_MEMO[key] = build_nc_lattice(
-            build_rep(spec), coxeter_order=key[1], deadline=deadline
+            build_rep(spec, deadline=deadline), coxeter_order=key[1], deadline=deadline
         )
     return _LATTICE_MEMO[key]
 
@@ -406,62 +456,3 @@ def invariant_formulas(spec) -> InvariantFormulas:
     return InvariantFormulas(
         tuple(Fraction(c) for c in zeta), int(card), int(mob), int(chains), int(pairs)
     )
-
-
-def check_lattice(lat: NCLattice) -> None:
-    """Raise InvariantViolation unless ``lat`` is consistent with its own
-    masks and with the ``invariant_formulas`` values of its spec.
-
-    The masks must be distinct and in (rank, mask) order, from F(1) with
-    every bit set to F(c) = 0.  The covers must be strictly sorted, and
-    every cover (a, b) must have rank(b) = rank(a) + 1 and F(b) inside
-    F(a), since a <= b iff F(b) is a subset of F(a).  Each a must have
-    exactly popcount(F(a)) upper covers, one per t in F(a); then the covers
-    are the true ones.  ``ranks`` must be the heights; |L|, mu(1, c) and the
-    number of maximal chains, counted over the covers, the closed forms; and
-    M's y^0 column, the sums of mu(1, b) by rank, must keep the defining
-    sums: mu(1, 1) = 1, and the row sums to 0 unless c = 1.
-    """
-    forms = invariant_formulas(lat.spec)
-    found = (lat.cardinality, lat.mobius_number)
-    if found != (forms.cardinality, forms.mobius_number):
-        raise InvariantViolation(
-            f"{lat.spec}: |L| = {found[0]} and mu = {found[1]}, expected "
-            f"{forms.cardinality} and {forms.mobius_number}"
-        )
-    elements, ranks, size = lat.elements, lat.ranks, lat.cardinality
-    m = lat.m_triangle
-    if m.coeff(0, 0) != 1 or sum(m.subs_y(0)) != (size == 1):
-        raise InvariantViolation(f"{lat.spec}: the Moebius row breaks the defining sums")
-    full = (1 << sum(num_positive_roots(t) for t in lat.spec.components)) - 1
-    keys = list(zip(ranks, elements))
-    if (
-        len(ranks) != size
-        or len(set(elements)) != size
-        or any(k0 >= k1 for k0, k1 in zip(keys, keys[1:]))
-        or (elements[0], elements[-1]) != (full, 0)
-    ):
-        raise InvariantViolation(f"{lat.spec}: masks are not distinct, sorted, from F(1) to F(c)")
-    covers = lat.covers
-    if any(c0 >= c1 for c0, c1 in zip(covers, covers[1:])):
-        raise InvariantViolation(f"{lat.spec}: covers are not strictly sorted")
-    # covers come sorted by a, so the height of a and the number of maximal
-    # chains of [1, a] are final before its covers pass them on
-    up_degree = [0] * size
-    heights = [0] * size
-    chains = [1] + [0] * (size - 1)
-    for a, b in covers:
-        if not (0 <= a < b < size and ranks[b] == ranks[a] + 1 and not elements[b] & ~elements[a]):
-            raise InvariantViolation(f"{lat.spec}: ({a}, {b}) is not a cover")
-        up_degree[a] += 1
-        if heights[b] <= heights[a]:
-            heights[b] = heights[a] + 1
-        chains[b] += chains[a]
-    if up_degree != [f.bit_count() for f in elements]:
-        raise InvariantViolation(f"{lat.spec}: an element has the wrong number of upper covers")
-    if list(ranks) != heights:
-        raise InvariantViolation(f"{lat.spec}: ranks are not the heights of the elements")
-    if chains[-1] != forms.maximal_chains:
-        raise InvariantViolation(
-            f"{lat.spec}: {chains[-1]} maximal chains, expected {forms.maximal_chains}"
-        )

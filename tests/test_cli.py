@@ -154,6 +154,15 @@ class TestVerifyCommand:
         assert code == EXIT_TIMEOUT
         assert "timeout,true" in out
 
+    def test_timeout_bounds_the_stages_before_the_search(self, capsys):
+        # A60 has 1830 roots: its root closure, u vectors and z masks take
+        # seconds before the search of [1, c] starts
+        t0 = time.monotonic()
+        code, out = run_cli(capsys, "verify", "A60", "--max-seconds", "0.5")
+        assert code == EXIT_TIMEOUT
+        assert time.monotonic() - t0 < 3
+        assert json.loads(out)["payload"]["timeout"] is True
+
     def test_verified_exit_code_mapping(self):
         from fmtri.cli import _verify_payload
 
@@ -379,16 +388,24 @@ class TestDeterminismAndCache:
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
-    def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self, monkeypatch):
+    def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self):
+        # the down-sets take |L|^2 / 2 bits, so |L| is checked before a
+        # cover is read
         doc = lattice_to_doc(nc_lattice("A3"))
         doc["elements"].append(0)
-
-        def derive(*args, **kwargs):
-            raise AssertionError("derived the Moebius row of a file of the wrong size")
-
-        monkeypatch.setattr(cache, "lattice_from_covers", derive)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
             lattice_from_doc(doc)
+
+        def unread(*_args):
+            raise AssertionError("read the covers of a lattice of the wrong size")
+
+        class Unread:
+            __getitem__ = __iter__ = __len__ = unread
+
+        with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
+            weyl.lattice_from_covers(
+                parse_spec("A3"), (1, 2, 3), doc["elements"], doc["ranks"], Unread()
+            )
 
     @pytest.mark.parametrize(
         "edit",
@@ -523,29 +540,38 @@ class TestDeterminismAndCache:
         assert all("mobius_rows" not in lat.__dict__ for lat in lattices)
 
     def test_each_lattice_builds_its_down_sets_once(self, capsys, tmp_path, monkeypatch):
-        # one pass over the down-sets gives the Moebius row and M together,
-        # for a fresh build and a cache load alike
+        # lattice_from_covers builds the down-sets, and one pass over them
+        # gives the Moebius row and M together; it takes the closed forms
+        # once.  This holds for a fresh build and a cache load alike
         calls = []
-        real = weyl.down_sets
 
-        def count(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(name, real):
+            def count(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(weyl, "down_sets", count)
+            return count
 
-        def down_set_calls(*argv):
+        derive = counted("lattice_from_covers", weyl.lattice_from_covers)
+        monkeypatch.setattr(weyl, "lattice_from_covers", derive)
+        monkeypatch.setattr(cache, "lattice_from_covers", derive)
+        monkeypatch.setattr(
+            weyl, "invariant_formulas", counted("invariant_formulas", weyl.invariant_formulas)
+        )
+
+        def calls_of(*argv):
             monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
             calls.clear()
             assert run_cli(capsys, *argv)[0] == EXIT_OK
-            return len(calls)
+            return sorted(calls)
 
+        once = ["invariant_formulas", "lattice_from_covers"]
         cached = ("verify", "B6", "--cache-dir", str(tmp_path))
-        assert down_set_calls("verify", "B6") == 1
-        assert down_set_calls(*cached) == 1
+        assert calls_of("verify", "B6") == once
+        assert calls_of(*cached) == once
         assert any(tmp_path.iterdir())
-        assert down_set_calls(*cached) == 1
-        assert down_set_calls("mtriangle", "B6") == 1
+        assert calls_of(*cached) == once
+        assert calls_of("mtriangle", "B6") == once
 
 
 @functools.cache
@@ -573,6 +599,21 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["ftriangle", "fvector", "invariants"])
     def test_cache_dir_only_on_lattice_commands(self, capsys, tmp_path, command):
         assert run_cli(capsys, command, "A3", "--cache-dir", str(tmp_path))[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
+    def test_cache_dir_that_is_a_file_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        # refused before any lattice is looked up, with one line and no traceback
+        path = tmp_path / "file"
+        path.write_text("")
+
+        def lookup(*_args, **_kwargs):
+            raise AssertionError("looked up a lattice")
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
+        assert run_cli(capsys, command, "A2", "--cache-dir", str(path)) == (EXIT_USAGE, "")
+        message = f"error: --cache-dir {str(path)!r} exists and is not a directory\n"
+        assert run_cli.last_err == message
+        assert path.read_text() == ""
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("budget", ["nan", "-5"])

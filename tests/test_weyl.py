@@ -12,7 +12,6 @@ from fmtri.cartan import cartan_matrix, parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
-from fmtri.poly import BivarPoly
 from fmtri.weyl import (
     build_nc_lattice,
     build_rep,
@@ -215,6 +214,9 @@ class TestAbsoluteOrder:
         assert not absolute_leq(rep, c, reflections(rep)[0])
 
 
+MASKS_MESSAGE = "masks are not distinct, sorted, from F\\(1\\) to F\\(c\\)"
+
+
 class TestNCLattice:
     @pytest.mark.parametrize("s", ["A1", "A3", "B2xA1"])
     def test_pickle_round_trip(self, s):
@@ -270,6 +272,27 @@ class TestNCLattice:
         with pytest.raises(InvariantViolation):
             build_nc_lattice(build_rep("A2"))
 
+    def test_deadline_is_checked_once_per_root_before_the_search(self, monkeypatch):
+        class Counting:
+            calls = 0
+
+            def check(self):
+                self.calls += 1
+
+        rep_budget, build_budget, memo_budget = Counting(), Counting(), Counting()
+        rep = build_rep("B3", deadline=rep_budget)
+        lat = build_nc_lattice(rep, deadline=build_budget)
+        roots = len(rep.positive_roots)
+        assert rep_budget.calls == roots
+        # the u vectors and the z masks once per root each, then once per
+        # element below c in the search, per cover, and per element for M
+        searched = lat.cardinality - 1
+        assert build_budget.calls == 2 * roots + searched + len(lat.covers) + lat.cardinality
+        # the memoized builder passes its budget to both
+        monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
+        nc_lattice("B3", deadline=memo_budget)
+        assert memo_budget.calls == rep_budget.calls + build_budget.calls
+
     @pytest.mark.parametrize("s", ["A1", "A2xA1", "B3", "D5", "E6", "F4xG2", "A3xA3"])
     def test_maximal_chains_match_the_formula(self, s):
         n = parse_spec(s).rank
@@ -285,24 +308,39 @@ class TestNCLattice:
 
     def test_repointed_cover_breaks_the_interval_count(self):
         # (a, b) becomes (a, b') for a b' of the same rank not above a; the
-        # count of pairs a <= b sees it without reading the masks
+        # mask check, which runs first, refuses it, and the count of pairs
+        # a <= b, which does not read the masks, would too
         lat = nc_lattice("D4")
         a, b = next(c for c in lat.covers if lat.ranks[c[0]] == 1)
         other = next(
             x for x, f in enumerate(lat.elements) if lat.ranks[x] == 2 and f & ~lat.elements[a]
         )
         covers = sorted(set(lat.covers) - {(a, b)} | {(a, other)})
-        with pytest.raises(InvariantViolation, match="Z\\(3\\)"):
+        with pytest.raises(InvariantViolation):
             weyl.lattice_from_covers(lat.spec, lat.coxeter_order, lat.elements, lat.ranks, covers)
+        down = [1 << i for i in range(lat.cardinality)]
+        for x, y in covers:
+            down[y] |= down[x]
+        assert sum(d.bit_count() for d in down) != invariant_formulas("D4").intervals
 
-    def test_build_checks_the_maximal_chains(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "field", ["cardinality", "mobius_number", "maximal_chains", "intervals"]
+    )
+    def test_build_checks_the_maximal_chains(self, monkeypatch, field):
+        # each closed form is checked, each with its own message
+        message = {
+            "cardinality": "\\|L\\| = 5, expected 6",
+            "mobius_number": "mu\\(1, c\\) = 2, expected 3",
+            "maximal_chains": "3 maximal chains, expected 4",
+            "intervals": "Z\\(3\\)",
+        }[field]
         real = weyl.invariant_formulas
         monkeypatch.setattr(
             weyl,
             "invariant_formulas",
-            lambda s: real(s)._replace(maximal_chains=real(s).maximal_chains + 1),
+            lambda s: real(s)._replace(**{field: getattr(real(s), field) + 1}),
         )
-        with pytest.raises(InvariantViolation, match="maximal chains"):
+        with pytest.raises(InvariantViolation, match=message):
             build_nc_lattice(build_rep("A2"))
 
     def test_leq_matches_direct_rank_characterization(self):
@@ -334,59 +372,77 @@ class TestNCLattice:
             assert lat.elements[0] == (1 << len(reflections(rep))) - 1 and lat.elements[-1] == 0
             assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
-    @pytest.mark.parametrize("edit", ["diagonal", "row", "rank"])
+    @pytest.mark.parametrize("edit", ["rank", "rank_dropped", "rank_shifted"])
     def test_check_lattice_catches_mobius_edits(self, edit):
-        # no edit touches |L| or mu(1, c), the coefficient of x^3 y^0
+        # M is derived from the covers, so the ranks are what can be doctored;
+        # no edit touches |L|, the masks or the covers, and each is refused
+        # by its own check
         lat = nc_lattice("A3")
-        rows = [list(row) for row in lat.m_triangle.rows]
-        if edit == "diagonal":
-            rows[0][0] += 1  # mu(1, 1) = 2
-            doctored = lat._replace(m_triangle=BivarPoly(rows))
-        elif edit == "row":
-            rows[1][0] += 1  # the row mu(1, .) no longer sums to 0
-            doctored = lat._replace(m_triangle=BivarPoly(rows))
+        if edit == "rank":
+            # an atom moves to rank 2, out of (rank, mask) order
+            ranks, message = (0, 2) + lat.ranks[2:], MASKS_MESSAGE
+        elif edit == "rank_dropped":
+            ranks, message = lat.ranks[:-1], MASKS_MESSAGE
         else:
-            doctored = lat._replace(ranks=(0, 2) + lat.ranks[2:])
-        assert doctored.mobius_number == lat.mobius_number
-        with pytest.raises(InvariantViolation):
-            weyl.check_lattice(doctored)
+            # every cover still goes up one rank, but the identity is at rank 1
+            ranks, message = tuple(r + 1 for r in lat.ranks), "not the heights"
+        with pytest.raises(InvariantViolation, match=message):
+            weyl.lattice_from_covers(lat.spec, lat.coxeter_order, lat.elements, ranks, lat.covers)
 
     @pytest.mark.parametrize(
         "edit",
-        ["mask_order", "mask_bit", "cover_dropped", "cover_added", "cover_copied", "cover_moved"],
+        [
+            "mask_order", "mask_repeated", "mask_unknown_bit", "mask_bit", "cover_dropped",
+            "cover_added", "cover_negative", "cover_copied", "cover_moved",
+        ],
     )
     def test_check_lattice_catches_mask_and_cover_edits(self, edit):
-        # no edit touches |L| or mu(1, c); the last two move a cover out of
-        # an atom a, away from an element b of rank 2, which has other lower
-        # covers, so the heights and the counts of upper covers stay right
+        # no edit touches |L| or mu(1, c), and each is refused by its own
+        # check; the last two move a cover out of an atom a, away from an
+        # element b of rank 2, which has other lower covers, so the heights
+        # and the counts of upper covers stay right
         lat = nc_lattice("A3")
         elements, covers = list(lat.elements), list(lat.covers)
         atoms = [b for a, b in covers if a == 0]
         k, (a, b) = next((k, c) for k, c in enumerate(covers) if lat.ranks[c[0]] == 1)
+        rank_2 = [i for i, r in enumerate(lat.ranks) if r == 2]
         if edit == "mask_order":
             # two atoms swap names
             elements[atoms[0]], elements[atoms[1]] = elements[atoms[1]], elements[atoms[0]]
+        elif edit == "mask_repeated":
+            # the first atom takes the smallest mask of rank 2, so (rank,
+            # mask) order holds
+            elements[atoms[0]] = elements[rank_2[0]]
+        elif edit == "mask_unknown_bit":
+            # F(1) gains a bit that names no reflection
+            elements[0] |= elements[0] + 1
         elif edit == "mask_bit":
-            # a coatom's mask gains a bit, so it lacks an upper cover
+            # a coatom's mask gains a bit that a lower cover's mask lacks
             elements[-2] |= elements[-2] + 1
         elif edit == "cover_dropped":
             del covers[-1]
         elif edit == "cover_added":
             # the identity below c, a pair that is ordered but not a cover
             covers = sorted(covers + [(0, lat.cardinality - 1)])
+        elif edit == "cover_negative":
+            # c's last lower cover names it -1, which indexes c in Python
+            covers[-1] = (covers[-1][0], -1)
         elif edit == "cover_copied":
             # (a, b) becomes a second copy of the next cover out of a
             covers[k] = covers[k + 1]
         else:
             # (a, b) becomes (a, b') for a b' of rank 2 that is not above a
-            other = next(
-                i for i, f in enumerate(elements) if lat.ranks[i] == 2 and f & ~elements[a]
-            )
+            other = next(i for i in rank_2 if elements[i] & ~elements[a])
             covers = sorted(covers[:k] + covers[k + 1 :] + [(a, other)])
-        doctored = lat._replace(elements=tuple(elements), covers=tuple(covers))
-        assert doctored.mobius_number == lat.mobius_number
-        with pytest.raises(InvariantViolation):
-            weyl.check_lattice(doctored)
+        message = {
+            "mask_order": MASKS_MESSAGE,
+            "mask_repeated": MASKS_MESSAGE,
+            "mask_unknown_bit": MASKS_MESSAGE,
+            "cover_dropped": "wrong number of upper covers",
+            "cover_copied": "not strictly sorted",
+        }.get(edit, "is not a cover")
+        with pytest.raises(InvariantViolation, match=message):
+            weyl.lattice_from_covers(lat.spec, lat.coxeter_order, elements, lat.ranks, covers)
 
     def test_e7(self):
         lat = nc_lattice("E7")
