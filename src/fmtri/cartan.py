@@ -3,8 +3,8 @@
 Irreducible types are the Killing-Cartan list A(n>=1), B(n>=2), C(n>=3),
 D(n>=4), E6-E8, F4, G2, with the low-rank coincidences normalized at
 construction (B1, C1 -> A1; C2 -> B2; D3 -> A3).  Node labels follow the
-Bourbaki numbering throughout; node deletion and the classification of the
-resulting subdiagrams are what drive the triangle recursions.
+Bourbaki numbering throughout; node deletion, a closed form per family,
+drives the F-triangle recursion.
 """
 
 from __future__ import annotations
@@ -174,107 +174,39 @@ def diagram(t: CartanType) -> DynkinDiagram:
     return DynkinDiagram(tuple(range(1, n + 1)), tuple(edges))
 
 
-def _components(nodes: Iterable[int], edges: Iterable[Edge]) -> list[tuple[list[int], list[Edge]]]:
-    nodes = list(nodes)
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b, _, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[int] = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comp_set = set(comp)
-        comp_edges = [e for e in edges if e[0] in comp_set]
-        comps.append((sorted(comp), comp_edges))
-    return comps
-
-
-def _classify_component(nodes: list[int], edges: list[Edge]) -> CartanType:
-    """Classify a connected induced subdiagram of a finite-type diagram."""
-    k = len(nodes)
-    if k == 1:
-        return CartanType("A", 1)
-    multi = [e for e in edges if e[2] >= 2]
-    degree = {v: 0 for v in nodes}
-    for a, b, _, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-
-    if not multi:
-        branch = [v for v in nodes if degree[v] >= 3]
-        if not branch:
-            return CartanType("A", k)
-        if len(branch) > 1 or degree[branch[0]] > 3:
-            raise InvariantViolation("subdiagram is not of finite type")
-        arms = sorted(_arm_lengths(branch[0], nodes, edges))
-        if arms[0] == arms[1] == 1:
-            return CartanType("D", k)
-        if arms == [1, 2, 2] and k == 6:
-            return CartanType("E", 6)
-        if arms == [1, 2, 3] and k == 7:
-            return CartanType("E", 7)
-        if arms == [1, 2, 4] and k == 8:
-            return CartanType("E", 8)
-        raise InvariantViolation("subdiagram is not of finite type")
-
-    if len(multi) > 1:
-        raise InvariantViolation("subdiagram has several multiple edges")
-    a, b, mult, short = multi[0]
-    if mult == 3:
-        if k != 2:
-            raise InvariantViolation("triple edge outside G2")
-        return CartanType("G", 2)
-    if any(degree[v] > 2 for v in nodes):
-        raise InvariantViolation("subdiagram is not of finite type")
-    # a path with one double edge: B, C, or F4
-    if k == 2:
-        return CartanType("B", 2)
-    leaf_end = a if degree[a] == 1 else (b if degree[b] == 1 else None)
-    if leaf_end is None:
-        if k == 4 and degree[a] == degree[b] == 2:
-            return CartanType("F", 4)
-        raise InvariantViolation("subdiagram is not of finite type")
-    return CartanType("B" if short == leaf_end else "C", k)
-
-
-def _arm_lengths(center: int, nodes: list[int], edges: list[Edge]) -> list[int]:
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b, _, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    arms = []
-    for first in adj[center]:
-        length, prev, cur = 1, center, first
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+# Names that the closed forms below reach outside the admissible ranks,
+# mapped to the same diagrams under their admissible names.
+_RENAMED = {("D", 2): (("A", 1), ("A", 1)), ("E", 4): (("A", 4),), ("E", 5): (("D", 5),)}
 
 
 def delete_node(t: CartanType, i: int) -> RootSystemSpec:
-    """Restrict the root system to the diagram with node ``i`` removed."""
-    d = diagram(t)
-    if i not in d.nodes:
-        raise SpecError(f"{t} has no node {i}; valid labels are 1..{t.rank}")
-    rest_nodes = [v for v in d.nodes if v != i]
-    rest_edges = [e for e in d.edges if i not in (e[0], e[1])]
-    comps = _components(rest_nodes, rest_edges)
-    return RootSystemSpec(tuple(_classify_component(ns, es) for ns, es in comps))
+    """Restrict the root system to the diagram with node ``i`` removed.
+
+    A closed form per family on the Bourbaki diagrams (Bourbaki, *Lie
+    Groups*, ch. VI, Plates I-IX); E_n is the chain 1-3-4-...-n with node 2
+    on node 4.  Rank-0 parts are dropped.
+    """
+    fam, n = t
+    if not 1 <= i <= n:
+        raise SpecError(f"{t} has no node {i}; valid labels are 1..{n}")
+    if fam in "ABC":
+        parts = [("A", i - 1), (fam, n - i)]
+    elif fam == "D":
+        parts = [("A", n - 1)] if i >= n - 1 else [("A", i - 1), ("D", n - i)]
+    elif fam == "E":
+        parts = {
+            1: [("D", n - 1)],
+            2: [("A", n - 1)],
+            3: [("A", 1), ("A", n - 2)],
+            4: [("A", 1), ("A", 2), ("A", n - 4)],
+        }.get(i, [("E", i - 1), ("A", n - i)])
+    elif fam == "F":
+        parts = [[("C", 3)], [("A", 1), ("A", 2)], [("A", 2), ("A", 1)], [("B", 3)]][i - 1]
+    else:
+        parts = [("A", 1)]
+    return RootSystemSpec(
+        CartanType(*p) for part in parts if part[1] for p in _RENAMED.get(part, (part,))
+    )
 
 
 # --------------------------------------------------------------------------

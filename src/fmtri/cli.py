@@ -269,10 +269,17 @@ def _parse_order(text) -> tuple[int, ...] | None:
 
 
 def _cache_dir(path: str | None) -> str | None:
-    """A --cache-dir value, refused before any work if it names something
-    that is not a directory, where no lattice file could be written."""
-    if path is not None and os.path.exists(path) and not os.path.isdir(path):
-        raise SpecError(f"--cache-dir {path!r} exists and is not a directory")
+    """A --cache-dir value, refused before any work, and without making a
+    directory, if its nearest existing ancestor (itself, if it exists) is not
+    a directory, so that no lattice file could be written there."""
+    if path is None:
+        return None
+    full = probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        where = "exists" if probe == full else f"is under {probe!r}, which exists"
+        raise SpecError(f"--cache-dir {path!r} {where} and is not a directory")
     return path
 
 

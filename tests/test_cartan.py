@@ -125,7 +125,15 @@ class TestDiagram:
         for t in ALL_TYPES:
             d = diagram(t)
             assert len(d.edges) == len(d.nodes) - 1
-            assert delete_node(t, d.nodes[0]).rank == t.rank - 1  # connectivity probe
+            seen, stack = {d.nodes[0]}, [d.nodes[0]]
+            while stack:
+                v = stack.pop()
+                for a, b, _, _ in d.edges:
+                    w = b if a == v else a if b == v else None
+                    if w is not None and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            assert seen == set(d.nodes)
 
 
 class TestDeleteNode:
@@ -146,29 +154,65 @@ class TestDeleteNode:
 
     def test_e8_deletions(self):
         e8 = CartanType("E", 8)
-        got = {i: str(delete_node(e8, i)) for i in range(1, 9)}
-        assert got[1] == "D7"
-        assert got[2] == "A7"
-        assert got[8] == "E7"
+        got = [str(delete_node(e8, i)) for i in range(1, 9)]
+        assert got == ["D7", "A7", "A6xA1", "A4xA2xA1", "A4xA3", "D5xA2", "E6xA1", "E7"]
 
     def test_invalid_node(self):
-        with pytest.raises(SpecError):
-            delete_node(CartanType("A", 3), 4)
+        for t, i in [("A3", 4), ("A3", 0), ("A3", -1), ("E8", 9)]:
+            with pytest.raises(SpecError, match=f"has no node {i}"):
+                delete_node(parse_type(t), i)
 
     @given(admissible_types, st.data())
     def test_rank_drops_by_one(self, t, data):
         i = data.draw(st.integers(1, t.rank))
         assert delete_node(t, i).rank == t.rank - 1
 
-    def test_classification_stability(self):
-        # classify the diagram of every component that node deletion produces
-        from fmtri.cartan import _classify_component
-
+    def test_matches_cartan_matrix_without_the_node(self):
+        # an oracle that shares no code with the closed forms: the Cartan
+        # matrix with row and column i removed is the block-diagonal matrix of
+        # the deleted spec, up to one relabelling of the nodes
         for t in ALL_TYPES:
             for i in range(1, t.rank + 1):
-                for comp in delete_node(t, i).components:
-                    d = diagram(comp)
-                    assert _classify_component(list(d.nodes), list(d.edges)) == comp
+                full = cartan_matrix(t)
+                minor = [row[: i - 1] + row[i:] for k, row in enumerate(full) if k != i - 1]
+                blocks = [cartan_matrix(c) for c in delete_node(t, i).components]
+                assert _relabelling(minor, _block_diagonal(blocks)) is not None, (t, i)
+
+
+def _block_diagonal(blocks):
+    n, offset = sum(map(len, blocks)), 0
+    m = [[0] * n for _ in range(n)]
+    for block in blocks:
+        for x, row in enumerate(block):
+            m[offset + x][offset : offset + len(row)] = row
+        offset += len(block)
+    return m
+
+
+def _relabelling(m, b):
+    """A permutation p with m[x][y] == b[p[x]][p[y]] for all x, y, or None;
+    backtracking over nodes whose sorted row and column agree."""
+    n = len(m)
+
+    def profile(a, x):
+        return sorted(a[x]), sorted(row[x] for row in a)
+
+    options = [[y for y in range(n) if profile(b, y) == profile(m, x)] for x in range(n)]
+    p = []
+
+    def extend():
+        x = len(p)
+        if x == n:
+            return True
+        for y in options[x]:
+            if y not in p and all(m[x][z] == b[y][p[z]] and m[z][x] == b[p[z]][y] for z in range(x)):
+                p.append(y)
+                if extend():
+                    return True
+                p.pop()
+        return False
+
+    return p if extend() else None
 
 
 class TestCartanMatrix:

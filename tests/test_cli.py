@@ -600,20 +600,29 @@ class TestUsage:
     def test_cache_dir_only_on_lattice_commands(self, capsys, tmp_path, command):
         assert run_cli(capsys, command, "A3", "--cache-dir", str(tmp_path))[0] == EXIT_USAGE
 
-    @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
-    def test_cache_dir_that_is_a_file_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
-        # refused before any lattice is looked up, with one line and no traceback
+    @pytest.mark.parametrize(
+        "command, under_a_file",
+        [pytest.param(c, False, id=c) for c in ("verify", "mtriangle", "sweep")]
+        + [pytest.param(c, True, id=f"{c}-under_a_file") for c in ("verify", "mtriangle", "sweep")],
+    )
+    def test_cache_dir_that_is_a_file_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, command, under_a_file
+    ):
+        # refused before any lattice is looked up, with one line and no
+        # traceback, and no directory is made on the way
         path = tmp_path / "file"
         path.write_text("")
+        arg = path / "sub" / "dir" if under_a_file else path
 
         def lookup(*_args, **_kwargs):
             raise AssertionError("looked up a lattice")
 
         monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
-        assert run_cli(capsys, command, "A2", "--cache-dir", str(path)) == (EXIT_USAGE, "")
-        message = f"error: --cache-dir {str(path)!r} exists and is not a directory\n"
+        assert run_cli(capsys, command, "A2", "--cache-dir", str(arg)) == (EXIT_USAGE, "")
+        where = f"is under {str(path)!r}, which exists" if under_a_file else "exists"
+        message = f"error: --cache-dir {str(arg)!r} {where} and is not a directory\n"
         assert run_cli.last_err == message
-        assert path.read_text() == ""
+        assert path.read_text() == "" and list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("budget", ["nan", "-5"])
