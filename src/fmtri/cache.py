@@ -1,19 +1,20 @@
 """Persistent JSON cache for noncrossing partition lattices.
 
 One file per lattice, keyed by canonical spec string, Coxeter ordering, and
-schema version 4; writes go through a temp file and an atomic rename so a
+schema version 5; writes go through a temp file and an atomic rename so a
 killed run never leaves a truncated cache.  The file holds the spec, the
-Coxeter order, the element masks, ranks and covers, and nothing else: the
-rank is the spec's, and the Moebius row and M-triangle are derived in one
-pass on load by the same ``weyl.lattice_from_covers`` a build uses, so a
-loaded lattice is the same value as a freshly built one and passes the same
-checks.  A file is trusted only if it parses, has schema version 4, names
-the requested spec and order, holds JSON integers (not 2.0, not true)
-wherever the lattice holds an int, and passes ``weyl.lattice_from_covers``,
-which checks the covers and ranks against the masks and the counts against
-the closed forms; any other file is a miss, and the rebuilt lattice
-replaces it.  A mask edit that keeps every check is trusted, but no output
-reads the masks.
+Coxeter order, the element masks and their ranks, and nothing else: the
+masks carry the order relation, the rank of the lattice is the spec's, and
+the Moebius row and M-triangle are derived in one pass on load by the same
+``weyl.lattice_from_masks`` a build uses, so a loaded lattice is the same
+value as a freshly built one and passes the same checks.  A file is
+trusted only if it parses, has schema version 5, names the requested spec
+and order, holds JSON integers (not 2.0, not true) wherever the lattice
+holds an int, and passes ``weyl.lattice_from_masks``, which checks the
+masks and ranks against each other and the counts of the order they give
+against the closed forms; any other file is a miss, and the rebuilt
+lattice replaces it.  Every single-bit mask edit fails a check, but an edit
+that keeps every check is trusted, and M is derived from the order it gives.
 
 F-triangles are not cached: the node-deletion recursion takes milliseconds
 even for E8.
@@ -29,9 +30,9 @@ from pathlib import Path
 
 from .cartan import RootSystemSpec, as_spec, parse_spec
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
-from .weyl import NCLattice, lattice_from_covers, nc_lattice, node_order
+from .weyl import NCLattice, lattice_from_masks, nc_lattice, node_order
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def atomic_write_json(path: Path, doc: dict) -> None:
@@ -60,7 +61,6 @@ def lattice_to_doc(lat: NCLattice) -> dict:
         "coxeter_order": list(lat.coxeter_order),
         "elements": list(lat.elements),
         "ranks": list(lat.ranks),
-        "covers": [list(cover) for cover in lat.covers],
     }
 
 
@@ -77,16 +77,14 @@ def lattice_from_doc(doc: dict, deadline: Deadline = NO_DEADLINE) -> NCLattice:
         raise ValueError(f"cache schema version {version!r}, expected {SCHEMA_VERSION}")
     spec = parse_spec(doc["spec"])
     order, elements, ranks = doc["coxeter_order"], doc["elements"], doc["ranks"]
-    covers = [tuple(cover) for cover in doc["covers"]]
-    # a cover of the wrong length fails lattice_from_covers, which unpacks every (a, b)
-    _require_ints(chain(order, elements, ranks, chain.from_iterable(covers)))
-    return lattice_from_covers(spec, order, elements, ranks, covers, deadline)
+    _require_ints(chain(order, elements, ranks))
+    return lattice_from_masks(spec, order, elements, ranks, deadline)
 
 
 # what reading a missing, truncated, foreign or doctored file can raise: I/O,
 # JSON, spec and schema version errors (ValueError), a document of the wrong
 # shape (LookupError, TypeError, AttributeError), and a lattice that fails a
-# check of ``weyl.lattice_from_covers``
+# check of ``weyl.lattice_from_masks``
 _UNTRUSTED = (OSError, ValueError, LookupError, TypeError, AttributeError, InvariantViolation)
 
 

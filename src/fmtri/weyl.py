@@ -20,11 +20,12 @@ Every orbit sums to zero iff c fixes no vector, i.e. has full reflection
 length: the mean over <c> projects onto Fix(c), and the roots span.  A
 child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
-masks against whole-group enumeration and the rank test rank(g - 1).  An
-``NCLattice`` keeps its masks in (rank, mask) order, ranks, covers and the
-M-triangle, and nothing else.  ``lattice_from_covers`` is its one
-constructor: a build and a cache load both hand it masks, ranks and covers,
-and it checks them against the masks and the closed forms before it derives
+masks against whole-group enumeration and the rank test rank(g - 1).  The
+masks are the order: a <= b iff F(b) is a subset of F(a).  An ``NCLattice``
+keeps its masks in (rank, mask) order, ranks and the M-triangle, and
+nothing else.  ``lattice_from_masks`` is its one constructor: a build and a
+cache load both hand it masks and ranks, and it checks them against each
+other and the order they give against the closed forms before it derives
 M.  The M-triangle needs only the first Moebius row mu(1, .): every interval
 [a, b] of [1, c] is isomorphic to [1, a^-1 b], so mu(a, b) is a value of that
 row, and one pass over the down-sets derives the row and M together.
@@ -32,6 +33,7 @@ row, and one pass over the down-sets derives the row and M together.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -163,23 +165,22 @@ class _LatticeFields(NamedTuple):
     coxeter_order: tuple[int, ...]
     elements: tuple[int, ...]
     ranks: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
     m_triangle: BivarPoly
 
 
 class NCLattice(_LatticeFields):
-    """The interval [1, c], with ranks, covers and the M-triangle.
+    """The interval [1, c], with ranks and the M-triangle.
 
     ``elements`` are the masks F(a) sorted by (rank, mask), so index order
     refines rank order, element 0 is the identity (every bit set) and
-    element -1 is c (mask 0).  ``covers`` lists the pairs (a, b) with b
-    covering a, sorted; they carry the whole order relation, for fresh and
-    cache-loaded lattices alike.  ``m_triangle`` is M(x, y) = sum over
-    a <= b of mu(a, b) x^rank(b) y^rank(a), derived from the covers by
-    ``lattice_from_covers``; its y^0 column holds the sums of mu(1, b) by
-    rank.  The rank n of the lattice is the rank of ``spec``.
+    element -1 is c (mask 0).  The masks carry the whole order relation, for
+    fresh and cache-loaded lattices alike: a <= b iff F(b) lies inside F(a).
+    ``m_triangle`` is M(x, y) = sum over a <= b of mu(a, b) x^rank(b)
+    y^rank(a), derived from the masks by ``lattice_from_masks``; its y^0
+    column holds the sums of mu(1, b) by rank.  The rank n of the lattice is
+    the rank of ``spec``.
 
-    A named tuple of those six fields.  It keeps an instance ``__dict__``
+    A named tuple of those five fields.  It keeps an instance ``__dict__``
     only as the store of the cached ``mobius_rows``, and sets no other
     attribute.
     """
@@ -208,26 +209,20 @@ class NCLattice(_LatticeFields):
         """The whole Moebius table: row a lists (b, mu(a, b)) for every
         b >= a in index order.  No library path reads it; it is computed on
         first use, for the tests and the perfbench tracer."""
-        size = self.cardinality
-        up = [1 << i for i in range(size)]
-        for a, b in reversed(self.covers):
-            up[a] |= up[b]
-        down = [1 << i for i in range(size)]
-        for a, b in self.covers:
-            down[b] |= down[a]
+        elements, everyone = self.elements, (1 << self.cardinality) - 1
+        holders = _holders(elements, elements[0].bit_length())
+        down = [_in_all(holders, f, everyone) for f in elements]
+        # b >= a iff F(b) lacks every bit that F(a) lacks
+        lackers = [everyone & ~h for h in holders]
+        up = [_in_all(lackers, elements[0] & ~f, everyone) for f in elements]
         # mu(a, b) = -sum of mu(a, z) over a <= z < b; the up/down mask
         # intersection walks exactly the interval [a, b]
         mobius_rows = []
-        for a in range(size):
-            ua = up[a]
-            row = {a: 1}
-            for b in _mask_indices(ua)[1:]:
-                total = 0
-                for z in _mask_indices(ua & down[b]):
-                    if z != b:
-                        total += row[z]
-                row[b] = -total
-            mobius_rows.append(tuple(sorted(row.items())))
+        for ua in up:
+            row = {}
+            for b in _mask_indices(ua):
+                row[b] = -sum(row[z] for z in _mask_indices(ua & down[b] & ~(1 << b))) if row else 1
+            mobius_rows.append(tuple(row.items()))
         return tuple(mobius_rows)
 
 
@@ -247,7 +242,7 @@ def build_nc_lattice(
     Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
     injective on [1, c], so the covers of a are the t*a for t in F(a) and
     the mask names the element.  Element order is canonical, so results are
-    reproducible.  The lattice comes from ``lattice_from_covers``, so it
+    reproducible.  The lattice comes from ``lattice_from_masks``, so it
     passes every check made there or the build raises InvariantViolation.
     """
     n = rep.n
@@ -261,14 +256,12 @@ def build_nc_lattice(
 
     levels: list[list[int]] = [[(1 << len(u)) - 1]]
     seen = set(levels[0])
-    cover_masks: list[tuple[int, int]] = []
     for k in range(n):
         next_level: list[int] = []
         for f in levels[k]:
             deadline.check()
             for i in _mask_indices(f):
                 g = f & z_masks[i]
-                cover_masks.append((f, g))
                 if g not in seen:
                     seen.add(g)
                     next_level.append(g)
@@ -278,49 +271,49 @@ def build_nc_lattice(
 
     masks = [f for level in levels for f in sorted(level)]
     ranks = [k for k, level in enumerate(levels) for _ in level]
-    index = {f: i for i, f in enumerate(masks)}
-    covers = sorted((index[f], index[g]) for f, g in cover_masks)
-    return lattice_from_covers(rep.spec, order, masks, ranks, covers, deadline)
+    return lattice_from_masks(rep.spec, order, masks, ranks, deadline)
 
 
-def lattice_from_covers(
+def lattice_from_masks(
     spec: RootSystemSpec,
     coxeter_order: Sequence[int],
     elements: Sequence[int],
     ranks: Sequence[int],
-    covers: Sequence[tuple[int, int]],
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """The lattice with these elements, ranks and covers, and the M-triangle
+    """The lattice with these element masks and ranks, and the M-triangle
     they give; the one constructor of ``NCLattice``, for fresh builds and
     cache loads alike.  Raises InvariantViolation unless the input is
-    consistent with its own masks and with ``invariant_formulas(spec)``.
+    consistent with itself and with ``invariant_formulas(spec)``.
 
-    |L| must be the closed form, checked before the down-sets, which take
-    |L|^2 / 2 bits, are allocated.  The masks must be distinct and in
-    (rank, mask) order, from F(1) with every bit set to F(c) = 0, and the
-    covers strictly sorted.  Every cover (a, b) must have rank(b) =
-    rank(a) + 1 and F(b) inside F(a), since a <= b iff F(b) is a subset of
-    F(a).  Each a must have exactly popcount(F(a)) upper covers, one per t
-    in F(a); then the covers are the true ones.  ``ranks`` must be the
-    heights, and the maximal chains and the pairs a <= b, counted over the
-    covers and not over the masks, must be as many as the closed forms say.
-    Then mu(1, c) must be the closed form, mu(1, 1) = 1, and the row
-    mu(1, .) must sum to 0 unless c = 1.
+    a <= b iff F(b) is a subset of F(a), so the down-set of b is the AND,
+    over the t in F(b), of the elements whose mask has bit t.  |L| must be
+    the closed form, every mask in [0, 2^|Phi+|), and the masks distinct and
+    in (rank, mask) order from F(1), every bit set, to F(c) = 0.  The ranks
+    must be the heights: 1 has rank 0 and c rank n, nothing of rank >=
+    rank(b) but b lies below b, and each b != 1 lies above an element of
+    rank rank(b) - 1.  The lower covers summed over b must number the bits
+    of the masks, one upper cover of a per t in F(a); the maximal chains,
+    the pairs a <= b and mu(1, c) must be the closed forms, mu(1, 1) = 1,
+    and the row mu(1, .) must sum to 0 unless c = 1.
 
     [a, b] is isomorphic to [1, a^-1 b], and a -> a^-1 b is a bijection of
     [1, b] (Bessis 2003; Armstrong 2009), so the x^rank(b) row of M is the
     sum over w <= b of mu(1, w) y^(rank b - rank w), and mu(1, b) = -sum of
-    mu(1, w) over w < b.  One bitmask per (rank, mu) pair holds the indices
-    that carry it.  Index order extends the order, so when b's turn comes
-    the buckets hold exactly the w before it, and their popcounts against
-    the down-set of b give both the y-terms of its row and mu(1, b).
+    mu(1, w) over w < b.  One bitmask per (rank, mu(1, w), maximal chains of
+    [1, w]) holds the indices that carry it.  Index order extends the order,
+    so at b's turn the buckets hold exactly the w before it, and their
+    popcounts against the down-set of b give the y-terms of its row, mu(1, b)
+    and the chains of [1, b].  Each down-set is dropped after use.
     """
     n, size = spec.rank, len(elements)
     forms = invariant_formulas(spec)
     if size != forms.cardinality:
         raise InvariantViolation(f"{spec}: |L| = {size}, expected {forms.cardinality}")
-    full = (1 << sum(num_positive_roots(t) for t in spec.components)) - 1
+    roots = sum(num_positive_roots(t) for t in spec.components)
+    full = (1 << roots) - 1
+    if not all(0 <= f <= full for f in elements):
+        raise InvariantViolation(f"{spec}: a mask lies outside [0, 2^{roots})")
     keys = list(zip(ranks, elements))
     if (
         len(ranks) != size
@@ -329,60 +322,68 @@ def lattice_from_covers(
         or (elements[0], elements[-1]) != (full, 0)
     ):
         raise InvariantViolation(f"{spec}: masks are not distinct, sorted, from F(1) to F(c)")
-    if any(c0 >= c1 for c0, c1 in zip(covers, covers[1:])):
-        raise InvariantViolation(f"{spec}: covers are not strictly sorted")
-    # covers come sorted by a, so the down-set, the height and the number of
-    # maximal chains of [1, a] are final before its covers pass them on
-    down = [1 << i for i in range(size)]
-    up_degree = [0] * size
-    heights = [0] * size
-    chains = [1] + [0] * (size - 1)
-    for a, b in covers:
-        deadline.check()
-        if not (0 <= a < b < size and ranks[b] == ranks[a] + 1 and not elements[b] & ~elements[a]):
-            raise InvariantViolation(f"{spec}: ({a}, {b}) is not a cover")
-        down[b] |= down[a]
-        up_degree[a] += 1
-        if heights[b] <= heights[a]:
-            heights[b] = heights[a] + 1
-        chains[b] += chains[a]
-    if up_degree != [f.bit_count() for f in elements]:
-        raise InvariantViolation(f"{spec}: an element has the wrong number of upper covers")
-    if list(ranks) != heights:
-        raise InvariantViolation(f"{spec}: ranks are not the heights of the elements")
-    if chains[-1] != forms.maximal_chains:
-        raise InvariantViolation(
-            f"{spec}: {chains[-1]} maximal chains, expected {forms.maximal_chains}"
-        )
-    if sum(d.bit_count() for d in down) != forms.intervals:
-        raise InvariantViolation(f"{spec}: the pairs a <= b are not Z(3) in number")
+    heights = InvariantViolation(f"{spec}: ranks are not the heights of the elements")
+    if (ranks[0], ranks[-1]) != (0, n):
+        raise heights
+    # index order refines rank order: the elements of rank >= r start at start[r]
+    start = [bisect_left(ranks, r) for r in range(n + 1)]
+    holders = _holders(elements, roots, deadline)
+    everyone = (1 << size) - 1
 
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    buckets: dict[tuple[int, int], int] = {}
-    for b, (below, rank) in enumerate(zip(down, ranks)):
+    buckets: dict[tuple[int, int, int], int] = {}
+    pairs = lower_covers = 0
+    for b, (f, rank) in enumerate(zip(elements, ranks)):
         deadline.check()
-        row, total = rows[rank], 0
-        for (r, v), mask in buckets.items():
-            term = v * (mask & below).bit_count()
-            row[rank - r] += term
-            total += term
-        mu = -total if b else 1
+        down = _in_all(holders, f, everyone)
+        below = down & ((1 << start[rank]) - 1)
+        if down ^ below != 1 << b or b and not (rank and below >> start[rank - 1]):
+            raise heights
+        pairs += down.bit_count()
+        row, total, chains = rows[rank], 0, 0
+        for (r, v, ch), mask in buckets.items():
+            count = (mask & below).bit_count()
+            row[rank - r] += v * count
+            total += v * count
+            if r == rank - 1:
+                chains += ch * count
+                lower_covers += count
+        mu, chains = (-total, chains) if b else (1, 1)
         row[0] += mu
-        buckets[rank, mu] = buckets.get((rank, mu), 0) | 1 << b
+        buckets[rank, mu, chains] = buckets.get((rank, mu, chains), 0) | 1 << b
+    if lower_covers != sum(f.bit_count() for f in elements):
+        raise InvariantViolation(f"{spec}: the covers do not number the bits of the masks")
+    if chains != forms.maximal_chains:
+        raise InvariantViolation(f"{spec}: {chains} maximal chains, expected {forms.maximal_chains}")
+    if pairs != forms.intervals:
+        raise InvariantViolation(f"{spec}: the pairs a <= b are not Z(3) in number")
     m = BivarPoly(rows)
     mobius = m.coeff(n, 0)
     if mobius != forms.mobius_number:
         raise InvariantViolation(f"{spec}: mu(1, c) = {mobius}, expected {forms.mobius_number}")
     if m.coeff(0, 0) != 1 or sum(m.subs_y(0)) != (size == 1):
         raise InvariantViolation(f"{spec}: the Moebius row breaks the defining sums")
-    return NCLattice(
-        spec=spec,
-        coxeter_order=tuple(coxeter_order),
-        elements=tuple(elements),
-        ranks=tuple(ranks),
-        covers=tuple(covers),
-        m_triangle=m,
-    )
+    return NCLattice(spec, tuple(coxeter_order), tuple(elements), tuple(ranks), m)
+
+
+def _holders(elements: Sequence[int], roots: int, deadline: Deadline = NO_DEADLINE) -> list[int]:
+    """For each reflection t < ``roots``, the bitmask of the indices of the
+    elements whose mask has bit t, read from its binary digits written last
+    index first; checks ``deadline`` once per element."""
+    size = len(elements)
+    digits = [bytearray(b"0" * size) for _ in range(roots)]
+    for i, f in enumerate(elements):
+        deadline.check()
+        for t in _mask_indices(f):
+            digits[t][size - 1 - i] = ord("1")
+    return [int(d, 2) for d in digits]
+
+
+def _in_all(holders: list[int], f: int, everyone: int) -> int:
+    """The indices in ``everyone`` and in ``holders[t]`` for every bit t of f."""
+    for t in _mask_indices(f):
+        everyone &= holders[t]
+    return everyone
 
 
 def _mask_indices(mask: int) -> list[int]:

@@ -8,10 +8,10 @@ whole-group enumeration and breadth-first word length to check it, the
 pairwise rank test for the absolute order, the interval [1, c] cut from the
 whole group with each element's matrix under its mask, the M-triangle summed
 over the whole Moebius table, multichain counting for the Zeta polynomial,
-maximal chains counted from the covers, the F-triangle counted on the
-cluster complex, closed forms for the A and B F-triangles, and the second
-change of variables for the reflection symmetry.  Polynomial helpers that
-only tests need live here too.
+the covers by subset tests on the masks and the maximal chains counted
+from them, the F-triangle counted on the cluster complex, closed forms for
+the A and B F-triangles, and the second change of variables for the
+reflection symmetry.  Polynomial helpers that only tests need live here too.
 """
 
 from __future__ import annotations
@@ -223,11 +223,34 @@ def zeta_bruteforce(lat: NCLattice, m: int) -> int:
     return sum(weights)
 
 
+def covers(lat: NCLattice) -> list[tuple[int, int]]:
+    """The pairs (a, b) with rank b = rank a + 1 and F(b) a proper subset of
+    F(a), sorted: a <= b iff F(b) lies inside F(a), tested on the masks
+    alone.  The candidates for a below b are the elements one rank down
+    that have every bit of F(b), found by intersecting one set per bit."""
+    by_rank: dict[int, set[int]] = {}
+    having: dict[tuple[int, int], set[int]] = {}
+    for a, (f, r) in enumerate(zip(lat.elements, lat.ranks)):
+        by_rank.setdefault(r, set()).add(a)
+        for t in _bits(f):
+            having.setdefault((r, t), set()).add(a)
+    pairs = []
+    for b, (f, r) in enumerate(zip(lat.elements, lat.ranks)):
+        sets = [by_rank.get(r - 1, set())] + [having.get((r - 1, t), set()) for t in _bits(f)]
+        sets.sort(key=len)
+        pairs += [(a, b) for a in sets[0].intersection(*sets[1:]) if lat.elements[a] != f]
+    return sorted(pairs)
+
+
+def _bits(f: int) -> list[int]:
+    return [i for i, digit in enumerate(reversed(bin(f))) if digit == "1"]
+
+
 def maximal_chains(lat: NCLattice) -> int:
     """Number of maximal chains 1 = a_0 < ... < a_n = c, counted down from c:
     each a has as many chains to c as its upper covers have together."""
     above: list[list[int]] = [[] for _ in range(lat.cardinality)]
-    for a, b in lat.covers:
+    for a, b in covers(lat):
         above[a].append(b)
     to_top = [0] * lat.cardinality
     to_top[-1] = 1

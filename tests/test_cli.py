@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmtri
@@ -161,6 +161,16 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "A60", "--max-seconds", "0.5")
         assert code == EXIT_TIMEOUT
         assert time.monotonic() - t0 < 3
+        assert json.loads(out)["payload"]["timeout"] is True
+
+    def test_timeout_bounds_the_lattice_pass(self, capsys):
+        # D9 (|L| = 35750) takes about 2 s; its search, the holders of each
+        # bit and the pass over the down-sets each check the budget once per
+        # element
+        t0 = time.monotonic()
+        code, out = run_cli(capsys, "verify", "D9", "--max-seconds", "0.3")
+        assert code == EXIT_TIMEOUT
+        assert time.monotonic() - t0 < 1.5
         assert json.loads(out)["payload"]["timeout"] is True
 
     def test_verified_exit_code_mapping(self):
@@ -335,7 +345,7 @@ class TestDeterminismAndCache:
         assert cold == warm
 
     def test_lattice_cache_round_trip(self, tmp_path):
-        # the covers carry the order relation and the Moebius row is derived
+        # the masks carry the order relation and the Moebius row is derived
         # from them again, so a loaded lattice is the same value as a fresh one
         for s in ["A3", "B3", "D4", "A2xA1"]:
             lat = nc_lattice(s)
@@ -344,15 +354,15 @@ class TestDeterminismAndCache:
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
-        # version 4 files name the elements by their masks and hold their
-        # ranks and covers: no matrix, no rank, which is the spec's, and no
-        # Moebius value
+        # version 5 files name the elements by their masks and hold their
+        # ranks: no matrix, no cover, which the masks give, no rank, which is
+        # the spec's, and no Moebius value
         doc = json.loads(path.read_text())
-        assert path.name.endswith("__v4.json") and doc["schema_version"] == 4
-        keys = ["covers", "coxeter_order", "elements", "ranks", "schema_version", "spec"]
+        assert path.name.endswith("__v5.json") and doc["schema_version"] == 5
+        keys = ["coxeter_order", "elements", "ranks", "schema_version", "spec"]
         assert sorted(doc) == keys
         assert doc["elements"] == list(lat1.elements) and all(type(f) is int for f in lat1.elements)
-        assert doc["covers"] == [list(cover) for cover in lat1.covers]
+        assert doc["ranks"] == list(lat1.ranks)
         stamp = path.stat().st_mtime_ns
         lat2 = load_or_build_lattice("A2", cache_dir=tmp_path)
         assert path.stat().st_mtime_ns == stamp
@@ -381,37 +391,35 @@ class TestDeterminismAndCache:
         load_or_build_lattice("A3", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
         doc = json.loads(path.read_text())
-        # without its last cover, the last coatom drops out of the down-set
-        # of c, and mu(1, c) changes
-        del doc["covers"][-1]
+        # atom 2 loses its lowest bit, and with it one of the elements of
+        # rank 2 above it, so the maximal chains are one fewer
+        doc["elements"][2] &= doc["elements"][2] - 1
         path.write_text(json.dumps(doc))
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
         assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
 
     def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self):
-        # the down-sets take |L|^2 / 2 bits, so |L| is checked before a
-        # cover is read
+        # the holders of each bit take |L| |Phi+| bits, so |L| is checked
+        # before a rank is read
         doc = lattice_to_doc(nc_lattice("A3"))
         doc["elements"].append(0)
         with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
             lattice_from_doc(doc)
 
         def unread(*_args):
-            raise AssertionError("read the covers of a lattice of the wrong size")
+            raise AssertionError("read the ranks of a lattice of the wrong size")
 
         class Unread:
             __getitem__ = __iter__ = __len__ = unread
 
         with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
-            weyl.lattice_from_covers(
-                parse_spec("A3"), (1, 2, 3), doc["elements"], doc["ranks"], Unread()
-            )
+            weyl.lattice_from_masks(parse_spec("A3"), (1, 2, 3), doc["elements"], Unread())
 
     @pytest.mark.parametrize(
         "edit",
         [
-            "cover_target", "cover_float", "cover_bool", "mask_bit", "rank_1",
-            "schema_1", "schema_2", "schema_3", "order_float",
+            "mask_repeated", "mask_float", "rank_bool", "mask_bit", "rank_1",
+            "schema_1", "schema_2", "schema_3", "schema_4", "order_float",
         ],
     )
     def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
@@ -421,25 +429,18 @@ class TestDeterminismAndCache:
         path = next(tmp_path.iterdir())
         fresh = path.read_bytes()
         doc = json.loads(fresh)
-        assert doc["ranks"][1] == 1 and doc["covers"][0] == [0, 1]
-        if edit == "cover_target":
-            # a cover (a, b) out of an atom becomes a second copy of its
-            # successor (a, b + 1)
-            covers = doc["covers"]
-            k = next(
-                k
-                for k, ((a, b), after) in enumerate(zip(covers, covers[1:]))
-                if doc["ranks"][a] == 1 and after == [a, b + 1]
-            )
-            covers[k][1] += 1
-        elif edit == "cover_float":
-            # 1.0 == 1 in Python, but a cache file holds JSON integers only
-            doc["covers"][0][1] = 1.0
-        elif edit == "cover_bool":
-            # true == 1 in Python: the cover (0, 1) as (0, true)
-            doc["covers"][0][1] = True
+        assert doc["ranks"][1] == 1
+        if edit == "mask_repeated":
+            # atom 1 takes the mask of atom 2, so two elements are one
+            doc["elements"][1] = doc["elements"][2]
+        elif edit == "mask_float":
+            # 5.0 == 5 in Python, but a cache file holds JSON integers only
+            doc["elements"][1] = float(doc["elements"][1])
+        elif edit == "rank_bool":
+            # true == 1 in Python: the rank of atom 1 as true
+            doc["ranks"][1] = True
         elif edit == "mask_bit":
-            # atom 1 gains or loses a reflection, so its count of upper covers is off
+            # atom 1 gains or loses a reflection, so the order the masks give is off
             doc["elements"][1] ^= 1
         elif edit == "rank_1":
             doc["ranks"][1] = 2
@@ -461,15 +462,13 @@ class TestDeterminismAndCache:
         # the file is a miss, or it still describes the same lattice
         cold, name, fresh = cold_run_and_cache_file(spec)
         doc = json.loads(fresh)
-        keys = ["schema_version", "coxeter_order", "elements", "ranks", "covers"]
+        keys = ["schema_version", "coxeter_order", "elements", "ranks"]
         key = data.draw(st.sampled_from(keys))
         if key == "schema_version":
             holder, at = doc, key
         else:
             holder = doc[key]
             at = data.draw(st.integers(0, len(holder) - 1))
-            if key == "covers":
-                holder, at = holder[at], data.draw(st.integers(0, 1))
         holder[at] = data.draw(
             st.sampled_from([holder[at] + 1, holder[at] - 1, float(holder[at])]) | st.booleans()
         )
@@ -496,18 +495,16 @@ class TestDeterminismAndCache:
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.sampled_from(["A3", "B3", "D4"]), data=st.data())
-    def test_one_repointed_cover_is_rebuilt(self, spec, data):
-        # a cover (a, b) becomes (a, b') for another b' of the same rank,
-        # the covers kept sorted and distinct: the file is a miss, and the
-        # rebuilt lattice replaces it
+    def test_one_flipped_mask_bit_is_rebuilt(self, spec, data):
+        # one bit of one element's mask flips, up to and including bit
+        # |Phi+|, which names no reflection: the masks then give another
+        # order or none, the file is a miss, and the rebuilt lattice
+        # replaces it
         cold, name, fresh = cold_run_and_cache_file(spec)
         doc = json.loads(fresh)
-        covers, ranks = doc["covers"], doc["ranks"]
-        a, b = covers.pop(data.draw(st.integers(0, len(covers) - 1)))
-        others = [x for x, r in enumerate(ranks) if r == ranks[b] and [a, x] not in covers + [[a, b]]]
-        assume(others)
-        covers.append([a, data.draw(st.sampled_from(others))])
-        covers.sort()
+        elements = doc["elements"]
+        at = data.draw(st.integers(0, len(elements) - 1))
+        elements[at] ^= 1 << data.draw(st.integers(0, elements[0].bit_length()))
         with tempfile.TemporaryDirectory() as cache_dir:
             path = Path(cache_dir) / name
             path.write_text(json.dumps(doc))
@@ -540,7 +537,7 @@ class TestDeterminismAndCache:
         assert all("mobius_rows" not in lat.__dict__ for lat in lattices)
 
     def test_each_lattice_builds_its_down_sets_once(self, capsys, tmp_path, monkeypatch):
-        # lattice_from_covers builds the down-sets, and one pass over them
+        # lattice_from_masks builds the down-sets, and one pass over them
         # gives the Moebius row and M together; it takes the closed forms
         # once.  This holds for a fresh build and a cache load alike
         calls = []
@@ -552,9 +549,9 @@ class TestDeterminismAndCache:
 
             return count
 
-        derive = counted("lattice_from_covers", weyl.lattice_from_covers)
-        monkeypatch.setattr(weyl, "lattice_from_covers", derive)
-        monkeypatch.setattr(cache, "lattice_from_covers", derive)
+        derive = counted("lattice_from_masks", weyl.lattice_from_masks)
+        monkeypatch.setattr(weyl, "lattice_from_masks", derive)
+        monkeypatch.setattr(cache, "lattice_from_masks", derive)
         monkeypatch.setattr(
             weyl, "invariant_formulas", counted("invariant_formulas", weyl.invariant_formulas)
         )
@@ -565,7 +562,7 @@ class TestDeterminismAndCache:
             assert run_cli(capsys, *argv)[0] == EXIT_OK
             return sorted(calls)
 
-        once = ["invariant_formulas", "lattice_from_covers"]
+        once = ["invariant_formulas", "lattice_from_masks"]
         cached = ("verify", "B6", "--cache-dir", str(tmp_path))
         assert calls_of("verify", "B6") == once
         assert calls_of(*cached) == once

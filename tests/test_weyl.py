@@ -1,6 +1,7 @@
 import pickle
 import random
 import runpy
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -23,6 +24,7 @@ from fmtri.weyl import (
 from oracles import (
     abs_length,
     absolute_leq,
+    covers,
     coxeter_element,
     int_rank,
     interval_by_mask,
@@ -285,9 +287,10 @@ class TestNCLattice:
         roots = len(rep.positive_roots)
         assert rep_budget.calls == roots
         # the u vectors and the z masks once per root each, then once per
-        # element below c in the search, per cover, and per element for M
+        # element below c in the search, and per element for the holders of
+        # each bit and for M
         searched = lat.cardinality - 1
-        assert build_budget.calls == 2 * roots + searched + len(lat.covers) + lat.cardinality
+        assert build_budget.calls == 2 * roots + searched + 2 * lat.cardinality
         # the memoized builder passes its budget to both
         monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
         nc_lattice("B3", deadline=memo_budget)
@@ -307,21 +310,31 @@ class TestNCLattice:
         assert invariant_formulas(spec_of()).maximal_chains == 1
 
     def test_repointed_cover_breaks_the_interval_count(self):
-        # (a, b) becomes (a, b') for a b' of the same rank not above a; the
-        # mask check, which runs first, refuses it, and the count of pairs
-        # a <= b, which does not read the masks, would too
-        lat = nc_lattice("D4")
-        a, b = next(c for c in lat.covers if lat.ranks[c[0]] == 1)
-        other = next(
-            x for x, f in enumerate(lat.elements) if lat.ranks[x] == 2 and f & ~lat.elements[a]
+        # an atom a trades one bit of its mask for another, so that one
+        # element of rank 2 above it is replaced by another: the cover
+        # (a, b) becomes (a, b').  The constructor refuses it, and the count
+        # of pairs a <= b, taken here by subset tests on the masks, would too
+        lat = nc_lattice("A3")
+        elements, ranks = list(lat.elements), lat.ranks
+        rank_2 = [b for b, r in enumerate(ranks) if r == 2]
+
+        def above(f):
+            return {b for b in rank_2 if not elements[b] & ~f}
+
+        a, f = next(
+            (a, g)
+            for a, r in enumerate(ranks)
+            if r == 1
+            for g in (elements[a] ^ 1 << t ^ 1 << u for t in range(6) for u in range(6))
+            if g.bit_count() == elements[a].bit_count() and len(above(elements[a]) ^ above(g)) == 2
         )
-        covers = sorted(set(lat.covers) - {(a, b)} | {(a, other)})
+        elements[a] = f
+        assert list(zip(ranks, elements)) == sorted(zip(ranks, elements))
+        assert len(set(elements)) == lat.cardinality
         with pytest.raises(InvariantViolation):
-            weyl.lattice_from_covers(lat.spec, lat.coxeter_order, lat.elements, lat.ranks, covers)
-        down = [1 << i for i in range(lat.cardinality)]
-        for x, y in covers:
-            down[y] |= down[x]
-        assert sum(d.bit_count() for d in down) != invariant_formulas("D4").intervals
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, ranks)
+        pairs = sum(not g & ~f for f in elements for g in elements)
+        assert pairs != invariant_formulas("A3").intervals
 
     @pytest.mark.parametrize(
         "field", ["cardinality", "mobius_number", "maximal_chains", "intervals"]
@@ -372,40 +385,70 @@ class TestNCLattice:
             assert lat.elements[0] == (1 << len(reflections(rep))) - 1 and lat.elements[-1] == 0
             assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
-    @pytest.mark.parametrize("edit", ["rank", "rank_dropped", "rank_shifted"])
+    @pytest.mark.parametrize(
+        "edit", ["rank", "rank_dropped", "rank_shifted", "rank_negative", "rank_top"]
+    )
     def test_check_lattice_catches_mobius_edits(self, edit):
-        # M is derived from the covers, so the ranks are what can be doctored;
-        # no edit touches |L|, the masks or the covers, and each is refused
-        # by its own check
+        # M is derived from the masks and ranks, so the ranks are what can be
+        # doctored; no edit touches |L| or the masks, and each is refused by
+        # its own check
         lat = nc_lattice("A3")
         if edit == "rank":
             # an atom moves to rank 2, out of (rank, mask) order
             ranks, message = (0, 2) + lat.ranks[2:], MASKS_MESSAGE
         elif edit == "rank_dropped":
             ranks, message = lat.ranks[:-1], MASKS_MESSAGE
-        else:
+        elif edit == "rank_shifted":
             # every cover still goes up one rank, but the identity is at rank 1
             ranks, message = tuple(r + 1 for r in lat.ranks), "not the heights"
+        elif edit == "rank_top":
+            # c alone moves up to rank n + 1, past every row of M
+            ranks, message = lat.ranks[:-1] + (lat.n + 1,), "not the heights"
+        else:
+            # the identity at a rank no list of ranks could take as an index
+            ranks, message = (-lat.cardinality - 1,) + lat.ranks[1:], "not the heights"
         with pytest.raises(InvariantViolation, match=message):
-            weyl.lattice_from_covers(lat.spec, lat.coxeter_order, lat.elements, ranks, lat.covers)
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, lat.elements, ranks)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            "mask_order", "mask_repeated", "mask_unknown_bit", "mask_bit", "cover_dropped",
-            "cover_added", "cover_negative", "cover_copied", "cover_moved",
+            "mask_order", "mask_repeated", "mask_unknown_bit", "mask_negative",
+            "mask_past_roots", "mask_bit", "cover_dropped", "cover_added", "cover_moved",
         ],
     )
     def test_check_lattice_catches_mask_and_cover_edits(self, edit):
-        # no edit touches |L| or mu(1, c), and each is refused by its own
-        # check; the last two move a cover out of an atom a, away from an
-        # element b of rank 2, which has other lower covers, so the heights
-        # and the counts of upper covers stay right
-        lat = nc_lattice("A3")
-        elements, covers = list(lat.elements), list(lat.covers)
-        atoms = [b for a, b in covers if a == 0]
-        k, (a, b) = next((k, c) for k, c in enumerate(covers) if lat.ranks[c[0]] == 1)
-        rank_2 = [i for i, r in enumerate(lat.ranks) if r == 2]
+        # the covers are the pairs one rank apart whose masks nest, so the
+        # cover edits are mask edits too; no edit touches |L| or the ranks,
+        # each keeps the masks distinct and in (rank, mask) order unless it
+        # is meant not to, and each is refused by its own check
+        lat = nc_lattice("D4")
+        elements, ranks = list(lat.elements), lat.ranks
+        roots = elements[0].bit_length()
+        atoms = [i for i, r in enumerate(ranks) if r == 1]
+        rank_2 = [i for i, r in enumerate(ranks) if r == 2]
+        lower = {b: [a for a, b2 in covers(lat) if b2 == b] for b in rank_2}
+
+        def gain(candidates, keep):
+            # the first candidate i that can gain a bit so that keep(i, new
+            # mask) holds, the masks staying distinct and in (rank, mask) order
+            for i in candidates:
+                nxt = elements[i + 1] if ranks[i + 1] == ranks[i] else 1 << roots
+                for t in range(roots):
+                    f = elements[i] | 1 << t
+                    if elements[i] < f < nxt and f not in elements and keep(i, f):
+                        elements[i] = f
+                        return
+            raise AssertionError(f"no bit for {edit}")
+
+        def below(a, f):
+            # a lies below the element of mask f
+            return not f & ~elements[a]
+
+        def above(b, f):
+            # b lies above the element of mask f
+            return not elements[b] & ~f
+
         if edit == "mask_order":
             # two atoms swap names
             elements[atoms[0]], elements[atoms[1]] = elements[atoms[1]], elements[atoms[0]]
@@ -416,33 +459,42 @@ class TestNCLattice:
         elif edit == "mask_unknown_bit":
             # F(1) gains a bit that names no reflection
             elements[0] |= elements[0] + 1
+        elif edit == "mask_negative":
+            elements[atoms[0]] = -elements[atoms[0]]
+        elif edit == "mask_past_roots":
+            # the last atom gains bit |Phi+|, which names no reflection
+            elements[atoms[-1]] |= 1 << roots
         elif edit == "mask_bit":
-            # a coatom's mask gains a bit that a lower cover's mask lacks
-            elements[-2] |= elements[-2] + 1
+            # an atom gains a bit, so another atom lies above it
+            gain(atoms, lambda i, f: any(above(b, f) for b in atoms if b != i))
         elif edit == "cover_dropped":
-            del covers[-1]
+            # an element of rank 2 gains a bit that one but not all of its
+            # lower covers lack: a cover drops out while the masks gain a bit
+            gain(rank_2, lambda b, f: 0 < sum(below(a, f) for a in lower[b]) < len(lower[b]))
         elif edit == "cover_added":
-            # the identity below c, a pair that is ordered but not a cover
-            covers = sorted(covers + [(0, lat.cardinality - 1)])
-        elif edit == "cover_negative":
-            # c's last lower cover names it -1, which indexes c in Python
-            covers[-1] = (covers[-1][0], -1)
-        elif edit == "cover_copied":
-            # (a, b) becomes a second copy of the next cover out of a
-            covers[k] = covers[k + 1]
+            # an atom gains a bit and one more element of rank 2 lies above
+            # it: the covers still number the bits, but not the chains
+            def one_more(a, f):
+                return sum(above(b, f) for b in rank_2) == elements[a].bit_count() + 1
+
+            gain(atoms, one_more)
         else:
-            # (a, b) becomes (a, b') for a b' of rank 2 that is not above a
-            other = next(i for i in rank_2 if elements[i] & ~elements[a])
-            covers = sorted(covers[:k] + covers[k + 1 :] + [(a, other)])
+            # an element of rank 2 gains a bit that all its atoms lack: its
+            # lower covers move to the identity, two ranks down
+            gain(rank_2, lambda b, f: not any(below(a, f) for a in atoms))
         message = {
             "mask_order": MASKS_MESSAGE,
             "mask_repeated": MASKS_MESSAGE,
-            "mask_unknown_bit": MASKS_MESSAGE,
-            "cover_dropped": "wrong number of upper covers",
-            "cover_copied": "not strictly sorted",
-        }.get(edit, "is not a cover")
+            "mask_unknown_bit": "outside \\[0, 2\\^12\\)",
+            "mask_negative": "outside \\[0, 2\\^12\\)",
+            "mask_past_roots": "outside \\[0, 2\\^12\\)",
+            "mask_bit": "not the heights",
+            "cover_dropped": "the covers do not number the bits of the masks",
+            "cover_added": "maximal chains, expected 162",
+            "cover_moved": "not the heights",
+        }[edit]
         with pytest.raises(InvariantViolation, match=message):
-            weyl.lattice_from_covers(lat.spec, lat.coxeter_order, elements, lat.ranks, covers)
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, ranks)
 
     def test_e7(self):
         lat = nc_lattice("E7")
@@ -468,14 +520,39 @@ class TestNCLattice:
         rep = build_rep("B3")
         by_mask = interval_by_mask(rep, coxeter_element(rep))
         mats = [by_mask[f] for f in lat.elements]
-        for a, b in lat.covers:
+        for a, b in covers(lat):
             assert mats[b] in {mat_mul(mats[a], t) for t in reflections(rep)}
+
+    @pytest.mark.parametrize(
+        "s", sorted(set(SMALL_TYPES + DESK_SPECS)) + ["E7", "A3xA3", "D4xA2", "F4xG2", "G2xG2xA1"]
+    )
+    def test_upper_covers_number_the_mask_bits(self, s):
+        # one upper cover t*a of a per reflection t in F(a), element by
+        # element; the constructor checks this only as a total
+        lat = nc_lattice(s)
+        up = [0] * lat.cardinality
+        for a, _ in covers(lat):
+            up[a] += 1
+        assert up == [f.bit_count() for f in lat.elements]
+
+    def test_build_keeps_no_quadratic_table(self):
+        # the down-sets are made one at a time and dropped, so the build's
+        # traced peak stays near the size of its output: under 0.45 MiB for
+        # E6 (|L| = 833), where all down-sets at once took 0.9 MiB
+        rep = build_rep("E6")
+        tracemalloc.start()
+        try:
+            build_nc_lattice(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.45 * 2**20
 
     def test_mobius_alternating_in_rank_intervals(self):
         lat = nc_lattice("A3")
         # mu(a, b) over one-step intervals is -1
         mu = {(a, b): m for a, row in enumerate(lat.mobius_rows) for b, m in row}
-        assert all(mu[cover] == -1 for cover in lat.covers)
+        assert all(mu[cover] == -1 for cover in covers(lat))
 
     def test_deterministic_rebuild(self):
         rep = build_rep("B3")
