@@ -5,8 +5,9 @@ Output formats: json (default, stable envelope with a schema version), csv,
 and tex (matrix layouts) for ftriangle, fvector and mtriangle only.  Exit
 codes: 0 success/verified, 1 conjecture mismatch or failed evidence check,
 2 usage error, 3 time budget exceeded, 4 internal error (a broken invariant
-or any unexpected exception).  ``sweep`` reports an internal error as that
-spec's entry, goes on, and exits 4.
+or any unexpected exception).  ``sweep`` verifies its specs in turn, in this
+process, each with its own ``--max-seconds`` budget; it reports an internal
+error as that spec's entry, goes on, and exits 4.
 
 ``--cache-dir`` exists on the commands that need a lattice (mtriangle,
 verify, sweep) and persists lattices only.
@@ -207,37 +208,20 @@ def _internal_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_worker(task):
-    """One spec of a sweep: (payload, exit code, error).  An internal error
-    becomes that spec's report and its message is returned as ``error``, so
-    the stderr line can name the spec; otherwise ``error`` is None."""
-    spec, max_seconds, cache_dir = task
-    try:
-        return (*_verify_payload(spec, None, max_seconds, cache_dir, False), None)
-    except Exception as exc:
-        error = _internal_error(exc)
-        payload = {"verified": False, "timeout": False, "error": f"internal: {error}"}
-        return payload, EXIT_INTERNAL, error
-
-
 def cmd_sweep(args) -> int:
     specs = [parse_spec(s) for s in args.specs]
     cache_dir = _cache_dir(args.cache_dir)
-    tasks = [(s, args.max_seconds, cache_dir) for s in specs]
-    # the fork start method starts every worker up front, so no more than
-    # one per spec
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        # imported here: only this branch needs the cost of the import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
-    entries = []
-    codes = []
-    for spec, (payload, code, error) in zip(specs, results):
+    entries, codes, errors = [], [], []
+    for spec in specs:
+        try:
+            payload, code = _verify_payload(spec, None, args.max_seconds, cache_dir, False)
+        except Exception as exc:
+            # an internal error becomes this spec's report; its stderr line
+            # waits, so every traceback comes before every error line
+            error = _internal_error(exc)
+            errors.append(f"error: internal: {spec}: {error}")
+            payload = {"verified": False, "timeout": False, "error": f"internal: {error}"}
+            code = EXIT_INTERNAL
         entries.append(
             {
                 "spec": str(spec),
@@ -247,8 +231,8 @@ def cmd_sweep(args) -> int:
             }
         )
         codes.append(code)
-        if error is not None:
-            print(f"error: internal: {spec}: {error}", file=sys.stderr)
+    for line in errors:
+        print(line, file=sys.stderr)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
     print(_emit(" ".join(map(str, specs)), "sweep", args.format, payload), end="")
     for worst in (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_TIMEOUT):
@@ -281,17 +265,6 @@ def _cache_dir(path: str | None) -> str | None:
         where = "exists" if probe == full else f"is under {probe!r}, which exists"
         raise SpecError(f"--cache-dir {path!r} {where} and is not a directory")
     return path
-
-
-def _jobs(text: str) -> int:
-    """The type of --jobs: a number of worker processes >= 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid job count {text!r}: expected an integer >= 1")
 
 
 def _max_seconds(text: str) -> float:
@@ -359,7 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify a list of specs; exit 0 only if all pass")
     p.add_argument("specs", nargs="+")
     common(p, cache_flag=True, seconds_flag=True)
-    p.add_argument("--jobs", type=_jobs, default=1, help="verify specs in parallel processes")
+    p.add_argument(
+        "--jobs", type=int, choices=(1,), default=1, help="only 1: the specs are verified in turn"
+    )
     p.set_defaults(fn=cmd_sweep)
 
     return parser

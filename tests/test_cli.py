@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import json
 import os
@@ -296,37 +295,26 @@ class TestSweepCommand:
         }
         assert run_cli.last_err == "error: internal: A2: doctored lattice\n"
 
-    def test_sweep_parallel_jobs(self, capsys):
-        code, out = run_cli(capsys, "sweep", "A1", "A2", "B2", "--jobs", "2")
-        assert code == EXIT_OK
-        assert json.loads(out)["payload"]["all_verified"] is True
+    def test_jobs_1_changes_nothing(self, capsys, monkeypatch):
+        # the benchmark's product_sweep passes --jobs 1: the same stdout,
+        # stderr and exit code, and with an internal error both error lines
+        # still follow both tracebacks
+        def both(*argv):
+            return run_cli(capsys, *argv), run_cli.last_err
 
-    @pytest.mark.parametrize(
-        "specs, pools", [(("A1", "A2"), [2]), (("A1",), [])], ids=["two_specs", "one_spec"]
-    )
-    def test_jobs_are_capped_at_the_spec_count(self, capsys, monkeypatch, specs, pools):
-        # the stand-in pool records max_workers and maps in this process, so
-        # no large pool is ever started
-        started = []
+        assert both("sweep", "A1", "A2", "--jobs", "1") == both("sweep", "A1", "A2")
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def broken(m):
+            raise KeyError("boom")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        code, out = run_cli(capsys, "sweep", *specs, "--jobs", "10000")
-        assert code == EXIT_OK
-        assert started == pools
-        assert out == run_cli(capsys, "sweep", *specs)[1]
+        monkeypatch.setattr(conjecture, "conjecture_rhs", broken)
+        (code, out), err = both("sweep", "A1", "A2")
+        assert both("sweep", "A1", "A2", "--jobs", "1") == ((code, out), err)
+        assert code == EXIT_INTERNAL and err.count("Traceback") == 2
+        assert err.endswith(
+            "KeyError: 'boom'\n"
+            "error: internal: A1: KeyError: 'boom'\nerror: internal: A2: KeyError: 'boom'\n"
+        )
 
 
 class TestDeterminismAndCache:
@@ -628,11 +616,15 @@ class TestUsage:
         assert run_cli(capsys, command, "A1", "--max-seconds", budget)[0] == EXIT_USAGE
         assert f"invalid time budget '{budget}'" in run_cli.last_err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5", "2", "10000"])
     def test_bad_job_count_is_usage_error(self, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        assert run_cli(capsys, "sweep", "A1", "A2", "--jobs", jobs)[0] == EXIT_USAGE
-        assert f"invalid job count '{jobs}'" in run_cli.last_err
+        # only --jobs 1 parses; anything else is refused before any work
+        def lookup(*_args, **_kwargs):
+            raise AssertionError("looked up a lattice")
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
+        assert run_cli(capsys, "sweep", "A1", "A2", "--jobs", jobs) == (EXIT_USAGE, "")
+        assert "error: argument --jobs: invalid " in run_cli.last_err
 
     @pytest.mark.parametrize("bad", ["A0", "D2", "E5", "XY"])
     def test_bad_specs(self, capsys, bad):
