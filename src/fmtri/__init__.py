@@ -10,10 +10,8 @@ variables relating the two.  All arithmetic is exact.
 from .cartan import (
     CartanType,
     CoxeterInvariants,
-    DynkinDiagram,
     RootSystemSpec,
     delete_node,
-    diagram,
     invariants,
     parse_spec,
     parse_type,

@@ -134,46 +134,6 @@ def as_spec(obj) -> RootSystemSpec:
     raise TypeError(f"cannot interpret {obj!r} as a root system spec")
 
 
-# --------------------------------------------------------------------------
-# Dynkin diagrams (Bourbaki numbering)
-# --------------------------------------------------------------------------
-
-# An edge is (i, j, multiplicity, short) where ``short`` is the node carrying
-# the shorter root for multiplicity >= 2 and None for single edges.
-Edge = tuple[int, int, int, int | None]
-
-
-class DynkinDiagram(NamedTuple):
-    nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-
-def diagram(t: CartanType) -> DynkinDiagram:
-    """The Bourbaki-labeled diagram of an irreducible type."""
-    n = t.rank
-    fam = t.family
-    path = [(i, i + 1, 1, None) for i in range(1, n)]
-    if fam == "A":
-        edges = path
-    elif fam == "B":
-        # alpha_n is the short root
-        edges = path[:-1] + [(n - 1, n, 2, n)]
-    elif fam == "C":
-        edges = path[:-1] + [(n - 1, n, 2, n - 1)]
-    elif fam == "D":
-        edges = path[:-1] + [(n - 2, n, 1, None)]
-    elif fam == "E":
-        edges = [(1, 3, 1, None), (3, 4, 1, None), (2, 4, 1, None)]
-        edges += [(i, i + 1, 1, None) for i in range(4, n)]
-    elif fam == "F":
-        edges = [(1, 2, 1, None), (2, 3, 2, 3), (3, 4, 1, None)]
-    elif fam == "G":
-        edges = [(1, 2, 3, 1)]
-    else:  # pragma: no cover
-        raise InvariantViolation(f"unhandled family {fam}")
-    return DynkinDiagram(tuple(range(1, n + 1)), tuple(edges))
-
-
 # Names that the closed forms below reach outside the admissible ranks,
 # mapped to the same diagrams under their admissible names.
 _RENAMED = {("D", 2): (("A", 1), ("A", 1)), ("E", 4): (("A", 4),), ("E", 5): (("D", 5),)}
@@ -258,18 +218,23 @@ def num_positive_roots(t: CartanType) -> int:
 def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     """Integer Cartan matrix ``M[i][j] = <alpha_j, alpha_i^vee>``.
 
-    Rows index coroots: the row of the shorter root of a multiple edge holds
-    the -multiplicity entry.
+    The Bourbaki diagrams (Plates I-IX) by closed form: the chain 1-2-...-n,
+    except that D_n joins n - 2 to n and E_n is the chain 1-3-4-...-n with
+    node 2 on node 4.  Rows index coroots: the row of the shorter root of
+    the one multiple edge of B, C, F and G holds -multiplicity.
     """
-    n = t.rank
+    fam, n = t
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if fam == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif fam == "E":
+        edges = [(0, 2), (1, 3)] + edges[2:]
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b, mult, short in diagram(t).edges:
-        i, j = a - 1, b - 1
-        if mult == 1:
-            m[i][j] = m[j][i] = -1
-        else:
-            s = short - 1
-            l = j if s == i else i
-            m[s][l] = -mult
-            m[l][s] = -1
+    for i, j in edges:
+        m[i][j] = m[j][i] = -1
+    # (shorter root, longer root, multiplicity), 0-based
+    multiple = {"B": (n - 1, n - 2, 2), "C": (n - 2, n - 1, 2), "F": (2, 1, 2), "G": (0, 1, 3)}
+    if fam in multiple:
+        short, long, mult = multiple[fam]
+        m[short][long] = -mult
     return tuple(tuple(row) for row in m)

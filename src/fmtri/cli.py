@@ -150,6 +150,9 @@ def cmd_mtriangle(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    # imported here: the Zeta coefficients are the one rational output
+    from fractions import Fraction
+
     spec = parse_spec(args.spec)
     forms = invariant_formulas(spec)
     payload = {
@@ -164,7 +167,7 @@ def cmd_invariants(args) -> int:
         ],
         "cardinality": forms.cardinality,
         "mobius": forms.mobius_number,
-        "zeta": [str(c) for c in forms.zeta],
+        "zeta": [str(Fraction(c, forms.group_order)) for c in forms.zeta],
         "h_vector": list(h_vector(spec)),
     }
     print(_emit(str(spec), "invariants", args.format, payload), end="")

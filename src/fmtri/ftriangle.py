@@ -20,20 +20,19 @@ and checked against the recursion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .cartan import CartanType, as_spec, delete_node, invariants
 from .errors import InvariantViolation
-from .poly import BivarPoly
+from .poly import BivarPoly, exact_div
 
 
 def _validate_triangle(n: int, p: BivarPoly, origin: str) -> BivarPoly:
     for k, l, c in p.terms():
         if k + l > n:
             raise InvariantViolation(f"{origin}: support ({k},{l}) beyond rank {n}")
-        if not isinstance(c, int) or c < 0:
+        if c < 0:
             raise InvariantViolation(f"{origin}: coefficient f[{k}][{l}] = {c!r}")
     if p.coeff(0, 0) != 1:
         raise InvariantViolation(f"{origin}: constant term {p.coeff(0, 0)} != 1")
@@ -41,10 +40,8 @@ def _validate_triangle(n: int, p: BivarPoly, origin: str) -> BivarPoly:
 
 
 def _validate_fvector(n: int, coeffs: tuple, origin: str) -> tuple[int, ...]:
-    if len(coeffs) != n + 1 or coeffs[0] != 1 or coeffs[-1] <= 0:
+    if len(coeffs) != n + 1 or coeffs[0] != 1 or coeffs[-1] <= 0 or min(coeffs) < 0:
         raise InvariantViolation(f"{origin}: bad f-vector {coeffs}")
-    if any(not isinstance(c, int) or c < 0 for c in coeffs):
-        raise InvariantViolation(f"{origin}: non-integral f-vector {coeffs}")
     return coeffs
 
 
@@ -60,8 +57,8 @@ def _f_triangle_irreducible(t: CartanType) -> BivarPoly:
         rate = rate + f_triangle(delete_node(t, i))
     g = rate.antiderivative_y()
     # a child's f-vector is the diagonal of its F, so f' = (h+2)/2 * rate(x, x)
-    scale = Fraction(invariants(t).coxeter_number + 2, 2)
-    f = [1] + [scale * c / (k + 1) for k, c in enumerate(rate.diagonal())]
+    scale = invariants(t).coxeter_number + 2
+    f = [1] + [exact_div(scale * c, 2 * (k + 1)) for k, c in enumerate(rate.diagonal())]
     return BivarPoly.from_x_coeffs(f) - BivarPoly.from_x_coeffs(g.diagonal()) + g
 
 

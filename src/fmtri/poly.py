@@ -1,22 +1,25 @@
 """Exact dense bivariate polynomial arithmetic.
 
-Coefficients are Python ints (arbitrary precision) or ``fractions.Fraction``
-for intermediates; nothing here ever touches floating point.  Degrees in this
-project are bounded by the rank (<= 8), so the dense representation is the
-simple and fast choice.
+Coefficients are Python ints (arbitrary precision); the one division,
+``exact_div``, refuses a remainder, so nothing here is ever a fraction or a
+float.  Degrees in this project are bounded by the rank (<= 8), so the dense
+representation is the simple and fast choice.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
+from .errors import InvariantViolation
 
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+
+def exact_div(a: int, b: int) -> int:
+    """a / b; raises InvariantViolation unless b divides a."""
+    q, r = divmod(a, b)
+    if r:
+        raise InvariantViolation(f"{a} is not a multiple of {b}")
+    return q
 
 
 def _trim(rows: list[list]) -> tuple[tuple, ...]:
@@ -30,7 +33,7 @@ def _trim(rows: list[list]) -> tuple[tuple, ...]:
         while w > 0 and row[w - 1] == 0:
             w -= 1
         width = max(width, w)
-    return tuple(tuple(_norm(c) for c in row[:width]) + (0,) * (width - len(row)) for row in rows)
+    return tuple(tuple(row[:width]) + (0,) * (width - len(row)) for row in rows)
 
 
 class BivarPoly:
@@ -87,7 +90,7 @@ class BivarPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, BivarPoly):
             return self.rows == other.rows
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == BivarPoly.constant(other)
         return NotImplemented
 
@@ -109,7 +112,7 @@ class BivarPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "BivarPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = BivarPoly.constant(other)
         nx = max(len(self.rows), len(other.rows))
         ny = max(len(self.rows[0]) if self.rows else 0, len(other.rows[0]) if other.rows else 0)
@@ -119,21 +122,16 @@ class BivarPoly:
         ]
         return BivarPoly(rows)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "BivarPoly":
         return BivarPoly([[-c for c in row] for row in self.rows])
 
     def __sub__(self, other) -> "BivarPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = BivarPoly.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "BivarPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "BivarPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return BivarPoly([[c * other for c in row] for row in self.rows])
         if self.is_zero or other.is_zero:
             return BivarPoly.zero()
@@ -157,7 +155,7 @@ class BivarPoly:
     def antiderivative_y(self) -> "BivarPoly":
         """Integrate in y with zero constant term (no y-free part)."""
         return BivarPoly(
-            [[0] + [Fraction(c, l + 1) for l, c in enumerate(row)] for row in self.rows]
+            [[0] + [exact_div(c, l + 1) for l, c in enumerate(row)] for row in self.rows]
         )
 
     def diagonal(self) -> tuple:
@@ -210,5 +208,5 @@ def uni_trim(coeffs: Sequence) -> tuple:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(_norm(c) for c in coeffs)
+    return tuple(coeffs)
 

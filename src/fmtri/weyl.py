@@ -34,7 +34,6 @@ row, and one pass over the down-sets derives the row and M together.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from operator import mul
@@ -42,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
 from .errors import Deadline, InvariantViolation, NO_DEADLINE, SpecError
-from .poly import BivarPoly
+from .poly import BivarPoly, exact_div
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +421,8 @@ def rank_generating_function(lat: NCLattice) -> tuple[int, ...]:
 
 
 class InvariantFormulas(NamedTuple):
-    zeta: tuple[Fraction, ...]
+    zeta: tuple[int, ...]
+    group_order: int
     cardinality: int
     mobius_number: int
     maximal_chains: int
@@ -433,27 +433,24 @@ def invariant_formulas(spec) -> InvariantFormulas:
     """Closed-form Zeta polynomial, cardinality, Moebius number, number of
     maximal chains and number of intervals of [1, c].
 
-    Z(X) is the product over all exponents of (h X - e + 1)/(e + 1); the
-    cardinality is Z(2), the Moebius number is Z(-1) and the number of
-    pairs a <= b is Z(3).  There are n! prod h_i^n_i / |W_i| maximal chains,
-    with |W_i| the product of e + 1 over the exponents of component i.  All
-    four must come out integral.
+    |W| Z(X) is the product over all exponents of (h X - e + 1), with |W|
+    the product of the e + 1; ``zeta`` holds its integer coefficients and
+    ``group_order`` holds |W|.  The cardinality is Z(2), the Moebius number
+    is Z(-1) and the number of pairs a <= b is Z(3).  There are
+    n! prod h_i^n_i / |W| maximal chains.  All four are exact divisions.
     Z is multiplicative over products, and the chains of a product are
     shuffles of the chains of its components.
     """
     spec = as_spec(spec)
-    z = BivarPoly.constant(1)
-    chains = Fraction(factorial(spec.rank))
+    zeta, order, chains = (1,), 1, factorial(spec.rank)
     for t in spec.components:
         inv = invariants(t)
         h = inv.coxeter_number
         for e in inv.exponents:
-            z = z * BivarPoly.from_x_coeffs((Fraction(1 - e, e + 1), Fraction(h, e + 1)))
-            chains *= Fraction(h, e + 1)
-    zeta = z.subs_y(0)
-    card, mob, pairs = (sum(c * x**i for i, c in enumerate(zeta)) for x in (2, -1, 3))
-    if any(v != int(v) for v in (card, mob, chains, pairs)):
-        raise InvariantViolation(f"non-integral lattice invariants for {spec}")
-    return InvariantFormulas(
-        tuple(Fraction(c) for c in zeta), int(card), int(mob), int(chains), int(pairs)
+            zeta = tuple(a * (1 - e) + b * h for a, b in zip(zeta + (0,), (0,) + zeta))
+            order *= e + 1
+            chains *= h
+    card, mob, pairs = (
+        exact_div(sum(c * x**i for i, c in enumerate(zeta)), order) for x in (2, -1, 3)
     )
+    return InvariantFormulas(zeta, order, card, mob, exact_div(chains, order), pairs)

@@ -23,7 +23,7 @@ from typing import Sequence
 from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import _validate_triangle
 from fmtri.poly import BivarPoly, conjecture_substitution
-from fmtri.weyl import NCLattice, ReflectionRep
+from fmtri.weyl import InvariantFormulas, NCLattice, ReflectionRep
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -450,10 +450,6 @@ def total_degree(p: BivarPoly) -> int:
     return max((k + l for k, l, _ in p.terms()), default=-1)
 
 
-def is_integral(p: BivarPoly) -> bool:
-    return all(isinstance(c, int) for _, _, c in p.terms())
-
-
 def derivative_y(p: BivarPoly) -> BivarPoly:
     return BivarPoly([[c * l for l, c in enumerate(row)][1:] for row in p.rows])
 
@@ -476,5 +472,6 @@ def reflect(p: BivarPoly, n: int) -> BivarPoly:
     return BivarPoly(rows)
 
 
-def uni_eval(p: Sequence, x):
-    return sum(c * x**i for i, c in enumerate(p))
+def zeta_value(forms: InvariantFormulas, x) -> Fraction:
+    """Z(x) from ``invariant_formulas``: its |W| Z(x), divided by |W|."""
+    return Fraction(sum(c * x**i for i, c in enumerate(forms.zeta)), forms.group_order)

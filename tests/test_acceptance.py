@@ -33,9 +33,9 @@ from oracles import (
     closed_form_B,
     reflect,
     reflection_word_length,
-    uni_eval,
     whole_group,
     zeta_bruteforce,
+    zeta_value,
 )
 
 # fmt: off
@@ -151,9 +151,9 @@ def test_criterion_4_lattice_formulas(lattice_store):
             if parse_spec(s).rank > 4:
                 continue
             lat, _ = lattice_store(s)
-            zeta = invariant_formulas(s).zeta
+            forms = invariant_formulas(s)
             for m in range(1, 6):
-                assert zeta_bruteforce(lat, m) == uni_eval(zeta, m), (s, m)
+                assert zeta_bruteforce(lat, m) == zeta_value(forms, m), (s, m)
         e6, e6_time = lattice_store("E6")
         assert e6.cardinality == 833
         assert small_elapsed < 30.0, f"rank<=5 builds took {small_elapsed:.2f}s"

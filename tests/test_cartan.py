@@ -9,7 +9,6 @@ from fmtri.cartan import (
     as_spec,
     cartan_matrix,
     delete_node,
-    diagram,
     invariants,
     num_positive_roots,
     parse_spec,
@@ -108,32 +107,52 @@ class TestInvariants:
             assert sum(invariants(t).exponents) == num_positive_roots(t)
 
 
+def edges(t):
+    """The Dynkin diagram as the off-diagonal support of the Cartan matrix:
+    Bourbaki labels i < j and the product of the two entries, which is the
+    multiplicity of the edge."""
+    m = cartan_matrix(t)
+    return [
+        (i + 1, j + 1, m[i][j] * m[j][i])
+        for i in range(t.rank)
+        for j in range(i + 1, t.rank)
+        if m[i][j]
+    ]
+
+
 class TestDiagram:
     def test_a2_single_edge(self):
-        d = diagram(CartanType("A", 2))
-        assert d.nodes == (1, 2) and d.edges == ((1, 2, 1, None),)
+        assert edges(CartanType("A", 2)) == [(1, 2, 1)]
 
     def test_d4_branch_node(self):
-        d = diagram(CartanType("D", 4))
-        assert sorted(a + b - 2 for a, b, _, _ in d.edges if 2 in (a, b)) == [1, 3, 4]
+        assert sorted(a + b - 2 for a, b, _ in edges(CartanType("D", 4)) if 2 in (a, b)) == [1, 3, 4]
 
     def test_g2_triple_edge(self):
-        d = diagram(CartanType("G", 2))
-        assert len(d.edges) == 1 and d.edges[0][2] == 3
+        assert edges(CartanType("G", 2)) == [(1, 2, 3)]
+
+    def test_bourbaki_labels(self):
+        # Bourbaki, Lie Groups ch. VI, Plates IV-IX
+        assert edges(CartanType("D", 5)) == [(1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1)]
+        assert edges(CartanType("E", 6)) == [(1, 3, 1), (2, 4, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1)]
+        assert edges(CartanType("F", 4)) == [(1, 2, 1), (2, 3, 2), (3, 4, 1)]
+        # the row of the shorter root holds the -2: alpha_3 in B3 and F4, alpha_2 in C3
+        assert cartan_matrix(CartanType("B", 3))[2][1] == -2
+        assert cartan_matrix(CartanType("F", 4))[2][1] == -2
+        assert cartan_matrix(CartanType("C", 3))[1][2] == -2
 
     def test_connected_and_tree(self):
         for t in ALL_TYPES:
-            d = diagram(t)
-            assert len(d.edges) == len(d.nodes) - 1
-            seen, stack = {d.nodes[0]}, [d.nodes[0]]
+            d = edges(t)
+            assert len(d) == t.rank - 1
+            seen, stack = {1}, [1]
             while stack:
                 v = stack.pop()
-                for a, b, _, _ in d.edges:
+                for a, b, _ in d:
                     w = b if a == v else a if b == v else None
                     if w is not None and w not in seen:
                         seen.add(w)
                         stack.append(w)
-            assert seen == set(d.nodes)
+            assert seen == set(range(1, t.rank + 1))
 
 
 class TestDeleteNode:

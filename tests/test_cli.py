@@ -646,4 +646,4 @@ class TestStartup:
         )
         loaded = set(done.stdout.split())
         assert "fmtri.cli" in loaded
-        assert loaded.isdisjoint({"dataclasses", "inspect", "traceback"})
+        assert loaded.isdisjoint({"dataclasses", "inspect", "traceback", "fractions", "decimal"})

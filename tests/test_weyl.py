@@ -36,9 +36,9 @@ from oracles import (
     reflection_word_length,
     reflections,
     simple_reflections,
-    uni_eval,
     whole_group,
     zeta_bruteforce,
+    zeta_value,
 )
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C4", "D4", "F4", "G2"]
@@ -509,7 +509,8 @@ class TestNCLattice:
         lat = nc_lattice("E8")
         forms = invariant_formulas("E8")
         assert lat.cardinality == forms.cardinality == 25080
-        assert lat.mobius_number == forms.mobius_number == uni_eval(forms.zeta, -1)
+        assert lat.mobius_number == forms.mobius_number == zeta_value(forms, -1)
+        assert forms.group_order == 696729600
         assert maximal_chains(lat) == forms.maximal_chains == 37968750
         payload, _ = verify_conjecture(lat)
         assert payload["verified"] and all(payload["evidence"].values())
@@ -622,7 +623,8 @@ class TestInvariantFormulas:
         forms = invariant_formulas("A2")
         assert forms.cardinality == 5
         assert forms.mobius_number == 2
-        assert uni_eval(forms.zeta, 2) == 5
+        assert forms.group_order == 6 and forms.zeta == (0, -3, 9)
+        assert zeta_value(forms, 2) == 5
 
     def test_a3(self):
         forms = invariant_formulas("A3")
@@ -631,7 +633,7 @@ class TestInvariantFormulas:
 
     def test_zeta_at_three(self):
         # Z(3) counts the pairs a <= b; for A_n it is C(3n + 3, n + 1) / (2n + 3)
-        assert uni_eval(invariant_formulas("A2").zeta, 3) == 12
+        assert zeta_value(invariant_formulas("A2"), 3) == 12
         assert [invariant_formulas(f"A{n}").intervals for n in (1, 2, 3)] == [3, 12, 55]
         assert invariant_formulas("E8").intervals == 1520922
         assert invariant_formulas(spec_of()).intervals == 1
@@ -639,7 +641,7 @@ class TestInvariantFormulas:
     def test_zeta_at_minus_one_is_mobius(self):
         for s in SMALL_TYPES:
             forms = invariant_formulas(s)
-            assert uni_eval(forms.zeta, -1) == forms.mobius_number
+            assert zeta_value(forms, -1) == forms.mobius_number
 
     def test_multiplicative(self):
         a, b = invariant_formulas("A2"), invariant_formulas("A1")
@@ -658,9 +660,9 @@ class TestZetaBruteforce:
     def test_matches_formula_small_ranks(self):
         for s in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2", "A2xA1"]:
             lat = nc_lattice(s)
-            zeta = invariant_formulas(s).zeta
+            forms = invariant_formulas(s)
             for m in range(1, 6):
-                assert zeta_bruteforce(lat, m) == uni_eval(zeta, m)
+                assert zeta_bruteforce(lat, m) == zeta_value(forms, m)
             assert zeta_bruteforce(lat, 3) == invariant_formulas(s).intervals
 
 
