@@ -86,9 +86,6 @@ class RootSystemSpec(_SpecFields):
     def __str__(self) -> str:
         return "x".join(str(t) for t in self.components)
 
-    def __mul__(self, other: "RootSystemSpec") -> "RootSystemSpec":
-        return RootSystemSpec(self.components + other.components)
-
 
 def spec_of(*types: CartanType) -> RootSystemSpec:
     return RootSystemSpec(tuple(types))

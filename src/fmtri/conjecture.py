@@ -17,6 +17,7 @@ to be able to falsify the identity.
 from __future__ import annotations
 
 import time
+from math import prod
 
 from .cartan import RootSystemSpec
 from .errors import Deadline, NO_DEADLINE
@@ -43,15 +44,12 @@ def _check_evidence(
     mu_hat = lat.mobius_number
     m_poly = lat.m_triangle
     y_pow_n = tuple([0] * n + [1]) if n else (1,)
-    if spec.is_irreducible or not spec.components:
-        multiplicative = True
-    else:
-        m_product = BivarPoly.constant(1)
-        f_product = BivarPoly.constant(1)
-        for t in spec.components:
-            m_product = m_product * nc_lattice(t, deadline=deadline).m_triangle
-            f_product = f_product * f_triangle(t)
-        multiplicative = m_poly == m_product and ft == f_product
+    # a product's lattice comes from a BFS of its own, apart from its factors'
+    # lattices; its F-triangle is the product of theirs by definition
+    multiplicative = spec.is_irreducible or not spec.components or m_poly == prod(
+        (nc_lattice(t, deadline=deadline).m_triangle for t in spec.components),
+        start=BivarPoly.constant(1),
+    )
 
     return {
         "h_vector_match": h_vector(spec) == rank_generating_function(lat),

@@ -90,8 +90,6 @@ class BivarPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, BivarPoly):
             return self.rows == other.rows
-        if isinstance(other, int):
-            return self == BivarPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
@@ -111,9 +109,7 @@ class BivarPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "BivarPoly":
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
+    def __add__(self, other: "BivarPoly") -> "BivarPoly":
         nx = max(len(self.rows), len(other.rows))
         ny = max(len(self.rows[0]) if self.rows else 0, len(other.rows[0]) if other.rows else 0)
         rows = [
@@ -125,14 +121,10 @@ class BivarPoly:
     def __neg__(self) -> "BivarPoly":
         return BivarPoly([[-c for c in row] for row in self.rows])
 
-    def __sub__(self, other) -> "BivarPoly":
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
+    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "BivarPoly":
-        if isinstance(other, int):
-            return BivarPoly([[c * other for c in row] for row in self.rows])
+    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         if self.is_zero or other.is_zero:
             return BivarPoly.zero()
         nx = len(self.rows) + len(other.rows) - 1
@@ -147,8 +139,6 @@ class BivarPoly:
                         if c2 != 0:
                             rows[k1 + k2][l1 + l2] += c1 * c2
         return BivarPoly(rows)
-
-    __rmul__ = __mul__
 
     # -- calculus and substitutions ----------------------------------------
 

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,30 @@ class TestVerifyCommand:
         assert [line for line in out.splitlines() if line.startswith("mismatch,")] == [
             "mismatch,0,1,2,1",
             "mismatch,1,0,2,1",
+        ]
+
+    def test_multiplicativity_can_fail(self, capsys, monkeypatch):
+        # the product's own lattice stays right; the A1 component's M gains
+        # an x, so only the multiplicativity evidence fails
+        real = conjecture.nc_lattice
+
+        def doctored(t, **kwargs):
+            lat = real(t, **kwargs)
+            if str(t) != "A1":
+                return lat
+            return SimpleNamespace(m_triangle=lat.m_triangle + poly_from_terms((1, 0, 1)))
+
+        monkeypatch.setattr(conjecture, "nc_lattice", doctored)
+        code, out = run_cli(capsys, "verify", "A2xA1")
+        assert code == EXIT_MISMATCH
+        payload = json.loads(out)["payload"]
+        assert payload["verified"] is True and payload["mismatches"] == []
+        assert [k for k, ok in payload["evidence"].items() if not ok] == ["multiplicativity"]
+        code, out = run_cli(capsys, "verify", "A2xA1", "--format", "csv")
+        assert code == EXIT_MISMATCH
+        assert out.startswith("verified,true\n")
+        assert [line for line in out.splitlines() if line.endswith(",false")] == [
+            "evidence,multiplicativity,false"
         ]
 
     def test_timings_flag(self, capsys):
@@ -608,6 +633,20 @@ class TestUsage:
         message = f"error: --cache-dir {str(arg)!r} {where} and is not a directory\n"
         assert run_cli.last_err == message
         assert path.read_text() == "" and list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
+    def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        # '' would mean the current directory: refused before any lattice
+        # is looked up, with one line, and no file is written there
+        monkeypatch.chdir(tmp_path)
+
+        def lookup(*_args, **_kwargs):
+            raise AssertionError("looked up a lattice")
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
+        assert run_cli(capsys, command, "A2", "--cache-dir", "") == (EXIT_USAGE, "")
+        assert run_cli.last_err == "error: --cache-dir '' is empty and names no directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("budget", ["nan", "-5"])

@@ -38,7 +38,7 @@ class TestFVector:
         assert f_vector("A3") == (1, 9, 21, 14)
 
     def test_empty_spec(self):
-        assert f_vector(parse_spec("A1") * parse_spec("A1")) == (1, 4, 4)
+        assert f_vector(parse_spec("A1xA1")) == (1, 4, 4)
         assert f_vector(spec_of()) == (1,)
 
     def test_g2(self):

@@ -18,30 +18,31 @@ import pytest
 from fmtri.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-# (command, --coxeter-order or None)
+# (command, --coxeter-order or None, the formats the parser offers it)
 COMMANDS = (
-    ("verify", None),
-    ("mtriangle", None),
-    ("mtriangle", "3,2,1"),
-    ("ftriangle", None),
-    ("fvector", None),
-    ("invariants", None),
+    ("verify", None, ("json", "csv")),
+    ("mtriangle", None, ("json", "csv", "tex")),
+    ("mtriangle", "3,2,1", ("json", "csv", "tex")),
+    ("ftriangle", None, ("json", "csv", "tex")),
+    ("fvector", None, ("json", "csv", "tex")),
+    ("invariants", None, ("json", "csv")),
 )
+# (command, specs separated by spaces, --coxeter-order or None, format)
 CASES = [
     (cmd, spec, order, fmt)
-    for cmd, order in COMMANDS
+    for cmd, order, formats in COMMANDS
     for spec in ("A3", "B3", "A2xA1")
-    for fmt in ("json", "csv")
-]
+    for fmt in formats
+] + [("sweep", "A1 B2 A2xA1", None, fmt) for fmt in ("json", "csv")]
 
 
 def _name(cmd, spec, order, fmt):
     tag = f"_order_{order.replace(',', '-')}" if order else ""
-    return f"{cmd}_{spec}{tag}.{fmt}"
+    return f"{cmd}_{spec.replace(' ', '_')}{tag}.{fmt}"
 
 
 def _run(cmd, spec, order, fmt):
-    argv = [cmd, spec, "--format", fmt] + (["--coxeter-order", order] if order else [])
+    argv = [cmd, *spec.split(), "--format", fmt] + (["--coxeter-order", order] if order else [])
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)

@@ -56,11 +56,6 @@ class TestRingOps:
         assert (p + q) + r == p + (q + r)
         assert p * (q + r) == p * q + p * r
 
-    @given(polys)
-    def test_scalar_mul(self, p):
-        assert 2 * p == p + p
-        assert -1 * p == -p
-
 
 class TestCalculus:
     def test_antiderivative_example(self):
