@@ -257,14 +257,14 @@ def _parse_order(text) -> tuple[int, ...] | None:
 def _cache_dir(path: str | None) -> str | None:
     """A --cache-dir value, refused before any work, and without making a
     directory, if it is empty (which would mean the current directory) or its
-    nearest existing ancestor (itself, if it exists) is not a directory, so
-    that no lattice file could be written there."""
+    nearest existing ancestor (itself, if it exists; a dangling symlink
+    exists) is not a directory, so no lattice file could be written there."""
     if path is None:
         return None
     if not path:
         raise SpecError("--cache-dir '' is empty and names no directory")
     full = probe = os.path.abspath(path)
-    while not os.path.exists(probe):
+    while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         where = "exists" if probe == full else f"is under {probe!r}, which exists"

@@ -1,23 +1,22 @@
 """Weyl groups over the integer reflection representation, and the
 noncrossing partition lattice.
 
-Vectors are integer tuples in the simple-root basis, so every computation
-is exact, and no group element is ever a matrix.  Every reflection t is its
-root beta_t and coroot functional phi_t, with t v = v - phi_t(v) beta_t, so
-t fixes v iff phi_t(v) = 0.  A simple reflection s_i moves coordinate i
-only, by the coroot of alpha_i (row i of the Cartan matrix), and the
-Coxeter element c = s_o1 ... s_on applies these steps in reverse node order.
+Vectors are integer tuples, so every computation is exact, and no group
+element is ever a matrix.  Every reflection t is its root beta_t, in the
+simple-root basis, and its coroot gamma_t, in the simple-coroot basis, so
+that t v = v - (gamma_t^T A v) beta_t, with A the Cartan matrix.
 
 The lattice is the interval [1, c] in absolute order, enumerated level by
 level and never via the full group, which is what keeps the exceptional
 types cheap.  Each element a is named, and only named, by the bitmask F(a)
 of the reflections t whose vector u_t = (1 - c)^-1 beta_t it fixes.  These
 are exactly the t with t*a covering a inside [1, c]: t <= c a^-1 iff beta_t
-lies in Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  A
-multiple of u_t comes from the c-orbit of beta_t: if the orbit has length d
-and sums to zero, u = sum_{r<d} r c^r beta_t has (1 - c) u = -d beta_t.
-Every orbit sums to zero iff c fixes no vector, i.e. has full reflection
-length: the mean over <c> projects onto Fix(c), and the roots span.  A
+lies in Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  The
+Coxeter element c = s_o1 ... s_on is never formed: the Euler form E_c, A
+above the diagonal in node order, 1 on it and 0 below, has
+E_c (1 - c) = A, as 1 - c = sum_k s_o1 ... s_o(k-1) (1 - s_ok) and E_c
+maps s_o1 ... s_o(k-1) e_ok to e_ok.  So s fixes u_t iff
+gamma_s^T E_c beta_t = 0.  A
 child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  The
@@ -45,14 +44,17 @@ from .poly import BivarPoly, exact_div
 
 
 # --------------------------------------------------------------------------
-# Roots, coroots and the Coxeter element
+# Roots and coroots
 # --------------------------------------------------------------------------
 
 class ReflectionRep(NamedTuple):
-    """Each reflection t as its positive root beta_t and coroot
-    phi_t = <., beta_t^vee>, in one order: t v = v - phi_t(v) beta_t.  The
-    simple root alpha_i is the unit vector e_i, and its coroot is row i of
-    the Cartan matrix."""
+    """Each reflection t as its positive root beta_t, in simple-root
+    coordinates, and its coroot gamma_t = beta_t^vee, in simple-coroot
+    coordinates, in one order: <v, beta_t^vee> = gamma_t^T A v, with A the
+    Cartan matrix, t v = v - <v, beta_t^vee> beta_t, and alpha_i and its
+    coroot are both e_i.  In these coordinates the Euler form E_c of
+    ``build_nc_lattice`` has E_c (1 - c) = A, as 1 - c is the sum over k of
+    s_o1 ... s_o(k-1) (1 - s_ok) and E_c maps s_o1 ... s_o(k-1) e_ok to e_ok."""
 
     spec: RootSystemSpec
     n: int
@@ -60,35 +62,42 @@ class ReflectionRep(NamedTuple):
     coroots: tuple[tuple[int, ...], ...]
 
 
+def _cartan(spec: RootSystemSpec) -> list[list[int]]:
+    """The Cartan matrix of ``spec``, block-diagonal over its components."""
+    cartan = [[0] * spec.rank for _ in range(spec.rank)]
+    offset = 0
+    for t in spec.components:
+        for i, row in enumerate(cartan_matrix(t)):
+            cartan[offset + i][offset : offset + t.rank] = row
+        offset += t.rank
+    return cartan
+
+
 def build_rep(spec, deadline: Deadline = NO_DEADLINE) -> ReflectionRep:
     """Build the reflection representation for a (possibly reducible) spec.
 
-    Reducible specs get the block-diagonal Cartan matrix; positive roots are
-    enumerated by orbit closure under the simple reflections
-    s_i v = v - A_i(v) e_i, with A_i row i of the Cartan matrix, each root
-    with its coroot: alpha_i's is A_i, and phi_(s t s) = phi_t s.  The
-    closure checks ``deadline`` once per root.
+    Positive roots are enumerated by orbit closure under the simple
+    reflections, each root with its coroot: s_i moves a root v to
+    v - (A v)_i e_i and a coroot gamma to gamma - (A^T gamma)_i e_i.  The
+    z masks pair them as gamma_s^T E_c beta_t, where E_c (1 - c) = A: 1 - c
+    is sum_k s_o1 ... s_o(k-1) (1 - s_ok), and E_c maps
+    s_o1 ... s_o(k-1) e_ok to e_ok.  The closure checks ``deadline`` once
+    per root.
     """
     spec = as_spec(spec)
     n = spec.rank
-    cartan = [[0] * n for _ in range(n)]
-    offset = 0
-    for t in spec.components:
-        block = cartan_matrix(t)
-        for i in range(t.rank):
-            for j in range(t.rank):
-                cartan[offset + i][offset + j] = block[i][j]
-        offset += t.rank
+    cartan = _cartan(spec)
+    columns = list(zip(*cartan))
 
-    # orbit closure: root -> coroot, with phi_t s_i = phi_t - phi_t(alpha_i) A_i;
-    # only alpha_i leaves the positive roots under s_i, so no new root is negated
-    coroot_of = {_unit(n, i): tuple(row) for i, row in enumerate(cartan)}
+    # orbit closure: root -> coroot; only alpha_i leaves the positive roots
+    # under s_i, so no new root is negated
+    coroot_of = {_unit(n, i): _unit(n, i) for i in range(n)}
     frontier = list(coroot_of.items())
     while frontier:
         fresh = []
-        for v, phi in frontier:
+        for v, gamma in frontier:
             deadline.check()
-            for i, row in enumerate(cartan):
+            for i, (row, column) in enumerate(zip(cartan, columns)):
                 w = list(v)
                 w[i] -= sum(map(mul, row, v))
                 if all(c <= 0 for c in w):
@@ -97,8 +106,9 @@ def build_rep(spec, deadline: Deadline = NO_DEADLINE) -> ReflectionRep:
                     raise InvariantViolation(f"mixed-sign root coordinates {w}")
                 w = tuple(w)
                 if w not in coroot_of:
-                    coroot_of[w] = psi = tuple(x - phi[i] * y for x, y in zip(phi, row))
-                    fresh.append((w, psi))
+                    step = sum(map(mul, column, gamma))
+                    coroot_of[w] = delta = tuple(g - step * (j == i) for j, g in enumerate(gamma))
+                    fresh.append((w, delta))
         frontier = fresh
 
     expected = sum(num_positive_roots(t) for t in spec.components)
@@ -120,39 +130,6 @@ def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]
     if sorted(order) != list(range(1, n + 1)):
         raise SpecError(f"Coxeter order {','.join(map(str, order))} is not a permutation of 1..{n}")
     return order
-
-
-def _u_vectors(
-    rep: ReflectionRep, order: tuple[int, ...], deadline: Deadline
-) -> list[tuple[int, ...]]:
-    """sum_{r<d} r c^r beta for each positive root beta, d the length of its
-    c-orbit; raises InvariantViolation unless every orbit sums to zero."""
-    coroot_of = dict(zip(rep.positive_roots, rep.coroots))
-    # c = s_o1 ... s_on, so a vector meets s_on first
-    steps = [(i - 1, coroot_of[_unit(rep.n, i - 1)]) for i in reversed(order)]
-    u: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for beta in rep.positive_roots:
-        deadline.check()
-        if beta in u:
-            continue
-        orbit, v = [beta], list(beta)
-        while True:
-            for i, phi in steps:
-                v[i] -= sum(map(mul, phi, v))
-            if tuple(v) == beta:
-                break
-            orbit.append(tuple(v))
-        if any(map(sum, zip(*orbit))):
-            raise InvariantViolation("Coxeter element does not have full reflection length")
-        # u at orbit position p is sum_r r c^r o_p; as the orbit sums to
-        # zero, the next position's is this one's plus d o_p
-        d = len(orbit)
-        w = [sum(r * x for r, x in enumerate(xs)) for xs in zip(*orbit)]
-        for gamma in orbit:
-            if gamma in coroot_of:
-                u[gamma] = tuple(w)
-            w = [x + d * y for x, y in zip(w, gamma)]
-    return [u[beta] for beta in rep.positive_roots]
 
 
 # --------------------------------------------------------------------------
@@ -232,12 +209,13 @@ def build_nc_lattice(
 ) -> NCLattice:
     """Enumerate [1, c] level by level, then derive the M-triangle.
 
-    c is the Coxeter element of ``coxeter_order``.  F(a) is the bitmask of
-    the reflections t with a u_t = u_t: F(1) has every bit and F(c) none.
-    u_t is sum_{r<d} r c^r beta_t over the c-orbit of beta_t, of length d:
-    a nonzero multiple of (1 - c)^-1 beta_t if every orbit sums to zero, and
-    if one does not, c lacks full reflection length and the build raises
-    InvariantViolation.
+    c = s_o1 ... s_on is the Coxeter element of ``coxeter_order``, and F(a)
+    is the bitmask of the t with a u_t = u_t, u_t = (1 - c)^-1 beta_t: F(1)
+    has every bit and F(c) none.  c is never formed.  The Euler form E_c, A
+    above the diagonal in node order, 1 on it and 0 below, has
+    E_c (1 - c) = A, as 1 - c = sum_k s_o1 ... s_o(k-1) (1 - s_ok) and E_c
+    maps s_o1 ... s_o(k-1) e_ok to e_ok.  So s fixes u_t iff the integer
+    gamma_s^T E_c beta_t is 0, and as det E_c = 1, 1 - c is invertible.
     Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
     injective on [1, c], so the covers of a are the t*a for t in F(a) and
     the mask names the element.  Element order is canonical, so results are
@@ -246,14 +224,21 @@ def build_nc_lattice(
     """
     n = rep.n
     order = node_order(n, coxeter_order)
-    # u is integral, so the test a u_t = u_t needs no fractions
-    u = _u_vectors(rep, order, deadline)
-    z_masks = []
-    for phi in rep.coroots:
+    position = {node - 1: k for k, node in enumerate(order)}
+    euler = [
+        [x if position[a] < position[b] else int(a == b) for b, x in enumerate(row)]
+        for a, row in enumerate(_cartan(rep.spec))
+    ]
+    images = []
+    for beta in rep.positive_roots:
         deadline.check()
-        z_masks.append(sum(1 << i for i, v in enumerate(u) if not sum(map(mul, phi, v))))
+        images.append([sum(map(mul, row, beta)) for row in euler])
+    z_masks = []
+    for gamma in rep.coroots:
+        deadline.check()
+        z_masks.append(sum(1 << i for i, v in enumerate(images) if not sum(map(mul, gamma, v))))
 
-    levels: list[list[int]] = [[(1 << len(u)) - 1]]
+    levels: list[list[int]] = [[(1 << len(images)) - 1]]
     seen = set(levels[0])
     for k in range(n):
         next_level: list[int] = []

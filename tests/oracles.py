@@ -2,7 +2,8 @@
 
 None of this is on a CLI path.  Each function is written independently of
 the code it checks: exact integer matrices, the reflection length
-rank(g - 1) by Bareiss elimination, the reflection matrices (the simple
+rank(g - 1) by Bareiss elimination, the Cartan matrix of a product
+assembled block by block, the reflection matrices (the simple
 ones and the Coxeter element among them) rebuilt from root and coroot,
 whole-group enumeration and breadth-first word length to check it, the
 pairwise rank test for the absolute order, the interval [1, c] cut from the
@@ -20,6 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from fmtri.cartan import RootSystemSpec, cartan_matrix
 from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import _validate_triangle
 from fmtri.poly import BivarPoly, conjecture_substitution
@@ -91,13 +93,28 @@ def abs_length(m: Matrix) -> int:
 # --------------------------------------------------------------------------
 
 
+def cartan(spec: RootSystemSpec) -> Matrix:
+    """The Cartan matrix of ``spec``: the blocks of its components on the
+    diagonal, zero elsewhere."""
+    rows = [[0] * spec.rank for _ in range(spec.rank)]
+    offset = 0
+    for t in spec.components:
+        for i, row in enumerate(cartan_matrix(t)):
+            rows[offset + i][offset : offset + t.rank] = row
+        offset += t.rank
+    return tuple(map(tuple, rows))
+
+
 def reflections(rep: ReflectionRep) -> tuple[Matrix, ...]:
     """The reflection matrices t = 1 - beta_t phi_t, rebuilt from the roots
-    and coroots, in the order of ``rep.positive_roots``."""
-    ident = mat_identity(rep.n)
+    and coroots, in the order of ``rep.positive_roots``: the coroot gamma_t
+    is in simple-coroot coordinates, so the functional <., beta_t^vee> is
+    phi_t = gamma_t^T A, with A the Cartan matrix."""
+    ident, cartan_t = mat_identity(rep.n), tuple(zip(*cartan(rep.spec)))
+    phis = [mat_apply(cartan_t, gamma) for gamma in rep.coroots]
     return tuple(
         tuple(tuple(e - b * p for e, p in zip(row, phi)) for row, b in zip(ident, beta))
-        for beta, phi in zip(rep.positive_roots, rep.coroots)
+        for beta, phi in zip(rep.positive_roots, phis)
     )
 
 

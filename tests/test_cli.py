@@ -155,8 +155,8 @@ class TestVerifyCommand:
         assert "timeout,true" in out
 
     def test_timeout_bounds_the_stages_before_the_search(self, capsys):
-        # A60 has 1830 roots: its root closure, u vectors and z masks take
-        # seconds before the search of [1, c] starts
+        # A60 has 1830 roots: its root closure, E_c beta_t per root and the z
+        # masks take seconds before the search of [1, c] starts
         t0 = time.monotonic()
         code, out = run_cli(capsys, "verify", "A60", "--max-seconds", "0.5")
         assert code == EXIT_TIMEOUT
@@ -611,28 +611,37 @@ class TestUsage:
         assert run_cli(capsys, command, "A3", "--cache-dir", str(tmp_path))[0] == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "command, under_a_file",
-        [pytest.param(c, False, id=c) for c in ("verify", "mtriangle", "sweep")]
-        + [pytest.param(c, True, id=f"{c}-under_a_file") for c in ("verify", "mtriangle", "sweep")],
+        "command, kind",
+        [
+            pytest.param(c, kind, id=c if kind == "file" else f"{c}-{kind}")
+            for kind in ("file", "under_a_file", "dangling_link", "under_a_dangling_link")
+            for c in ("verify", "mtriangle", "sweep")
+        ],
     )
     def test_cache_dir_that_is_a_file_is_usage_error(
-        self, capsys, tmp_path, monkeypatch, command, under_a_file
+        self, capsys, tmp_path, monkeypatch, command, kind
     ):
         # refused before any lattice is looked up, with one line and no
-        # traceback, and no directory is made on the way
+        # traceback, and no directory is made on the way; a symlink to a
+        # missing path is not a directory either
         path = tmp_path / "file"
-        path.write_text("")
-        arg = path / "sub" / "dir" if under_a_file else path
+        if kind.endswith("link"):
+            path.symlink_to(tmp_path / "missing")
+        else:
+            path.write_text("")
+        under = kind.startswith("under")
+        arg = path / "sub" / "dir" if under else path
 
         def lookup(*_args, **_kwargs):
             raise AssertionError("looked up a lattice")
 
         monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
         assert run_cli(capsys, command, "A2", "--cache-dir", str(arg)) == (EXIT_USAGE, "")
-        where = f"is under {str(path)!r}, which exists" if under_a_file else "exists"
+        where = f"is under {str(path)!r}, which exists" if under else "exists"
         message = f"error: --cache-dir {str(arg)!r} {where} and is not a directory\n"
         assert run_cli.last_err == message
-        assert path.read_text() == "" and list(tmp_path.iterdir()) == [path]
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.is_symlink() or path.read_text() == ""
 
     @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
     def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, command):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fmtri import weyl
-from fmtri.cartan import cartan_matrix, parse_spec, spec_of
+from fmtri.cartan import parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
@@ -24,6 +24,7 @@ from fmtri.weyl import (
 from oracles import (
     abs_length,
     absolute_leq,
+    cartan,
     covers,
     coxeter_element,
     int_rank,
@@ -32,6 +33,7 @@ from oracles import (
     mat_apply,
     mat_identity,
     mat_mul,
+    mat_sub,
     maximal_chains,
     reflection_word_length,
     reflections,
@@ -114,18 +116,14 @@ class TestReflectionRep:
 
     @pytest.mark.parametrize("s", SMALL_TYPES + ["E6", "E7", "E8", "F4xG2", "A2xA1"])
     def test_coroots(self, s):
+        # coroots are in simple-coroot coordinates: alpha_i's is e_i, and
+        # <beta, beta^vee> = gamma^T A beta = 2
         rep = build_rep(s)
-        n = rep.n
-        cartan = [[0] * n for _ in range(n)]
-        offset = 0
-        for t in rep.spec.components:
-            for i, row in enumerate(cartan_matrix(t)):
-                cartan[offset + i][offset : offset + t.rank] = row
-            offset += t.rank
+        a = cartan(rep.spec)
         coroot_of = dict(zip(rep.positive_roots, rep.coroots))
-        for i in range(n):
-            assert coroot_of[tuple(int(i == j) for j in range(n))] == tuple(cartan[i])
-        assert all(sum(map(mul, phi, beta)) == 2 for beta, phi in coroot_of.items())
+        for e in mat_identity(rep.n):
+            assert coroot_of[e] == e
+        assert all(sum(map(mul, gamma, mat_apply(a, beta))) == 2 for beta, gamma in coroot_of.items())
         roots = set(rep.positive_roots) | {tuple(-c for c in beta) for beta in rep.positive_roots}
         for t in reflections(rep):
             assert {mat_apply(t, v) for v in roots} == roots
@@ -185,15 +183,30 @@ class TestCoxeterElement:
             build_nc_lattice(rep, (1, 1))
 
     @pytest.mark.parametrize("s", ["A1", "A3", "B3", "A2xA1"])
-    def test_rejects_a_product_that_is_not_full_length(self, s):
-        # s_1 becomes the identity, so c fixes a vector and some c-orbit of
-        # the roots does not sum to zero
+    def test_rejects_a_rep_with_a_zero_coroot(self, s):
+        # with alpha_1's coroot zeroed, t_1 fixes every u_t, so its z mask
+        # has every bit and the search never leaves F(1) through it
         rep = build_rep(s)
         at = rep.positive_roots.index(tuple(int(j == 0) for j in range(rep.n)))
         coroots = list(rep.coroots)
         coroots[at] = (0,) * rep.n
-        with pytest.raises(InvariantViolation, match="full reflection length"):
+        with pytest.raises(InvariantViolation):
             build_nc_lattice(rep._replace(coroots=tuple(coroots)))
+
+    @pytest.mark.parametrize("s", SMALL_TYPES + ["E6", "E7", "E8", "A2xA1", "F4xG2"])
+    def test_euler_form_times_one_minus_c_is_the_cartan_matrix(self, s):
+        # the z masks rest on E_c (1 - c) = A, for E_c equal to A above the
+        # diagonal in node order, 1 on it and 0 below
+        rep = build_rep(s)
+        n, a = rep.n, cartan(rep.spec)
+        for order in three_orders(n):
+            position = list(order or range(1, n + 1)).index
+            euler = tuple(
+                tuple(x if position(i + 1) < position(j + 1) else int(i == j) for j, x in enumerate(row))
+                for i, row in enumerate(a)
+            )
+            one_minus_c = mat_sub(mat_identity(n), coxeter_element(rep, order))
+            assert mat_mul(euler, one_minus_c) == a
 
 
 class TestAbsoluteOrder:
@@ -286,7 +299,7 @@ class TestNCLattice:
         lat = build_nc_lattice(rep, deadline=build_budget)
         roots = len(rep.positive_roots)
         assert rep_budget.calls == roots
-        # the u vectors and the z masks once per root each, then once per
+        # E_c beta and the z masks once per root each, then once per
         # element below c in the search, and per element for the holders of
         # each bit and for M
         searched = lat.cardinality - 1
@@ -373,7 +386,10 @@ class TestNCLattice:
     def test_elements_are_the_interval_cut_from_the_whole_group(self, s):
         rep = build_rep(s)
         n = rep.n
-        for order in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+        # for n > 2 the rotation is not an involution, so a node's label and
+        # its position in the order differ; for G2 it is the reversed order
+        rotation = tuple(range(2, n + 1)) + (1,)
+        for order in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), rotation):
             lat = nc_lattice(s, order)
             c = coxeter_element(rep, order)
             # the oracle raises unless F is injective on [1, c]
