@@ -14,7 +14,7 @@ verify, sweep) and persists lattices only.
 
 Every command is deterministic: the same invocation produces byte-identical
 output, warm or cold cache.  Timings are therefore only emitted under
---timings.
+--timings, and only in JSON.
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the F/M change-of-variables identity for one spec")
     p.add_argument("spec")
     common(p, cache_flag=True, order_flag=True, seconds_flag=True)
-    p.add_argument("--timings", action="store_true", help="include timings (breaks byte-reproducibility)")
+    p.add_argument("--timings", action="store_true", help="JSON-only timings (breaks byte-reproducibility)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a list of specs; exit 0 only if all pass")

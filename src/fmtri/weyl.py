@@ -33,7 +33,6 @@ row, and one pass over the down-sets derives the row and M together.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 from math import factorial
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -136,15 +135,7 @@ def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]
 # The noncrossing partition lattice: interval [1, c] in absolute order
 # --------------------------------------------------------------------------
 
-class _LatticeFields(NamedTuple):
-    spec: RootSystemSpec
-    coxeter_order: tuple[int, ...]
-    elements: tuple[int, ...]
-    ranks: tuple[int, ...]
-    m_triangle: BivarPoly
-
-
-class NCLattice(_LatticeFields):
+class NCLattice(NamedTuple):
     """The interval [1, c], with ranks and the M-triangle.
 
     ``elements`` are the masks F(a) sorted by (rank, mask), so index order
@@ -154,17 +145,15 @@ class NCLattice(_LatticeFields):
     ``m_triangle`` is M(x, y) = sum over a <= b of mu(a, b) x^rank(b)
     y^rank(a), derived from the masks by ``lattice_from_masks``; its y^0
     column holds the sums of mu(1, b) by rank.  The rank n of the lattice is
-    the rank of ``spec``.
-
-    A named tuple of those five fields.  It keeps an instance ``__dict__``
-    only as the store of the cached ``mobius_rows``, and sets no other
-    attribute.
+    the rank of ``spec``.  A plain named tuple: no instance ``__dict__``,
+    and every derived value is computed on each read.
     """
 
-    def __setattr__(self, name, _value=None):
-        raise AttributeError(f"NCLattice is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    spec: RootSystemSpec
+    coxeter_order: tuple[int, ...]
+    elements: tuple[int, ...]
+    ranks: tuple[int, ...]
+    m_triangle: BivarPoly
 
     @property
     def n(self) -> int:
@@ -180,11 +169,12 @@ class NCLattice(_LatticeFields):
         of rank n."""
         return self.m_triangle.coeff(self.n, 0)
 
-    @cached_property
+    @property
     def mobius_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The whole Moebius table: row a lists (b, mu(a, b)) for every
-        b >= a in index order.  No library path reads it; it is computed on
-        first use, for the tests and the perfbench tracer."""
+        b >= a in index order, computed anew on each read.  No library path
+        reads it; it stays only for ``tests/oracles.py`` and the perfbench
+        tracer."""
         elements, everyone = self.elements, (1 << self.cardinality) - 1
         holders = _holders(elements, elements[0].bit_length())
         down = [_in_all(holders, f, everyone) for f in elements]
@@ -238,22 +228,17 @@ def build_nc_lattice(
         deadline.check()
         z_masks.append(sum(1 << i for i, v in enumerate(images) if not sum(map(mul, gamma, v))))
 
-    levels: list[list[int]] = [[(1 << len(images)) - 1]]
-    seen = set(levels[0])
-    for k in range(n):
-        next_level: list[int] = []
-        for f in levels[k]:
+    # an element has one rank, so a level dedupes against itself alone
+    levels = [[(1 << len(images)) - 1]]
+    for _ in range(n):
+        level = set()
+        for f in levels[-1]:
             deadline.check()
             for i in _mask_indices(f):
-                g = f & z_masks[i]
-                if g not in seen:
-                    seen.add(g)
-                    next_level.append(g)
-        levels.append(next_level)
-    if levels[n] != [0]:
-        raise InvariantViolation("top level of [1, c] is not exactly {c}")
+                level.add(f & z_masks[i])
+        levels.append(sorted(level))
 
-    masks = [f for level in levels for f in sorted(level)]
+    masks = [f for level in levels for f in level]
     ranks = [k for k, level in enumerate(levels) for _ in level]
     return lattice_from_masks(rep.spec, order, masks, ranks, deadline)
 

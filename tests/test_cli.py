@@ -224,6 +224,11 @@ class TestVerifyCommand:
         assert "timings" not in json.loads(without)["payload"]
         assert "timings" in json.loads(with_t)["payload"]
 
+    def test_timings_are_json_only(self, capsys):
+        # csv has no timings row: the flag changes no byte of it
+        without = run_cli(capsys, "verify", "A2", "--format", "csv")
+        assert run_cli(capsys, "verify", "A2", "--timings", "--format", "csv") == without
+
     def test_timings_include_the_lattice_lookup(self, capsys, monkeypatch):
         real = cli.load_or_build_lattice
 
@@ -533,21 +538,22 @@ class TestDeterminismAndCache:
         assert json.loads(out)["payload"]["timeout"] is True
 
     def test_no_command_computes_the_whole_moebius_table(self, capsys, tmp_path, monkeypatch):
-        lattices = []
-        real = cli.load_or_build_lattice
+        def runs(cache_dir):
+            return [
+                run_cli(capsys, command, "B6", "--cache-dir", str(cache_dir / command))
+                for command in ("verify", "mtriangle")
+                for _cold_then_warm in range(2)
+            ]
 
-        def keep(*args, **kwargs):
-            lattices.append(real(*args, **kwargs))
-            return lattices[-1]
+        unpatched = runs(tmp_path / "unpatched")
+        assert all(code == EXIT_OK for code, _ in unpatched)
 
-        monkeypatch.setattr(cli, "load_or_build_lattice", keep)
+        def refuse(lat):
+            raise AssertionError("the whole Moebius table was computed")
+
+        monkeypatch.setattr(weyl.NCLattice, "mobius_rows", property(refuse))
         monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
-        for command in ("verify", "mtriangle"):
-            for _ in ("cold", "warm"):
-                args = (command, "B6", "--cache-dir", str(tmp_path / command))
-                assert run_cli(capsys, *args)[0] == EXIT_OK
-        assert len(lattices) == 4
-        assert all("mobius_rows" not in lat.__dict__ for lat in lattices)
+        assert runs(tmp_path / "refused") == unpatched
 
     def test_each_lattice_builds_its_down_sets_once(self, capsys, tmp_path, monkeypatch):
         # lattice_from_masks builds the down-sets, and one pass over them
