@@ -28,19 +28,19 @@ from .errors import InvariantViolation
 from .poly import BivarPoly, exact_div
 
 
-def _validate_triangle(n: int, p: BivarPoly, origin: str) -> BivarPoly:
+def _validate_triangle(p: BivarPoly, origin: str) -> BivarPoly:
+    """p, unless a coefficient is negative: the recursion gives support in
+    k + l <= rank and F(0, 0) = 1 by construction."""
     for k, l, c in p.terms():
-        if k + l > n:
-            raise InvariantViolation(f"{origin}: support ({k},{l}) beyond rank {n}")
         if c < 0:
             raise InvariantViolation(f"{origin}: coefficient f[{k}][{l}] = {c!r}")
-    if p.coeff(0, 0) != 1:
-        raise InvariantViolation(f"{origin}: constant term {p.coeff(0, 0)} != 1")
     return p
 
 
 def _validate_fvector(n: int, coeffs: tuple, origin: str) -> tuple[int, ...]:
-    if len(coeffs) != n + 1 or coeffs[0] != 1 or coeffs[-1] <= 0 or min(coeffs) < 0:
+    """coeffs, unless f_n is missing or not positive: a nonnegative
+    triangle with F(0, 0) = 1 implies the rest."""
+    if len(coeffs) != n + 1 or coeffs[n] <= 0:
         raise InvariantViolation(f"{origin}: bad f-vector {coeffs}")
     return coeffs
 
@@ -69,7 +69,7 @@ def f_triangle(spec) -> BivarPoly:
     p = BivarPoly.constant(1)
     for t in spec.components:
         p = p * _f_triangle_irreducible(_bc_normalized(t))
-    return _validate_triangle(spec.rank, p, f"f_triangle({spec})")
+    return _validate_triangle(p, f"f_triangle({spec})")
 
 
 def f_vector(spec) -> tuple[int, ...]:

@@ -42,7 +42,7 @@ class BivarPoly:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable] = ()):
-        object.__setattr__(self, "rows", _trim([list(r) for r in rows]))
+        self.rows = _trim([list(r) for r in rows])
 
     # -- constructors ------------------------------------------------------
 

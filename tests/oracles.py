@@ -292,7 +292,7 @@ def closed_form_A(n: int) -> BivarPoly:
             if c.denominator != 1:
                 raise InvariantViolation(f"closed_form_A({n}) entry ({k},{l}) = {c}")
             rows[k][l] = int(c)
-    return _validate_triangle(n, BivarPoly(rows), f"closed_form_A({n})")
+    return _validate_triangle(BivarPoly(rows), f"closed_form_A({n})")
 
 
 def closed_form_B(n: int) -> BivarPoly:
@@ -303,7 +303,7 @@ def closed_form_B(n: int) -> BivarPoly:
     for k in range(n + 1):
         for l in range(n + 1 - k):
             rows[k][l] = comb(n, k + l) * comb(n + k - 1, n - 1)
-    return _validate_triangle(n, BivarPoly(rows), f"closed_form_B({n})")
+    return _validate_triangle(BivarPoly(rows), f"closed_form_B({n})")
 
 
 def closed_f_vector_A(n: int) -> tuple[int, ...]:

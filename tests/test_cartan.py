@@ -46,8 +46,21 @@ class TestCartanType:
 
     @pytest.mark.parametrize("bad", ["A0", "E5", "E9", "F5", "G3", "D2", "Q3", "A", "3"])
     def test_rejects_inadmissible(self, bad):
-        with pytest.raises(SpecError):
+        # each refused with its own message
+        if bad in ("Q3", "A", "3"):
+            message = f"cannot parse Cartan type {bad!r}; expected a family letter"
+        elif bad == "D2":
+            message = "D2 is reducible; write it as A1xA1"
+        else:
+            message = f"{bad} is not an admissible Cartan type"
+        with pytest.raises(SpecError) as refused:
             parse_type(bad)
+        assert str(refused.value).startswith(message)
+
+    def test_rejects_an_unknown_family(self):
+        # the parser takes only A-G; the constructor names any other letter
+        with pytest.raises(SpecError, match="unknown family 'Q'"):
+            CartanType("Q", 3)
 
     def test_spec_parse_and_canonical_order(self):
         spec = parse_spec("a1xb2")
@@ -56,8 +69,9 @@ class TestCartanType:
         assert spec.rank == 3
 
     def test_spec_rejects_garbage(self):
+        # an empty component is named as such, not as an unparsable type
         for bad in ["", "x", "A1x", "A1xxA2"]:
-            with pytest.raises(SpecError):
+            with pytest.raises(SpecError, match=f"cannot parse spec {bad!r}; expected components"):
                 parse_spec(bad)
 
     def test_records_are_immutable(self):
@@ -79,6 +93,8 @@ class TestCartanType:
     def test_as_spec_coercions(self):
         t = CartanType("A", 3)
         assert as_spec(t) == spec_of(t) == as_spec("A3")
+        with pytest.raises(TypeError, match="cannot interpret 3 as a root system spec"):
+            as_spec(3)
 
 
 class TestInvariants:

@@ -107,6 +107,9 @@ class TestMTriangleCommand:
         code, _ = run_cli(capsys, "mtriangle", "A3", "--coxeter-order", "1,2")
         assert code == EXIT_USAGE
         assert run_cli.last_err == "error: Coxeter order 1,2 is not a permutation of 1..3\n"
+        code, _ = run_cli(capsys, "mtriangle", "A3", "--coxeter-order", "1,two,3")
+        assert code == EXIT_USAGE
+        assert run_cli.last_err == "error: --coxeter-order '1,two,3' is not a comma-separated permutation\n"
 
 
 class TestInvariantsCommand:
@@ -193,6 +196,28 @@ class TestVerifyCommand:
             "mismatch,0,1,2,1",
             "mismatch,1,0,2,1",
         ]
+
+    @pytest.mark.parametrize(
+        "flag", ["h_vector_match", "positive_cluster_count_match", "m_self_dual", "corner_specializations"]
+    )
+    def test_each_evidence_flag_can_fail(self, capsys, monkeypatch, flag):
+        # a real A3 lattice with one value doctored: an atom moved to rank 2
+        # leaves M alone; M(3, 0) = mu(1, c) is its own self-dual partner,
+        # M(2, 0) is partnered with M(3, 1), and M(2, 1) with itself.  Every
+        # M edit also moves a column sum of M(1, y) = y^3, and the rhs
+        lat = nc_lattice("A3")
+        if flag == "h_vector_match":
+            lat = lat._replace(ranks=(0, 2) + lat.ranks[2:])
+        else:
+            k, l = {"positive_cluster_count_match": (3, 0), "m_self_dual": (2, 0)}.get(flag, (2, 1))
+            lat = lat._replace(m_triangle=lat.m_triangle + poly_from_terms((k, l, 1)))
+        monkeypatch.setattr(cli, "load_or_build_lattice", lambda *args, **kwargs: lat)
+        code, out = run_cli(capsys, "verify", "A3")
+        assert code == EXIT_MISMATCH
+        payload = json.loads(out)["payload"]
+        failing = {flag} if flag == "h_vector_match" else {flag, "corner_specializations"}
+        assert {k for k, ok in payload["evidence"].items() if not ok} == failing
+        assert payload["verified"] is (flag == "h_vector_match")
 
     def test_multiplicativity_can_fail(self, capsys, monkeypatch):
         # the product's own lattice stays right; the A1 component's M gains
@@ -437,7 +462,7 @@ class TestDeterminismAndCache:
         "edit",
         [
             "mask_repeated", "mask_float", "rank_bool", "mask_bit", "rank_1",
-            "schema_1", "schema_2", "schema_3", "schema_4", "order_float",
+            "schema_1", "schema_2", "schema_3", "schema_4", "schema_float", "order_float",
         ],
     )
     def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
@@ -462,6 +487,9 @@ class TestDeterminismAndCache:
             doc["elements"][1] ^= 1
         elif edit == "rank_1":
             doc["ranks"][1] = 2
+        elif edit == "schema_float":
+            # 5.0 == 5 in Python, but the schema version is a JSON integer
+            doc["schema_version"] = 5.0
         elif edit.startswith("schema_"):
             # a file of another schema version is a miss even under the current name
             doc["schema_version"] = int(edit[-1])

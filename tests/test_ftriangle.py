@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,5 +195,30 @@ class TestValidation:
     def test_natural_guard_fires_on_fake_triangle(self, monkeypatch):
         fake = BivarPoly([[1, 3], [1, 0]])
         monkeypatch.setattr(ftriangle, "f_triangle", lambda spec: fake)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=re.escape("entry: (-2, 1)")):
             natural_f_vector("A1")
+
+    def test_negative_coefficient_guard_fires(self, monkeypatch):
+        fake = BivarPoly([[1, -1], [1]])
+        monkeypatch.setattr(ftriangle, "_f_triangle_irreducible", lambda t: fake)
+        with pytest.raises(InvariantViolation, match=re.escape("f_triangle(A1): coefficient f[0][1] = -1")):
+            f_triangle("A1")
+
+    @pytest.mark.parametrize(
+        "vector, coeffs",
+        [(f_vector, (1, 3)), (positive_f_vector, (1, 2, 0))],
+        ids=["f_vector", "positive_f_vector"],
+    )
+    def test_fvector_guard_fires_on_a_zero_top_entry(self, monkeypatch, vector, coeffs):
+        # 1 + y + 2x for A2 has no term of degree 2: its diagonal stops at
+        # f_1, and its y-free column ends in 0
+        monkeypatch.setattr(ftriangle, "f_triangle", lambda spec: BivarPoly([[1, 1], [2]]))
+        message = f"{vector.__name__}(A2): bad f-vector {coeffs}"
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            vector("A2")
+
+    def test_h_vector_guard_fires(self, monkeypatch):
+        # f = (1, 0) for A1 gives h = (1, -1)
+        monkeypatch.setattr(ftriangle, "f_vector", lambda spec: (1, 0))
+        with pytest.raises(InvariantViolation, match=re.escape("h-vector not nonnegative: [1, -1]")):
+            h_vector("A1")

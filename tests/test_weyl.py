@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fmtri import weyl
-from fmtri.cartan import parse_spec, spec_of
+from fmtri.cartan import CartanType, parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
 from fmtri.ftriangle import h_vector
@@ -137,6 +137,14 @@ class TestReflectionRep:
         rep = build_rep("A2xA1")
         assert rep.n == 3
         assert len(rep.positive_roots) == 4
+
+    def test_root_count_refuses_a_wrong_cartan_matrix(self, monkeypatch):
+        # with A3's Cartan matrix in place of B3's, the orbit closure finds
+        # A3's 6 roots, not B3's 9
+        a3 = weyl.cartan_matrix(CartanType("A", 3))
+        monkeypatch.setattr(weyl, "cartan_matrix", lambda t: a3)
+        with pytest.raises(InvariantViolation, match="B3: found 6 positive roots, expected 9"):
+            build_rep("B3")
 
 
 class TestAbsLength:
@@ -505,6 +513,34 @@ class TestNCLattice:
         }[edit]
         with pytest.raises(InvariantViolation, match=message):
             weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, ranks)
+
+    def test_ends_check_refuses_a_cleared_bit_of_f1(self):
+        # F(1) loses a bit; the masks stay distinct and in (rank, mask) order
+        lat = nc_lattice("A3")
+        elements = (lat.elements[0] ^ 1,) + lat.elements[1:]
+        with pytest.raises(InvariantViolation, match=MASKS_MESSAGE):
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, lat.ranks)
+
+    def test_every_single_mask_edit_is_refused_or_keeps_m(self):
+        # each mask in turn is replaced by every other value in
+        # [0, 2^|Phi+|): an edit the checks let through gives the same M, and
+        # the count of such edits pins how much the checks refuse
+        accepted = {}
+        for s in ["A2", "B2", "G2", "A2xA1", "A3", "B3"]:
+            lat = nc_lattice(s)
+            accepted[s] = 0
+            for i, f in enumerate(lat.elements):
+                for g in range(lat.elements[0] + 1):
+                    if g == f:
+                        continue
+                    elements = lat.elements[:i] + (g,) + lat.elements[i + 1 :]
+                    try:
+                        edited = weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, lat.ranks)
+                    except InvariantViolation:
+                        continue
+                    assert edited.m_triangle == lat.m_triangle
+                    accepted[s] += 1
+        assert accepted == {"A2": 0, "B2": 0, "G2": 0, "A2xA1": 0, "A3": 11, "B3": 75}
 
     def test_e7(self):
         lat = nc_lattice("E7")
