@@ -235,8 +235,11 @@ def build_nc_lattice(
         level = set()
         for f in levels[-1]:
             deadline.check()
-            for i in _mask_indices(f):
-                level.add(f & z_masks[i])
+            g = f
+            while g:
+                low = g & -g
+                level.add(f & z_masks[low.bit_length() - 1])
+                g ^= low
         levels.append(sorted(level))
 
     masks = [f for level in levels for f in level]
@@ -271,11 +274,16 @@ def lattice_from_masks(
     [a, b] is isomorphic to [1, a^-1 b], and a -> a^-1 b is a bijection of
     [1, b] (Bessis 2003; Armstrong 2009), so the x^rank(b) row of M is the
     sum over w <= b of mu(1, w) y^(rank b - rank w), and mu(1, b) = -sum of
-    mu(1, w) over w < b.  One bitmask per (rank, mu(1, w), maximal chains of
-    [1, w]) holds the indices that carry it.  Index order extends the order,
-    so at b's turn the buckets hold exactly the w before it, and their
+    mu(1, w) over w < b.  A bucket is a bitmask of the indices that carry
+    one key, and each key starts with its rank.  Index order extends the
+    order, so at b's turn the buckets hold exactly the w before it, and their
     popcounts against the down-set of b give the y-terms of its row, mu(1, b)
-    and the chains of [1, b].  Each down-set is dropped after use.
+    and the chains of [1, b].  Only the buckets of rank rank(b) - 1 give
+    chains and lower covers, so they alone are keyed by (rank, mu(1, w),
+    maximal chains of [1, w]); once b's rank passes them by two they merge
+    into the older buckets, keyed by (rank, mu(1, w)).  The buckets of b's
+    own rank are not visited, as nothing of that rank but b lies below b.
+    Each down-set is dropped after use.
     """
     n, size = spec.rank, len(elements)
     forms = invariant_formulas(spec)
@@ -296,32 +304,53 @@ def lattice_from_masks(
     heights = InvariantViolation(f"{spec}: ranks are not the heights of the elements")
     if (ranks[0], ranks[-1]) != (0, n):
         raise heights
-    # index order refines rank order: the elements of rank >= r start at start[r]
+    # index order refines rank order: the elements of rank >= r start at
+    # start[r], and earlier[r] holds the indices before it
     start = [bisect_left(ranks, r) for r in range(n + 1)]
+    earlier = [(1 << s) - 1 for s in start]
     holders = _holders(elements, roots, deadline)
     everyone = (1 << size) - 1
 
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    buckets: dict[tuple[int, int, int], int] = {}
-    pairs = lower_covers = 0
+    # buckets of rank < level - 1, of rank level - 1 and of rank level
+    older: dict[tuple[int, int], int] = {}
+    covering: dict[tuple[int, int, int], int] = {}
+    fresh: dict[tuple[int, int, int], int] = {}
+    level = pairs = lower_covers = 0
     for b, (f, rank) in enumerate(zip(elements, ranks)):
         deadline.check()
-        down = _in_all(holders, f, everyone)
-        below = down & ((1 << start[rank]) - 1)
-        if down ^ below != 1 << b or b and not (rank and below >> start[rank - 1]):
+        # the down-set: the indices holding every bit of f, everyone for c
+        low = f & -f
+        down, g = (holders[low.bit_length() - 1], f ^ low) if f else (everyone, 0)
+        while g:
+            low = g & -g
+            down &= holders[low.bit_length() - 1]
+            g ^= low
+        below, bit = down & earlier[rank], 1 << b
+        if down ^ below != bit or b and not (rank and below >> start[rank - 1]):
             raise heights
+        # past the heights check, b's rank is level or level + 1
+        if rank != level:
+            for (r, v, _), mask in covering.items():
+                older[r, v] = older.get((r, v), 0) | mask
+            covering, fresh, level = fresh, {}, rank
         pairs += down.bit_count()
         row, total, chains = rows[rank], 0, 0
-        for (r, v, ch), mask in buckets.items():
+        for (r, v), mask in older.items():
+            term = v * (mask & below).bit_count()
+            row[rank - r] += term
+            total += term
+        for (r, v, ch), mask in covering.items():
             count = (mask & below).bit_count()
-            row[rank - r] += v * count
-            total += v * count
-            if r == rank - 1:
+            if count:
+                row[rank - r] += v * count
+                total += v * count
                 chains += ch * count
                 lower_covers += count
         mu, chains = (-total, chains) if b else (1, 1)
         row[0] += mu
-        buckets[rank, mu, chains] = buckets.get((rank, mu, chains), 0) | 1 << b
+        key = rank, mu, chains
+        fresh[key] = fresh.get(key, 0) | bit
     if lower_covers != sum(f.bit_count() for f in elements):
         raise InvariantViolation(f"{spec}: the covers do not number the bits of the masks")
     if chains != forms.maximal_chains:
@@ -337,15 +366,18 @@ def lattice_from_masks(
 
 def _holders(elements: Sequence[int], roots: int, deadline: Deadline = NO_DEADLINE) -> list[int]:
     """For each reflection t < ``roots``, the bitmask of the indices of the
-    elements whose mask has bit t, read from its binary digits written last
-    index first; checks ``deadline`` once per element."""
-    size = len(elements)
-    digits = [bytearray(b"0" * size) for _ in range(roots)]
-    for i, f in enumerate(elements):
+    elements whose mask has bit t.  Each mask is written once, as ``roots``
+    binary digits, into one digit string, last index first, and every
+    ``roots``-th digit of it, from the digit of bit t on, is the binary form
+    of t's bitmask; checks ``deadline`` once per element."""
+    width = f"0{roots}b"
+    digits = bytearray(len(elements) * roots)
+    end = len(digits)
+    for f in elements:
         deadline.check()
-        for t in _mask_indices(f):
-            digits[t][size - 1 - i] = ord("1")
-    return [int(d, 2) for d in digits]
+        digits[end - roots : end] = format(f, width).encode()
+        end -= roots
+    return [int(digits[k::roots], 2) for k in reversed(range(roots))]
 
 
 def _in_all(holders: list[int], f: int, everyone: int) -> int:

@@ -33,7 +33,9 @@ CASES = [
     for cmd, order, formats in COMMANDS
     for spec in ("A3", "B3", "A2xA1")
     for fmt in formats
-] + [("sweep", "A1 B2 A2xA1", None, fmt) for fmt in ("json", "csv")]
+] + [("sweep", "A1 B2 A2xA1", None, fmt) for fmt in ("json", "csv")] + [
+    ("sweep", "A3xA3 B3xB3 G2xG2xA1 D4xA2 F4xG2", None, "json")
+]
 
 
 def _name(cmd, spec, order, fmt):

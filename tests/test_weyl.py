@@ -49,6 +49,10 @@ DESK_SPECS = runpy.run_path(
 )["DESK_SPECS"]
 
 
+# products of several components, for the checks that read ranks per bucket
+PRODUCTS = ["A3xA3", "B3xB3", "G2xG2xA1", "D4xA2"]
+
+
 def three_orders(n):
     """The default Coxeter order, its reverse, and one fixed permutation."""
     return [None, tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))]
@@ -663,9 +667,10 @@ class TestMTriangle:
         m3 = nc_lattice(s, (2, 3, 1)).m_triangle
         assert m1 == m2 == m3
 
-    @pytest.mark.parametrize("s", DESK_SPECS + ["E6", "E7"])
+    @pytest.mark.parametrize("s", DESK_SPECS + ["E6", "E7"] + PRODUCTS)
     def test_equals_the_whole_moebius_table(self, s):
-        orders = three_orders(parse_spec(s).rank) if s in DESK_SPECS else [None]
+        # three orders for a desk spec, the default and its reverse for a product
+        orders = three_orders(parse_spec(s).rank)[: 3 if s in DESK_SPECS else 2 if s in PRODUCTS else 1]
         for order in orders:
             lat = build_nc_lattice(build_rep(s), order)
             assert lat.m_triangle == m_triangle_from_table(lat)
