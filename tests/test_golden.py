@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from fmtri.cartan import FAMILIES, CartanType, spec_of
 from fmtri.cli import main
+from fmtri.errors import SpecError
+from fmtri.weyl import invariant_formulas
 
 GOLDEN = Path(__file__).parent / "golden"
 # (command, --coxeter-order or None, the formats the parser offers it)
@@ -77,3 +80,28 @@ def test_cache_file_matches_digest(digest, name, tmp_path):
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# ``fmtri sweep <specs> --format csv`` over every irreducible type with
+# |L| <= 250000, in family then rank order: the identity checked for every
+# family far past the ranks the paper reports.  The sweep takes minutes, so
+# CI diffs it and the test below reads the file alone.
+SWEEP_LIMIT = 250000
+SWEEP_FILE = GOLDEN / "sweep_irreducible_to_250000.csv"
+
+
+def test_sweep_file_lists_every_irreducible_type_up_to_the_limit():
+    expected = []
+    for family in FAMILIES:
+        # |L| grows with the rank, and every family's rank 20 is past the limit
+        for n in range(1, 21):
+            try:
+                t = CartanType(family, n)
+            except SpecError:
+                continue
+            if str(t) == f"{family}{n}" and invariant_formulas(spec_of(t)).cardinality <= SWEEP_LIMIT:
+                assert n < 20, t
+                expected.append(str(t))
+    lines = SWEEP_FILE.read_text().splitlines()
+    assert [line.rpartition(",")[0] for line in lines] == expected
+    assert all(line.endswith(",true") for line in lines)
