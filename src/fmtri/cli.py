@@ -2,7 +2,9 @@
 
 Subcommands: ftriangle | fvector | mtriangle | invariants | verify | sweep.
 Output formats: json (default, stable envelope with a schema version), csv,
-and tex (matrix layouts) for ftriangle, fvector and mtriangle only.  Exit
+and tex (matrix layouts) for ftriangle, fvector and mtriangle only.  Each
+command builds its JSON payload and, next to it, the rows that csv and tex
+print: csv joins each row with commas, tex sets the rows in a bmatrix.  Exit
 codes: 0 success/verified, 1 conjecture mismatch or failed evidence check,
 2 usage error, 3 time budget exceeded, 4 internal error (a broken invariant
 or any unexpected exception).  ``sweep`` verifies its specs in turn, in this
@@ -41,15 +43,12 @@ ENVELOPE_VERSION = 1  # the JSON output's schema_version, not the cache file's
 
 
 # --------------------------------------------------------------------------
-# renderers
+# renderer
 # --------------------------------------------------------------------------
 
-def _bmatrix(rows: list[list[int]]) -> str:
-    body = "\\\\\n".join("&".join(str(c) for c in row) for row in rows)
-    return "\\begin{bmatrix}\n" + body + "\n\\end{bmatrix}\n"
-
-
-def _emit(spec: str, kind: str, fmt: str, payload: dict) -> str:
+def _emit(spec: str, kind: str, fmt: str, payload: dict, rows: list[list]) -> str:
+    """The output of one command: JSON wraps ``payload`` in the envelope; CSV
+    and TeX print ``rows``, the table the command built next to it."""
     if fmt == "json":
         doc = {
             "schema_version": ENVELOPE_VERSION,
@@ -60,54 +59,9 @@ def _emit(spec: str, kind: str, fmt: str, payload: dict) -> str:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt == "tex":
-        return _emit_tex(kind, payload)
-    return _emit_csv(kind, payload)
-
-
-def _emit_tex(kind: str, p: dict) -> str:
-    """The parser offers tex for ftriangle, mtriangle and fvector only."""
-    if kind == "ftriangle":
-        return _bmatrix(p["f"])
-    if kind == "mtriangle":
-        return _bmatrix(p["m"])
-    return _bmatrix([p["f"]])
-
-
-def _emit_csv(kind: str, p: dict) -> str:
-    """The parser offers csv on all six commands; the last one is sweep."""
-    if kind == "ftriangle":
-        return "".join(",".join(str(c) for c in row) + "\n" for row in p["f"])
-    if kind == "mtriangle":
-        return "".join(",".join(str(c) for c in row) + "\n" for row in p["m"])
-    if kind == "fvector":
-        return "".join(
-            key + "," + ",".join(str(c) for c in p[key]) + "\n"
-            for key in ("f", "f_positive", "f_natural")
-        )
-    if kind == "invariants":
-        lines = [
-            "cardinality," + str(p["cardinality"]),
-            "mobius," + str(p["mobius"]),
-            "zeta," + " ".join(p["zeta"]),
-            "h_vector," + " ".join(str(c) for c in p["h_vector"]),
-        ]
-        for comp in p["components"]:
-            lines.append(
-                f"component,{comp['type']},h={comp['h']},"
-                + "exponents=" + " ".join(str(e) for e in comp["exponents"])
-            )
-        return "\n".join(lines) + "\n"
-    if kind == "verify":
-        lines = [f"verified,{str(p['verified']).lower()}"]
-        if p.get("timeout"):
-            lines.append("timeout,true")
-        lines += [
-            f"evidence,{k},{str(v).lower()}" for k, v in sorted(p.get("evidence", {}).items())
-        ]
-        lines += [f"mismatch,{k},{l},{a},{b}" for k, l, a, b in p.get("mismatches", ())]
-        return "\n".join(lines) + "\n"
-    lines = [f"{r['spec']},{str(r['verified']).lower()}" for r in p["results"]]
-    return "\n".join(lines) + "\n"
+        body = "\\\\\n".join("&".join(map(str, row)) for row in rows)
+        return "\\begin{bmatrix}\n" + body + "\n\\end{bmatrix}\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 # --------------------------------------------------------------------------
@@ -117,9 +71,9 @@ def _emit_csv(kind: str, p: dict) -> str:
 def cmd_ftriangle(args) -> int:
     spec = parse_spec(args.spec)
     n = spec.rank
-    rows = f_triangle(spec).dense_rows(n)
-    payload = {"n": n, "f": [row[: n + 1 - k] for k, row in enumerate(rows)]}
-    print(_emit(str(spec), "ftriangle", args.format, payload), end="")
+    dense = f_triangle(spec).dense_rows(n)
+    payload = {"n": n, "f": [row[: n + 1 - k] for k, row in enumerate(dense)]}
+    print(_emit(str(spec), "ftriangle", args.format, payload, payload["f"]), end="")
     return EXIT_OK
 
 
@@ -131,7 +85,11 @@ def cmd_fvector(args) -> int:
         "f_positive": list(positive_f_vector(spec)),
         "f_natural": list(natural_f_vector(spec)),
     }
-    print(_emit(str(spec), "fvector", args.format, payload), end="")
+    if args.format == "tex":
+        rows = [payload["f"]]
+    else:
+        rows = [[key, *payload[key]] for key in ("f", "f_positive", "f_natural")]
+    print(_emit(str(spec), "fvector", args.format, payload, rows), end="")
     return EXIT_OK
 
 
@@ -144,7 +102,7 @@ def cmd_mtriangle(args) -> int:
         "coxeter_order": list(lat.coxeter_order),
         "m": lat.m_triangle.dense_rows(lat.n),
     }
-    print(_emit(str(spec), "mtriangle", args.format, payload), end="")
+    print(_emit(str(spec), "mtriangle", args.format, payload, payload["m"]), end="")
     return EXIT_OK
 
 
@@ -169,7 +127,13 @@ def cmd_invariants(args) -> int:
         "zeta": [str(Fraction(c, forms.group_order)) for c in forms.zeta],
         "h_vector": list(h_vector(spec)),
     }
-    print(_emit(str(spec), "invariants", args.format, payload), end="")
+    rows = [[key, payload[key]] for key in ("cardinality", "mobius")]
+    rows += [[key, " ".join(map(str, payload[key]))] for key in ("zeta", "h_vector")]
+    rows += [
+        ["component", c["type"], f"h={c['h']}", "exponents=" + " ".join(map(str, c["exponents"]))]
+        for c in payload["components"]
+    ]
+    print(_emit(str(spec), "invariants", args.format, payload, rows), end="")
     return EXIT_OK
 
 
@@ -195,7 +159,12 @@ def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     order, cache_dir = _parse_order(args.coxeter_order), _cache_dir(args.cache_dir)
     payload, code = _verify_payload(spec, order, args.max_seconds, cache_dir, args.timings)
-    print(_emit(str(spec), "verify", args.format, payload), end="")
+    rows = [["verified", str(payload["verified"]).lower()]]
+    if payload["timeout"]:
+        rows.append(["timeout", "true"])
+    rows += [["evidence", k, str(v).lower()] for k, v in sorted(payload.get("evidence", {}).items())]
+    rows += [["mismatch", *m] for m in payload.get("mismatches", ())]
+    print(_emit(str(spec), "verify", args.format, payload, rows), end="")
     return code
 
 
@@ -236,7 +205,8 @@ def cmd_sweep(args) -> int:
     for line in errors:
         print(line, file=sys.stderr)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
-    print(_emit(" ".join(map(str, specs)), "sweep", args.format, payload), end="")
+    rows = [[e["spec"], str(e["verified"]).lower()] for e in entries]
+    print(_emit(" ".join(map(str, specs)), "sweep", args.format, payload, rows), end="")
     for worst in (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_TIMEOUT):
         if worst in codes:
             return worst

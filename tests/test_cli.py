@@ -155,7 +155,7 @@ class TestVerifyCommand:
     def test_timeout_partial_report_csv(self, capsys):
         code, out = run_cli(capsys, "verify", "A9", "--max-seconds", "0", "--format", "csv")
         assert code == EXIT_TIMEOUT
-        assert "timeout,true" in out
+        assert out == "verified,false\ntimeout,true\n"
 
     def test_timeout_bounds_the_stages_before_the_search(self, capsys):
         # A60 has 1830 roots: its root closure, E_c beta_t per root and the z
@@ -323,11 +323,17 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert out == "A1,true\nA2,true\n"
 
-    def test_sweep_timeout_exit(self, capsys):
+    def test_sweep_timeout_exit(self, capsys, monkeypatch):
+        # as in a fresh process: A1's lattice, if an earlier test built it,
+        # would verify from the memo before a zero budget is checked
+        monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
         code, out = run_cli(capsys, "sweep", "A1", "A9", "--max-seconds", "0")
         assert code == EXIT_TIMEOUT
         payload = json.loads(out)["payload"]
         assert payload["results"][1]["timeout"] is True
+        code, out = run_cli(capsys, "sweep", "A1", "A9", "--max-seconds", "0", "--format", "csv")
+        assert code == EXIT_TIMEOUT
+        assert out == "A1,false\nA9,false\n"
 
     def test_internal_error_is_isolated_per_spec(self, capsys, monkeypatch):
         real = cli.load_or_build_lattice
@@ -349,6 +355,9 @@ class TestSweepCommand:
             "report": {"verified": False, "timeout": False, "error": "internal: doctored lattice"},
         }
         assert run_cli.last_err == "error: internal: A2: doctored lattice\n"
+        code, out = run_cli(capsys, "sweep", "A1", "A2", "--format", "csv")
+        assert code == EXIT_INTERNAL
+        assert out == "A1,true\nA2,false\n"
 
     def test_jobs_1_changes_nothing(self, capsys, monkeypatch):
         # the benchmark's product_sweep passes --jobs 1: the same stdout,
