@@ -1,22 +1,19 @@
-"""Persistent JSON cache for noncrossing partition lattices.
+"""Lattice files: each built lattice saved as JSON, and compared, never loaded.
 
 One file per lattice, keyed by canonical spec string, Coxeter ordering, and
-schema version 5; writes go through a temp file and an atomic rename so a
-killed run never leaves a truncated cache.  The file holds the spec, the
-Coxeter order, the element masks and their ranks, and nothing else: the
-masks carry the order relation, the rank of the lattice is the spec's, and
-the Moebius row and M-triangle are derived in one pass on load by the same
-``weyl.lattice_from_masks`` a build uses, so a loaded lattice is the same
-value as a freshly built one and passes the same checks.  A file is
-trusted only if it parses, has schema version 5, names the requested spec
-and order, holds JSON integers (not 2.0, not true) wherever the lattice
-holds an int, and passes ``weyl.lattice_from_masks``, which checks the
-masks and ranks against each other and the counts of the order they give
-against the closed forms; any other file is a miss, and the rebuilt
-lattice replaces it.  Every single-bit mask edit fails a check, but an edit
-that keeps every check is trusted, and M is derived from the order it gives.
+schema version 5; it holds the spec, the Coxeter order, the element masks
+and their ranks, and nothing else.  The lattice always comes from the
+search, ``weyl.nc_lattice``, so M is computed from [1, c] itself.  With a
+cache dir, the file there is then read as bytes and compared with the bytes
+that saving the built lattice would write: an equal file is a hit and is
+left as it is, and any other file, or none, is a miss, which the built
+lattice's file replaces.  No byte read from disk reaches an ``NCLattice``,
+so a doctored file can cost a write but never change a result.  Writes go
+through a temp file and an atomic rename, so a killed run never leaves a
+truncated file; a write that fails is a usage error (``SpecError``) naming
+the file.
 
-F-triangles are not cached: the node-deletion recursion takes milliseconds
+F-triangles are not saved: the node-deletion recursion takes milliseconds
 even for E8.
 """
 
@@ -25,23 +22,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import chain
 from pathlib import Path
 
-from .cartan import RootSystemSpec, as_spec, parse_spec
-from .errors import Deadline, InvariantViolation, NO_DEADLINE
-from .weyl import NCLattice, lattice_from_masks, nc_lattice, node_order
+from .errors import Deadline, NO_DEADLINE, SpecError
+from .weyl import NCLattice, nc_lattice
 
 SCHEMA_VERSION = 5
+
+
+def _file_bytes(doc: dict) -> bytes:
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def atomic_write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            # json.dumps runs the C encoder; json.dump always runs the Python one
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_file_bytes(doc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,12 +48,12 @@ def atomic_write_json(path: Path, doc: dict) -> None:
         raise
 
 
-def _lattice_path(cache_dir: Path, spec: RootSystemSpec, order: tuple[int, ...]) -> Path:
-    order_tag = "-".join(str(i) for i in order)
-    return cache_dir / f"lattice__{spec}__order_{order_tag}__v{SCHEMA_VERSION}.json"
+def _lattice_path(cache_dir: Path, lat: NCLattice) -> Path:
+    order_tag = "-".join(str(i) for i in lat.coxeter_order)
+    return cache_dir / f"lattice__{lat.spec}__order_{order_tag}__v{SCHEMA_VERSION}.json"
 
 
-def lattice_to_doc(lat: NCLattice) -> dict:
+def _lattice_doc(lat: NCLattice) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "spec": str(lat.spec),
@@ -64,28 +63,12 @@ def lattice_to_doc(lat: NCLattice) -> dict:
     }
 
 
-def _require_ints(values) -> None:
-    """Raise ValueError unless every value is a JSON integer: 2.0 and true
-    equal an int in Python but are not one."""
-    if not set(map(type, values)) <= {int}:
-        raise ValueError("a cache entry is not an integer")
-
-
-def lattice_from_doc(doc: dict, deadline: Deadline = NO_DEADLINE) -> NCLattice:
-    version = doc["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValueError(f"cache schema version {version!r}, expected {SCHEMA_VERSION}")
-    spec = parse_spec(doc["spec"])
-    order, elements, ranks = doc["coxeter_order"], doc["elements"], doc["ranks"]
-    _require_ints(chain(order, elements, ranks))
-    return lattice_from_masks(spec, order, elements, ranks, deadline)
-
-
-# what reading a missing, truncated, foreign or doctored file can raise: I/O,
-# JSON, spec and schema version errors (ValueError), a document of the wrong
-# shape (LookupError, TypeError, AttributeError), and a lattice that fails a
-# check of ``weyl.lattice_from_masks``
-_UNTRUSTED = (OSError, ValueError, LookupError, TypeError, AttributeError, InvariantViolation)
+def lattice_from_doc(data: bytes, lat: NCLattice) -> NCLattice:
+    """``lat``, the built lattice, if ``data`` are the bytes of its file;
+    else ValueError.  A call that returns is a cache hit."""
+    if data != _file_bytes(_lattice_doc(lat)):
+        raise ValueError(f"the file is not the lattice file of {lat.spec}")
+    return lat
 
 
 def load_or_build_lattice(
@@ -94,20 +77,19 @@ def load_or_build_lattice(
     cache_dir: str | os.PathLike | None = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """The lattice of ``spec`` and ``coxeter_order``, read from ``cache_dir``
-    when a trusted file is there, else built and written there."""
-    spec = as_spec(spec)
-    order = node_order(spec.rank, coxeter_order)
+    """The lattice of ``spec`` and ``coxeter_order``, built by the search;
+    its file in ``cache_dir`` is written unless it already holds these
+    bytes, and a failed write raises SpecError."""
+    lat = nc_lattice(spec, coxeter_order, deadline=deadline)
     if cache_dir is None:
-        return nc_lattice(spec, order, deadline=deadline)
-    path = _lattice_path(Path(cache_dir), spec, order)
+        return lat
+    path = _lattice_path(Path(cache_dir), lat)
     try:
-        with open(path) as fh:
-            lat = lattice_from_doc(json.load(fh), deadline)
-        if (lat.spec, lat.coxeter_order) == (spec, order):
-            return lat
-    except _UNTRUSTED:
+        return lattice_from_doc(path.read_bytes(), lat)
+    except (OSError, ValueError):
         pass
-    lat = nc_lattice(spec, order, deadline=deadline)
-    atomic_write_json(path, lattice_to_doc(lat))
+    try:
+        atomic_write_json(path, _lattice_doc(lat))
+    except OSError as exc:
+        raise SpecError(f"cannot write the lattice file {str(path)!r}: {exc.strerror or exc}") from None
     return lat

@@ -12,7 +12,10 @@ process, each with its own ``--max-seconds`` budget; it reports an internal
 error as that spec's entry, goes on, and exits 4.
 
 ``--cache-dir`` exists on the commands that need a lattice (mtriangle,
-verify, sweep) and persists lattices only.
+verify, sweep) and saves each lattice's file there, unless the file already
+holds the same bytes; the lattice itself always comes from the search, so
+the flag changes no output.  A file that cannot be written is a usage error
+(2), in ``sweep`` too.
 
 Every command is deterministic: the same invocation produces byte-identical
 output, warm or cold cache.  Timings are therefore only emitted under
@@ -186,6 +189,8 @@ def cmd_sweep(args) -> int:
     for spec in specs:
         try:
             payload, code = _verify_payload(spec, None, args.max_seconds, cache_dir, False)
+        except SpecError:
+            raise
         except Exception as exc:
             # an internal error becomes this spec's report; its stderr line
             # waits, so every traceback comes before every error line

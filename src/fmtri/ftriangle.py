@@ -45,11 +45,6 @@ def _validate_fvector(n: int, coeffs: tuple, origin: str) -> tuple[int, ...]:
     return coeffs
 
 
-def _bc_normalized(t: CartanType) -> CartanType:
-    # B_n and C_n share the Coxeter graph and h, hence the same triangle
-    return CartanType("B", t.rank) if t.family == "C" else t
-
-
 @lru_cache(maxsize=None)
 def _f_triangle_irreducible(t: CartanType) -> BivarPoly:
     rate = BivarPoly.zero()
@@ -68,7 +63,7 @@ def f_triangle(spec) -> BivarPoly:
     spec = as_spec(spec)
     p = BivarPoly.constant(1)
     for t in spec.components:
-        p = p * _f_triangle_irreducible(_bc_normalized(t))
+        p = p * _f_triangle_irreducible(t)
     return _validate_triangle(p, f"f_triangle({spec})")
 
 

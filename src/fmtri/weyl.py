@@ -22,12 +22,13 @@ needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  The
 masks are the order: a <= b iff F(b) is a subset of F(a).  An ``NCLattice``
 keeps its masks in (rank, mask) order, ranks and the M-triangle, and
-nothing else.  ``lattice_from_masks`` is its one constructor: a build and a
-cache load both hand it masks and ranks, and it checks them against each
-other and the order they give against the closed forms before it derives
-M.  The M-triangle needs only the first Moebius row mu(1, .): every interval
-[a, b] of [1, c] is isomorphic to [1, a^-1 b], so mu(a, b) is a value of that
-row, and one pass over the down-sets derives the row and M together.
+nothing else.  ``lattice_from_masks`` is its one constructor, and the
+search its one caller: no mask or rank read from disk reaches it.  It checks
+the ranks against the order the masks give, and that order against the
+closed forms, before it derives M.  The M-triangle needs only the first
+Moebius row mu(1, .): every interval [a, b] of [1, c] is isomorphic to
+[1, a^-1 b], so mu(a, b) is a value of that row, and one pass over the
+down-sets derives the row and M together.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class NCLattice(NamedTuple):
 
     ``elements`` are the masks F(a) sorted by (rank, mask), so index order
     refines rank order, element 0 is the identity (every bit set) and
-    element -1 is c (mask 0).  The masks carry the whole order relation, for
-    fresh and cache-loaded lattices alike: a <= b iff F(b) lies inside F(a).
+    element -1 is c (mask 0).  The masks carry the whole order relation:
+    a <= b iff F(b) lies inside F(a).  Every lattice is built by the search.
     ``m_triangle`` is M(x, y) = sum over a <= b of mu(a, b) x^rank(b)
     y^rank(a), derived from the masks by ``lattice_from_masks``; its y^0
     column holds the sums of mu(1, b) by rank.  The rank n of the lattice is
@@ -255,17 +256,17 @@ def lattice_from_masks(
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
     """The lattice with these element masks and ranks, and the M-triangle
-    they give; the one constructor of ``NCLattice``, for fresh builds and
-    cache loads alike.  Raises InvariantViolation unless the input is
-    consistent with itself and with ``invariant_formulas(spec)``.
+    they give; the one constructor of ``NCLattice``, called by the search
+    alone, which hands it distinct masks in (rank, mask) order from F(1),
+    every bit set, to F(c) = 0.  Raises InvariantViolation unless the order
+    the masks give agrees with the ranks and with ``invariant_formulas(spec)``.
 
     a <= b iff F(b) is a subset of F(a), so the down-set of b is the AND,
     over the t in F(b), of the elements whose mask has bit t.  |L| must be
-    the closed form, every mask in [0, 2^|Phi+|), and the masks distinct and
-    in (rank, mask) order from F(1), every bit set, to F(c) = 0.  The ranks
-    must be the heights: 1 has rank 0 and c rank n, nothing of rank >=
-    rank(b) but b lies below b, and each b != 1 lies above an element of
-    rank rank(b) - 1.  The lower covers summed over b must number the bits
+    the closed form, checked before a rank is read.  The ranks must be the
+    heights: 1 has rank 0 and c rank n, nothing of rank >= rank(b) but b
+    lies below b, and each b != 1 lies above an element of rank
+    rank(b) - 1.  The lower covers summed over b must number the bits
     of the masks, one upper cover of a per t in F(a); the maximal chains,
     the pairs a <= b and mu(1, c) must be the closed forms.  The row
     mu(1, .) needs no check: 1 is alone at rank 0, and F(c) = 0 puts every
@@ -293,25 +294,13 @@ def lattice_from_masks(
     forms = invariant_formulas(spec)
     if size != forms.cardinality:
         raise InvariantViolation(f"{spec}: |L| = {size}, expected {forms.cardinality}")
-    roots = sum(num_positive_roots(t) for t in spec.components)
-    full = (1 << roots) - 1
-    if not all(0 <= f <= full for f in elements):
-        raise InvariantViolation(f"{spec}: a mask lies outside [0, 2^{roots})")
-    keys = list(zip(ranks, elements))
-    if (
-        len(ranks) != size
-        or len(set(elements)) != size
-        or any(k0 >= k1 for k0, k1 in zip(keys, keys[1:]))
-        or (elements[0], elements[-1]) != (full, 0)
-    ):
-        raise InvariantViolation(f"{spec}: masks are not distinct, sorted, from F(1) to F(c)")
     heights = InvariantViolation(f"{spec}: ranks are not the heights of the elements")
     if (ranks[0], ranks[-1]) != (0, n):
         raise heights
     # index order refines rank order: level r is the index range
     # start[r]..start[r + 1]
     start = [bisect_left(ranks, r) for r in range(n + 2)]
-    holders = _holders(elements, roots, deadline)
+    holders = _holders(elements, elements[0].bit_length(), deadline)
     everyone = (1 << size) - 1
 
     rows = [[0] * (n + 1) for _ in range(n + 1)]

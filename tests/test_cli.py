@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmtri
-from fmtri import cache, cli, conjecture, weyl
-from fmtri.cache import lattice_from_doc, lattice_to_doc, load_or_build_lattice
+from fmtri import cli, conjecture, weyl
+from fmtri.cache import lattice_from_doc, load_or_build_lattice
 from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
 from fmtri.errors import InvariantViolation
@@ -397,11 +397,19 @@ class TestDeterminismAndCache:
         assert cold == warm
 
     def test_lattice_cache_round_trip(self, tmp_path):
-        # the masks carry the order relation and the Moebius row is derived
-        # from them again, so a loaded lattice is the same value as a fresh one
-        for s in ["A3", "B3", "D4", "A2xA1"]:
-            lat = nc_lattice(s)
-            assert lattice_from_doc(lattice_to_doc(lat)) == lat
+        # a lattice's file compares equal to the built lattice, which is
+        # returned as it is, and the file of any other spec or order does not
+        lats = [nc_lattice(s) for s in ["A3", "B3", "D4", "A2xA1"]] + [nc_lattice("A3", (3, 2, 1))]
+        files = []
+        for i, lat in enumerate(lats):
+            assert load_or_build_lattice(lat.spec, lat.coxeter_order, tmp_path / str(i)) is lat
+            files.append(next((tmp_path / str(i)).iterdir()).read_bytes())
+        for lat, own in zip(lats, files):
+            assert lattice_from_doc(own, lat) is lat
+            for data in files:
+                if data != own:
+                    with pytest.raises(ValueError):
+                        lattice_from_doc(data, lat)
 
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
@@ -425,38 +433,49 @@ class TestDeterminismAndCache:
         args = ("verify", "A3", "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
         path = next(tmp_path.iterdir())
-        path.write_bytes(path.read_bytes()[:200])
+        fresh = path.read_bytes()
+        path.write_bytes(fresh[:200])
         code, out = run_cli(capsys, *args)
         assert code == EXIT_OK
         assert out == cold
-        assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
+        assert path.read_bytes() == fresh
 
     def test_lattice_file_of_another_spec_is_rebuilt(self, tmp_path):
         # a parseable file that names the wrong spec is a miss, not a verdict
         load_or_build_lattice("A3", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
-        path.write_text(json.dumps(lattice_to_doc(nc_lattice("A2xA1"))))
+        fresh = path.read_bytes()
+        load_or_build_lattice("A2xA1", cache_dir=tmp_path / "other")
+        path.write_bytes(next((tmp_path / "other").iterdir()).read_bytes())
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
-        assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
+        assert path.read_bytes() == fresh
 
     def test_lattice_file_failing_the_invariants_is_rebuilt(self, tmp_path):
         load_or_build_lattice("A3", cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
-        doc = json.loads(path.read_text())
+        fresh = path.read_bytes()
+        doc = json.loads(fresh)
         # atom 2 loses its lowest bit, and with it one of the elements of
         # rank 2 above it, so the maximal chains are one fewer
         doc["elements"][2] &= doc["elements"][2] - 1
         path.write_text(json.dumps(doc))
         assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
-        assert lattice_from_doc(json.loads(path.read_text())) == nc_lattice("A3")
+        assert path.read_bytes() == fresh
 
-    def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self):
-        # the holders of each bit take |L| |Phi+| bits, so |L| is checked
-        # before a rank is read
-        doc = lattice_to_doc(nc_lattice("A3"))
+    def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self, tmp_path):
+        # a file with one element more is refused by the compare, so no
+        # lattice is derived from it
+        lat = load_or_build_lattice("A3", cache_dir=tmp_path)
+        fresh = next(tmp_path.iterdir()).read_bytes()
+        doc = json.loads(fresh)
         doc["elements"].append(0)
-        with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
-            lattice_from_doc(doc)
+        longer = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert len(longer) == len(fresh) + 2
+        with pytest.raises(ValueError):
+            lattice_from_doc(longer.encode(), lat)
+
+        # the holders of each bit take |L| |Phi+| bits, so the constructor
+        # checks |L| before a rank is read
 
         def unread(*_args):
             raise AssertionError("read the ranks of a lattice of the wrong size")
@@ -470,7 +489,7 @@ class TestDeterminismAndCache:
     @pytest.mark.parametrize(
         "edit",
         [
-            "mask_repeated", "mask_float", "rank_bool", "mask_bit", "rank_1",
+            "mask_repeated", "mask_float", "rank_bool", "mask_bit", "rank_1", "mask_trade",
             "schema_1", "schema_2", "schema_3", "schema_4", "schema_float", "order_float",
         ],
     )
@@ -496,6 +515,12 @@ class TestDeterminismAndCache:
             doc["elements"][1] ^= 1
         elif edit == "rank_1":
             doc["ranks"][1] = 2
+        elif edit == "mask_trade":
+            # atom 2 trades bits: 11 (0b001011) becomes 14 (0b001110).  The
+            # masks then give an order isomorphic to the lattice's, with the
+            # same counts and the same M, yet they are not the lattice's
+            assert doc["elements"][2] == 11
+            doc["elements"][2] = 14
         elif edit == "schema_float":
             # 5.0 == 5 in Python, but the schema version is a JSON integer
             doc["schema_version"] = 5.0
@@ -504,7 +529,8 @@ class TestDeterminismAndCache:
             doc["schema_version"] = int(edit[-1])
         else:
             doc["coxeter_order"] = [float(i) for i in doc["coxeter_order"]]
-        path.write_text(json.dumps(doc))
+        # written as a save writes it, so only the edit differs from the fresh file
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         code, out = run_cli(capsys, *args)
         assert code == EXIT_OK
         assert out == cold
@@ -514,7 +540,7 @@ class TestDeterminismAndCache:
     @given(spec=st.sampled_from(["A3", "B3"]), data=st.data())
     def test_one_changed_integer_keeps_the_cold_output(self, spec, data):
         # any one integer of the file off by one, or made a float or a bool:
-        # the file is a miss, or it still describes the same lattice
+        # the file is a miss, and the built lattice's file replaces it
         cold, name, fresh = cold_run_and_cache_file(spec)
         doc = json.loads(fresh)
         keys = ["schema_version", "coxeter_order", "elements", "ranks"]
@@ -528,33 +554,36 @@ class TestDeterminismAndCache:
             st.sampled_from([holder[at] + 1, holder[at] - 1, float(holder[at])]) | st.booleans()
         )
         with tempfile.TemporaryDirectory() as cache_dir:
-            (Path(cache_dir) / name).write_text(json.dumps(doc))
+            path = Path(cache_dir) / name
+            path.write_text(json.dumps(doc))
             code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
-        assert (code, out) == (EXIT_OK, cold)
+            assert (code, out) == (EXIT_OK, cold)
+            assert path.read_text() == fresh
 
     @settings(max_examples=200, deadline=None)
     @given(spec=st.sampled_from(["A3", "B3"]), data=st.data())
     def test_one_corrupted_byte_keeps_the_cold_output(self, spec, data):
         # one byte deleted, inserted, or overwritten with a byte of JSON's
-        # numbers and structure: the file is a miss, or it still describes
-        # the same lattice
+        # numbers and structure: the file is a miss and is replaced, or the
+        # byte was the one already there
         cold, name, fresh = cold_run_and_cache_file(spec)
         edit = data.draw(st.sampled_from(["delete", "insert", "overwrite"]))
         at = data.draw(st.integers(0, len(fresh) - 1))
         byte = "" if edit == "delete" else data.draw(st.sampled_from('0123456789-,[]{}":.e'))
         text = fresh[:at] + byte + fresh[at + (edit != "insert") :]
         with tempfile.TemporaryDirectory() as cache_dir:
-            (Path(cache_dir) / name).write_text(text)
+            path = Path(cache_dir) / name
+            path.write_text(text)
             code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
-        assert (code, out) == (EXIT_OK, cold)
+            assert (code, out) == (EXIT_OK, cold)
+            assert path.read_text() == fresh
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.sampled_from(["A3", "B3", "D4"]), data=st.data())
     def test_one_flipped_mask_bit_is_rebuilt(self, spec, data):
         # one bit of one element's mask flips, up to and including bit
-        # |Phi+|, which names no reflection: the masks then give another
-        # order or none, the file is a miss, and the rebuilt lattice
-        # replaces it
+        # |Phi+|, which names no reflection: the file is a miss, and the
+        # built lattice's file replaces it
         cold, name, fresh = cold_run_and_cache_file(spec)
         doc = json.loads(fresh)
         elements = doc["elements"]
@@ -567,9 +596,11 @@ class TestDeterminismAndCache:
             assert (code, out) == (EXIT_OK, cold)
             assert path.read_text() == fresh
 
-    def test_warm_hit_respects_the_time_budget(self, capsys, tmp_path):
+    def test_warm_hit_respects_the_time_budget(self, capsys, tmp_path, monkeypatch):
         args = ("verify", "E7", "--cache-dir", str(tmp_path))
         assert run_cli(capsys, *args)[0] == EXIT_OK
+        # as in a fresh process: a hit builds the lattice, unless the memo holds it
+        monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
         code, out = run_cli(capsys, *args, "--max-seconds", "0")
         assert code == EXIT_TIMEOUT
         assert json.loads(out)["payload"]["timeout"] is True
@@ -595,7 +626,8 @@ class TestDeterminismAndCache:
     def test_each_lattice_builds_its_down_sets_once(self, capsys, tmp_path, monkeypatch):
         # lattice_from_masks builds the down-sets, and one pass over them
         # gives the Moebius row and M together; it takes the closed forms
-        # once.  This holds for a fresh build and a cache load alike
+        # once.  Every run builds its lattice once, so this holds with no
+        # cache dir, and with a cold or a warm one
         calls = []
 
         def counted(name, real):
@@ -607,7 +639,6 @@ class TestDeterminismAndCache:
 
         derive = counted("lattice_from_masks", weyl.lattice_from_masks)
         monkeypatch.setattr(weyl, "lattice_from_masks", derive)
-        monkeypatch.setattr(cache, "lattice_from_masks", derive)
         monkeypatch.setattr(
             weyl, "invariant_formulas", counted("invariant_formulas", weyl.invariant_formulas)
         )
@@ -685,6 +716,18 @@ class TestUsage:
         assert run_cli.last_err == message
         assert list(tmp_path.iterdir()) == [path]
         assert path.is_symlink() or path.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
+    def test_lattice_file_that_cannot_be_written_is_usage_error(self, capsys, tmp_path, command):
+        # a directory at the lattice file's path: the rename onto it fails,
+        # which is one line naming the file and no traceback, and sweep
+        # reports it as a usage error too, not as the spec's internal error
+        path = tmp_path / "lattice__A2__order_1-2__v5.json"
+        path.mkdir()
+        assert run_cli(capsys, command, "A2", "--cache-dir", str(tmp_path)) == (EXIT_USAGE, "")
+        message = f"error: cannot write the lattice file {str(path)!r}: Is a directory\n"
+        assert run_cli.last_err == message
+        assert list(tmp_path.iterdir()) == [path] and not any(path.iterdir())
 
     @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
     def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, command):

@@ -67,7 +67,10 @@ class TestFTriangle:
         assert triangle_rows(f_triangle("A2"), 2) == [[1, 2, 1], [3, 2], [2]]
 
     def test_c_equals_b(self):
-        assert f_triangle("C4") == f_triangle("B4")
+        # C_n runs its own recursion: its deletions give C_(n-i), not B_(n-i)
+        for n in range(3, 11):
+            assert f_triangle(f"C{n}") == f_triangle(f"B{n}")
+        assert f_triangle("C5xA2") == f_triangle("B5xA2")
 
     def test_multiplicative(self):
         sq = f_triangle("A1")
