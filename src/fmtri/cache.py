@@ -1,17 +1,18 @@
 """Lattice files: each built lattice saved as JSON, and compared, never loaded.
 
-One file per lattice, keyed by canonical spec string, Coxeter ordering, and
-schema version 5; it holds the spec, the Coxeter order, the element masks
-and their ranks, and nothing else.  The lattice always comes from the
-search, ``weyl.nc_lattice``, so M is computed from [1, c] itself.  With a
-cache dir, the file there is then read as bytes and compared with the bytes
-that saving the built lattice would write: an equal file is a hit and is
-left as it is, and any other file, or none, is a miss, which the built
-lattice's file replaces.  No byte read from disk reaches an ``NCLattice``,
-so a doctored file can cost a write but never change a result.  Writes go
-through a temp file and an atomic rename, so a killed run never leaves a
-truncated file; a write that fails is a usage error (``SpecError``) naming
-the file.
+``fmtri verify --cache-dir`` is the one command that writes them.  One file
+per lattice, keyed by canonical spec string, Coxeter ordering, and schema
+version 5; it holds the spec, the Coxeter order, the element masks and their
+ranks, and nothing else.  The lattice always comes from the search,
+``weyl.nc_lattice``, so M is computed from [1, c] itself.  With a cache dir,
+the file there is then read as bytes, if it is a regular file of the size a
+save would write, and compared with those bytes: an equal file is a hit and
+is left as it is, and anything else at the path (no file, another file, a
+FIFO) is a miss, which the built lattice's file replaces.  No byte read from
+disk reaches an ``NCLattice``, so a doctored file can cost a write but never
+change a result.  Writes go through a temp file and an atomic rename, so a
+killed run never leaves a truncated file; a write that fails is a usage
+error (``SpecError``) naming the file.
 
 F-triangles are not saved: the node-deletion recursion takes milliseconds
 even for E8.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -84,12 +86,17 @@ def load_or_build_lattice(
     if cache_dir is None:
         return lat
     path = _lattice_path(Path(cache_dir), lat)
+    doc = _lattice_doc(lat)
     try:
-        return lattice_from_doc(path.read_bytes(), lat)
+        # only a regular file of the saved size is read: a FIFO or a device
+        # at the path would block the read, and any other size is a miss
+        found = os.stat(path)
+        if stat.S_ISREG(found.st_mode) and found.st_size == len(_file_bytes(doc)):
+            return lattice_from_doc(path.read_bytes(), lat)
     except (OSError, ValueError):
         pass
     try:
-        atomic_write_json(path, _lattice_doc(lat))
+        atomic_write_json(path, doc)
     except OSError as exc:
         raise SpecError(f"cannot write the lattice file {str(path)!r}: {exc.strerror or exc}") from None
     return lat

@@ -11,11 +11,11 @@ or any unexpected exception).  ``sweep`` verifies its specs in turn, in this
 process, each with its own ``--max-seconds`` budget; it reports an internal
 error as that spec's entry, goes on, and exits 4.
 
-``--cache-dir`` exists on the commands that need a lattice (mtriangle,
-verify, sweep) and saves each lattice's file there, unless the file already
-holds the same bytes; the lattice itself always comes from the search, so
-the flag changes no output.  A file that cannot be written is a usage error
-(2), in ``sweep`` too.
+``--cache-dir`` exists on ``verify`` only, which keeps it because the
+benchmark passes it: it saves the lattice's file there, unless the file
+already holds the same bytes.  The lattice itself always comes from the
+search, so the flag changes no output.  A file that cannot be written is a
+usage error (2).
 
 Every command is deterministic: the same invocation produces byte-identical
 output, warm or cold cache.  Timings are therefore only emitted under
@@ -35,7 +35,7 @@ from .cartan import invariants, parse_spec
 from .conjecture import verify_conjecture
 from .errors import ComputationTimeout, Deadline, InvariantViolation, SpecError
 from .ftriangle import f_triangle, f_vector, h_vector, natural_f_vector, positive_f_vector
-from .weyl import invariant_formulas
+from .weyl import invariant_formulas, nc_lattice
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -98,8 +98,7 @@ def cmd_fvector(args) -> int:
 
 def cmd_mtriangle(args) -> int:
     spec = parse_spec(args.spec)
-    order, cache_dir = _parse_order(args.coxeter_order), _cache_dir(args.cache_dir)
-    lat = load_or_build_lattice(spec, order, cache_dir)
+    lat = nc_lattice(spec, _parse_order(args.coxeter_order))
     payload = {
         "n": lat.n,
         "coxeter_order": list(lat.coxeter_order),
@@ -184,13 +183,10 @@ def _internal_error(exc: Exception) -> str:
 
 def cmd_sweep(args) -> int:
     specs = [parse_spec(s) for s in args.specs]
-    cache_dir = _cache_dir(args.cache_dir)
     entries, codes, errors = [], [], []
     for spec in specs:
         try:
-            payload, code = _verify_payload(spec, None, args.max_seconds, cache_dir, False)
-        except SpecError:
-            raise
+            payload, code = _verify_payload(spec, None, args.max_seconds, None, False)
         except Exception as exc:
             # an internal error becomes this spec's report; its stderr line
             # waits, so every traceback comes before every error line
@@ -269,11 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tex=False, cache_flag=False, order_flag=False, seconds_flag=False):
+    def common(p, tex=False, order_flag=False, seconds_flag=False):
         formats = ("json", "tex", "csv") if tex else ("json", "csv")
         p.add_argument("--format", choices=formats, default="json")
-        if cache_flag:
-            p.add_argument("--cache-dir", default=None, help="directory for JSON lattice caches")
         if order_flag:
             p.add_argument(
                 "--coxeter-order",
@@ -295,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mtriangle", help="print the M-triangle of the noncrossing partition lattice")
     p.add_argument("spec")
-    common(p, tex=True, cache_flag=True, order_flag=True)
+    common(p, tex=True, order_flag=True)
     p.set_defaults(fn=cmd_mtriangle)
 
     p = sub.add_parser("invariants", help="print closed-form lattice invariants")
@@ -305,13 +299,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the F/M change-of-variables identity for one spec")
     p.add_argument("spec")
-    common(p, cache_flag=True, order_flag=True, seconds_flag=True)
+    common(p, order_flag=True, seconds_flag=True)
+    p.add_argument("--cache-dir", default=None, help="directory for JSON lattice caches")
     p.add_argument("--timings", action="store_true", help="JSON-only timings (breaks byte-reproducibility)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a list of specs; exit 0 only if all pass")
     p.add_argument("specs", nargs="+")
-    common(p, cache_flag=True, seconds_flag=True)
+    common(p, seconds_flag=True)
     p.add_argument(
         "--jobs", type=int, choices=(1,), default=1, help="only 1: the specs are verified in turn"
     )

@@ -160,7 +160,7 @@ def test_criterion_4_lattice_formulas(lattice_store):
         assert e6_time < 600.0, f"E6 build took {e6_time:.2f}s"
 
 
-def test_criterion_5_conjecture_verification(lattice_store, tmp_path):
+def test_criterion_5_conjecture_verification(lattice_store):
     desc = "change-of-variables identity verified exactly across the sweep"
     with criterion(5, desc):
         for s in CONJECTURE_SPECS:
@@ -179,7 +179,7 @@ def test_criterion_5_conjecture_verification(lattice_store, tmp_path):
 
         sweep_out = io.StringIO()
         with redirect_stdout(sweep_out):
-            code = main(["sweep", *CONJECTURE_SPECS, "--cache-dir", str(tmp_path)])
+            code = main(["sweep", *CONJECTURE_SPECS])
         assert code == EXIT_OK
         assert json.loads(sweep_out.getvalue())["payload"]["all_verified"] is True
 

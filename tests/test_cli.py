@@ -1,19 +1,15 @@
-import functools
 import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fmtri
-from fmtri import cli, conjecture, weyl
+from fmtri import cache, cli, conjecture, weyl
 from fmtri.cache import lattice_from_doc, load_or_build_lattice
 from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
@@ -428,173 +424,76 @@ class TestDeterminismAndCache:
         assert path.stat().st_mtime_ns == stamp
         assert lat2 == lat1 and lat2.m_triangle == lat1.m_triangle
 
-    def test_truncated_lattice_file_is_rebuilt(self, capsys, tmp_path):
-        _, cold = run_cli(capsys, "verify", "A3")
-        args = ("verify", "A3", "--cache-dir", str(tmp_path))
-        run_cli(capsys, *args)
-        path = next(tmp_path.iterdir())
-        fresh = path.read_bytes()
-        path.write_bytes(fresh[:200])
-        code, out = run_cli(capsys, *args)
-        assert code == EXIT_OK
-        assert out == cold
-        assert path.read_bytes() == fresh
-
-    def test_lattice_file_of_another_spec_is_rebuilt(self, tmp_path):
-        # a parseable file that names the wrong spec is a miss, not a verdict
-        load_or_build_lattice("A3", cache_dir=tmp_path)
-        path = next(tmp_path.iterdir())
-        fresh = path.read_bytes()
-        load_or_build_lattice("A2xA1", cache_dir=tmp_path / "other")
-        path.write_bytes(next((tmp_path / "other").iterdir()).read_bytes())
-        assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
-        assert path.read_bytes() == fresh
-
-    def test_lattice_file_failing_the_invariants_is_rebuilt(self, tmp_path):
-        load_or_build_lattice("A3", cache_dir=tmp_path)
-        path = next(tmp_path.iterdir())
-        fresh = path.read_bytes()
-        doc = json.loads(fresh)
-        # atom 2 loses its lowest bit, and with it one of the elements of
-        # rank 2 above it, so the maximal chains are one fewer
-        doc["elements"][2] &= doc["elements"][2] - 1
-        path.write_text(json.dumps(doc))
-        assert load_or_build_lattice("A3", cache_dir=tmp_path) == nc_lattice("A3")
-        assert path.read_bytes() == fresh
-
-    def test_lattice_file_of_the_wrong_size_is_refused_before_derivation(self, tmp_path):
-        # a file with one element more is refused by the compare, so no
-        # lattice is derived from it
-        lat = load_or_build_lattice("A3", cache_dir=tmp_path)
-        fresh = next(tmp_path.iterdir()).read_bytes()
-        doc = json.loads(fresh)
-        doc["elements"].append(0)
-        longer = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        assert len(longer) == len(fresh) + 2
-        with pytest.raises(ValueError):
-            lattice_from_doc(longer.encode(), lat)
-
-        # the holders of each bit take |L| |Phi+| bits, so the constructor
-        # checks |L| before a rank is read
-
-        def unread(*_args):
-            raise AssertionError("read the ranks of a lattice of the wrong size")
-
-        class Unread:
-            __getitem__ = __iter__ = __len__ = unread
-
-        with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
-            weyl.lattice_from_masks(parse_spec("A3"), (1, 2, 3), doc["elements"], Unread())
-
     @pytest.mark.parametrize(
-        "edit",
-        [
-            "mask_repeated", "mask_float", "rank_bool", "mask_bit", "rank_1", "mask_trade",
-            "schema_1", "schema_2", "schema_3", "schema_4", "schema_float", "order_float",
-        ],
+        "edit", ["truncated", "other_spec", "mask_cleared", "mask_trade", "schema_4", "element_added"]
     )
-    def test_doctored_lattice_file_is_rebuilt(self, capsys, tmp_path, edit):
+    def test_lattice_file_that_is_not_the_builds_is_rewritten(self, capsys, tmp_path, monkeypatch, edit):
+        # anything but the build's bytes is a miss, whatever the edit: the
+        # output is the cold one, and the build's file replaces the edited one.
+        # A file of the saved size is read and compared; any other is not read
         _, cold = run_cli(capsys, "verify", "A3")
         args = ("verify", "A3", "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
         path = next(tmp_path.iterdir())
         fresh = path.read_bytes()
         doc = json.loads(fresh)
-        assert doc["ranks"][1] == 1
-        if edit == "mask_repeated":
-            # atom 1 takes the mask of atom 2, so two elements are one
-            doc["elements"][1] = doc["elements"][2]
-        elif edit == "mask_float":
-            # 5.0 == 5 in Python, but a cache file holds JSON integers only
-            doc["elements"][1] = float(doc["elements"][1])
-        elif edit == "rank_bool":
-            # true == 1 in Python: the rank of atom 1 as true
-            doc["ranks"][1] = True
-        elif edit == "mask_bit":
-            # atom 1 gains or loses a reflection, so the order the masks give is off
-            doc["elements"][1] ^= 1
-        elif edit == "rank_1":
-            doc["ranks"][1] = 2
-        elif edit == "mask_trade":
-            # atom 2 trades bits: 11 (0b001011) becomes 14 (0b001110).  The
-            # masks then give an order isomorphic to the lattice's, with the
-            # same counts and the same M, yet they are not the lattice's
-            assert doc["elements"][2] == 11
-            doc["elements"][2] = 14
-        elif edit == "schema_float":
-            # 5.0 == 5 in Python, but the schema version is a JSON integer
-            doc["schema_version"] = 5.0
-        elif edit.startswith("schema_"):
-            # a file of another schema version is a miss even under the current name
-            doc["schema_version"] = int(edit[-1])
+        if edit == "truncated":
+            path.write_bytes(fresh[: len(fresh) // 2])
+        elif edit == "other_spec":
+            # a valid file, as a save writes it, of A2xA1
+            run_cli(capsys, "verify", "A2xA1", "--cache-dir", str(tmp_path / "other"))
+            path.write_bytes(next((tmp_path / "other").iterdir()).read_bytes())
         else:
-            doc["coxeter_order"] = [float(i) for i in doc["coxeter_order"]]
-        # written as a save writes it, so only the edit differs from the fresh file
-        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        code, out = run_cli(capsys, *args)
-        assert code == EXIT_OK
-        assert out == cold
+            if edit == "mask_cleared":
+                # atom 2 loses its lowest bit, and with it one of the elements
+                # of rank 2 above it, so the maximal chains are one fewer
+                doc["elements"][2] &= doc["elements"][2] - 1
+            elif edit == "mask_trade":
+                # atom 2 trades bits: 11 (0b001011) becomes 14 (0b001110).  The
+                # masks then give an order isomorphic to the lattice's, with
+                # the same counts and the same M, yet they are not the lattice's
+                assert doc["elements"][2] == 11
+                doc["elements"][2] = 14
+            elif edit == "schema_4":
+                # a file of another schema version is a miss even under the current name
+                doc["schema_version"] = 4
+            else:
+                # one element more: |L| is off, and so is the size
+                doc["elements"].append(0)
+            # written as a save writes it, so only the edit differs from the fresh file
+            path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        edited = path.read_bytes()
+        assert edited != fresh
+        reads, compare = [], cache.lattice_from_doc
+
+        def read(data, lat):
+            reads.append(data)
+            return compare(data, lat)
+
+        monkeypatch.setattr(cache, "lattice_from_doc", read)
+        assert run_cli(capsys, *args) == (EXIT_OK, cold)
         assert path.read_bytes() == fresh
+        assert reads == ([edited] if len(edited) == len(fresh) else [])
 
-    @settings(max_examples=150, deadline=None)
-    @given(spec=st.sampled_from(["A3", "B3"]), data=st.data())
-    def test_one_changed_integer_keeps_the_cold_output(self, spec, data):
-        # any one integer of the file off by one, or made a float or a bool:
-        # the file is a miss, and the built lattice's file replaces it
-        cold, name, fresh = cold_run_and_cache_file(spec)
-        doc = json.loads(fresh)
-        keys = ["schema_version", "coxeter_order", "elements", "ranks"]
-        key = data.draw(st.sampled_from(keys))
-        if key == "schema_version":
-            holder, at = doc, key
-        else:
-            holder = doc[key]
-            at = data.draw(st.integers(0, len(holder) - 1))
-        holder[at] = data.draw(
-            st.sampled_from([holder[at] + 1, holder[at] - 1, float(holder[at])]) | st.booleans()
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_at_the_lattice_file_path_is_replaced_unread(self, capsys, tmp_path):
+        # opening a FIFO to read it blocks until a writer comes, which would
+        # hang verify past any budget; in a child process, so a hang fails
+        _, cold = run_cli(capsys, "verify", "A2")
+        path = tmp_path / "lattice__A2__order_1-2__v5.json"
+        os.mkfifo(path)
+        src = str(Path(fmtri.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "fmtri.cli", "verify", "A2", "--cache-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=30,
         )
-        with tempfile.TemporaryDirectory() as cache_dir:
-            path = Path(cache_dir) / name
-            path.write_text(json.dumps(doc))
-            code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
-            assert (code, out) == (EXIT_OK, cold)
-            assert path.read_text() == fresh
-
-    @settings(max_examples=200, deadline=None)
-    @given(spec=st.sampled_from(["A3", "B3"]), data=st.data())
-    def test_one_corrupted_byte_keeps_the_cold_output(self, spec, data):
-        # one byte deleted, inserted, or overwritten with a byte of JSON's
-        # numbers and structure: the file is a miss and is replaced, or the
-        # byte was the one already there
-        cold, name, fresh = cold_run_and_cache_file(spec)
-        edit = data.draw(st.sampled_from(["delete", "insert", "overwrite"]))
-        at = data.draw(st.integers(0, len(fresh) - 1))
-        byte = "" if edit == "delete" else data.draw(st.sampled_from('0123456789-,[]{}":.e'))
-        text = fresh[:at] + byte + fresh[at + (edit != "insert") :]
-        with tempfile.TemporaryDirectory() as cache_dir:
-            path = Path(cache_dir) / name
-            path.write_text(text)
-            code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
-            assert (code, out) == (EXIT_OK, cold)
-            assert path.read_text() == fresh
-
-    @settings(max_examples=100, deadline=None)
-    @given(spec=st.sampled_from(["A3", "B3", "D4"]), data=st.data())
-    def test_one_flipped_mask_bit_is_rebuilt(self, spec, data):
-        # one bit of one element's mask flips, up to and including bit
-        # |Phi+|, which names no reflection: the file is a miss, and the
-        # built lattice's file replaces it
-        cold, name, fresh = cold_run_and_cache_file(spec)
-        doc = json.loads(fresh)
-        elements = doc["elements"]
-        at = data.draw(st.integers(0, len(elements) - 1))
-        elements[at] ^= 1 << data.draw(st.integers(0, elements[0].bit_length()))
-        with tempfile.TemporaryDirectory() as cache_dir:
-            path = Path(cache_dir) / name
-            path.write_text(json.dumps(doc))
-            code, out = run_cli(None, "verify", spec, "--cache-dir", cache_dir)
-            assert (code, out) == (EXIT_OK, cold)
-            assert path.read_text() == fresh
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, cold, "")
+        assert path.is_file()
+        run_cli(capsys, "verify", "A2", "--cache-dir", str(tmp_path / "fresh"))
+        assert path.read_bytes() == next((tmp_path / "fresh").iterdir()).read_bytes()
 
     def test_warm_hit_respects_the_time_budget(self, capsys, tmp_path, monkeypatch):
         args = ("verify", "E7", "--cache-dir", str(tmp_path))
@@ -607,11 +506,8 @@ class TestDeterminismAndCache:
 
     def test_no_command_computes_the_whole_moebius_table(self, capsys, tmp_path, monkeypatch):
         def runs(cache_dir):
-            return [
-                run_cli(capsys, command, "B6", "--cache-dir", str(cache_dir / command))
-                for command in ("verify", "mtriangle")
-                for _cold_then_warm in range(2)
-            ]
+            verify = ("verify", "B6", "--cache-dir", str(cache_dir))
+            return [run_cli(capsys, *verify), run_cli(capsys, *verify), run_cli(capsys, "mtriangle", "B6")]
 
         unpatched = runs(tmp_path / "unpatched")
         assert all(code == EXIT_OK for code, _ in unpatched)
@@ -658,43 +554,28 @@ class TestDeterminismAndCache:
         assert calls_of("mtriangle", "B6") == once
 
 
-@functools.cache
-def cold_run_and_cache_file(spec):
-    """The stdout of ``verify spec`` and the name and bytes of its cache file."""
-    _, cold = run_cli(None, "verify", spec)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        run_cli(None, "verify", spec, "--cache-dir", cache_dir)
-        path = next(Path(cache_dir).iterdir())
-        return cold, path.name, path.read_text()
-
-
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 
     @pytest.mark.parametrize("command", ["invariants", "verify", "sweep"])
     def test_tex_not_defined_for(self, capsys, tmp_path, command):
-        # the parser refuses it, before a lattice is built or a cache file written
-        cache = () if command == "invariants" else ("--cache-dir", str(tmp_path))
+        # the parser refuses it, before a lattice is built or a lattice file written
+        cache = ("--cache-dir", str(tmp_path)) if command == "verify" else ()
         assert run_cli(capsys, command, "A2", "--format", "tex", *cache)[0] == EXIT_USAGE
         assert "invalid choice: 'tex'" in run_cli.last_err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["ftriangle", "fvector", "invariants"])
-    def test_cache_dir_only_on_lattice_commands(self, capsys, tmp_path, command):
-        assert run_cli(capsys, command, "A3", "--cache-dir", str(tmp_path))[0] == EXIT_USAGE
+    @pytest.mark.parametrize("command", ["ftriangle", "fvector", "invariants", "mtriangle", "sweep"])
+    def test_cache_dir_only_on_verify(self, capsys, tmp_path, command):
+        # an unrecognized argument, refused before any work, and nothing is written
+        cache_dir = tmp_path / "cache"
+        assert run_cli(capsys, command, "A3", "--cache-dir", str(cache_dir)) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --cache-dir" in run_cli.last_err
+        assert not cache_dir.exists()
 
-    @pytest.mark.parametrize(
-        "command, kind",
-        [
-            pytest.param(c, kind, id=c if kind == "file" else f"{c}-{kind}")
-            for kind in ("file", "under_a_file", "dangling_link", "under_a_dangling_link")
-            for c in ("verify", "mtriangle", "sweep")
-        ],
-    )
-    def test_cache_dir_that_is_a_file_is_usage_error(
-        self, capsys, tmp_path, monkeypatch, command, kind
-    ):
+    @pytest.mark.parametrize("kind", ["file", "under_a_file", "dangling_link", "under_a_dangling_link"])
+    def test_cache_dir_that_is_a_file_is_usage_error(self, capsys, tmp_path, monkeypatch, kind):
         # refused before any lattice is looked up, with one line and no
         # traceback, and no directory is made on the way; a symlink to a
         # missing path is not a directory either
@@ -710,27 +591,24 @@ class TestUsage:
             raise AssertionError("looked up a lattice")
 
         monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
-        assert run_cli(capsys, command, "A2", "--cache-dir", str(arg)) == (EXIT_USAGE, "")
+        assert run_cli(capsys, "verify", "A2", "--cache-dir", str(arg)) == (EXIT_USAGE, "")
         where = f"is under {str(path)!r}, which exists" if under else "exists"
         message = f"error: --cache-dir {str(arg)!r} {where} and is not a directory\n"
         assert run_cli.last_err == message
         assert list(tmp_path.iterdir()) == [path]
         assert path.is_symlink() or path.read_text() == ""
 
-    @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
-    def test_lattice_file_that_cannot_be_written_is_usage_error(self, capsys, tmp_path, command):
+    def test_lattice_file_that_cannot_be_written_is_usage_error(self, capsys, tmp_path):
         # a directory at the lattice file's path: the rename onto it fails,
-        # which is one line naming the file and no traceback, and sweep
-        # reports it as a usage error too, not as the spec's internal error
+        # which is one line naming the file and no traceback
         path = tmp_path / "lattice__A2__order_1-2__v5.json"
         path.mkdir()
-        assert run_cli(capsys, command, "A2", "--cache-dir", str(tmp_path)) == (EXIT_USAGE, "")
+        assert run_cli(capsys, "verify", "A2", "--cache-dir", str(tmp_path)) == (EXIT_USAGE, "")
         message = f"error: cannot write the lattice file {str(path)!r}: Is a directory\n"
         assert run_cli.last_err == message
         assert list(tmp_path.iterdir()) == [path] and not any(path.iterdir())
 
-    @pytest.mark.parametrize("command", ["verify", "mtriangle", "sweep"])
-    def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
+    def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # '' would mean the current directory: refused before any lattice
         # is looked up, with one line, and no file is written there
         monkeypatch.chdir(tmp_path)
@@ -739,7 +617,7 @@ class TestUsage:
             raise AssertionError("looked up a lattice")
 
         monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
-        assert run_cli(capsys, command, "A2", "--cache-dir", "") == (EXIT_USAGE, "")
+        assert run_cli(capsys, "verify", "A2", "--cache-dir", "") == (EXIT_USAGE, "")
         assert run_cli.last_err == "error: --cache-dir '' is empty and names no directory\n"
         assert list(tmp_path.iterdir()) == []
 

@@ -372,6 +372,20 @@ class TestNCLattice:
         with pytest.raises(InvariantViolation, match=message):
             build_nc_lattice(build_rep("A2"))
 
+    def test_wrong_size_is_refused_before_a_rank_is_read(self):
+        # the holders of each bit take |L| |Phi+| bits, so the constructor
+        # checks |L| before a rank is read
+        lat = nc_lattice("A3")
+
+        def unread(*_args):
+            raise AssertionError("read the ranks of a lattice of the wrong size")
+
+        class Unread:
+            __getitem__ = __iter__ = __len__ = unread
+
+        with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, lat.elements + (0,), Unread())
+
     def test_leq_matches_direct_rank_characterization(self):
         # the support of the Moebius rows must equal the pairwise rank test
         for s in ["A2", "A3", "A4", "B3", "D4", "A2xA1"]:
