@@ -11,8 +11,9 @@ is left as it is, and anything else at the path (no file, another file, a
 FIFO) is a miss, which the built lattice's file replaces.  No byte read from
 disk reaches an ``NCLattice``, so a doctored file can cost a write but never
 change a result.  Writes go through a temp file and an atomic rename, so a
-killed run never leaves a truncated file; a write that fails is a usage
-error (``SpecError``) naming the file.
+killed run never leaves a truncated file, and the file gets the mode the
+umask gives, as ``open`` would; a write that fails is a usage error
+(``SpecError``) naming the file.
 
 F-triangles are not saved: the node-deletion recursion takes milliseconds
 even for E8.
@@ -42,6 +43,9 @@ def atomic_write_json(path: Path, doc: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes the file 0600; give it the mode open(path, "w") would
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(_file_bytes(doc))
         os.replace(tmp, path)
     except BaseException:

@@ -77,16 +77,6 @@ class TestRHS:
 
 
 class TestVerify:
-    def test_a2(self):
-        payload, _ = verify_conjecture(nc_lattice("A2"))
-        assert payload["verified"]
-        assert all(payload["evidence"].values())
-        assert payload["mismatches"] == []
-
-    def test_a1xa1(self):
-        payload, _ = verify_conjecture(nc_lattice("A1xA1"))
-        assert payload["verified"] and all(payload["evidence"].values())
-
     def test_c_family(self):
         # C lattices are built from their own Cartan data, not routed via B
         for s in ["C3", "C4"]:

@@ -12,7 +12,6 @@ from fmtri import weyl
 from fmtri.cartan import CartanType, parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
-from fmtri.ftriangle import h_vector
 from fmtri.weyl import (
     build_nc_lattice,
     build_rep,
@@ -35,10 +34,8 @@ from oracles import (
     mat_mul,
     mat_sub,
     maximal_chains,
-    reflection_word_length,
     reflections,
     simple_reflections,
-    whole_group,
     zeta_bruteforce,
     zeta_value,
 )
@@ -164,15 +161,6 @@ class TestAbsLength:
             rep = build_rep(s)
             assert abs_length(coxeter_element(rep)) == rep.n
 
-    @pytest.mark.parametrize("s", ["A3", "B3"])
-    def test_against_word_length_oracle_full_group(self, s):
-        """rank(g - 1) equals the minimal reflection-word length, groupwide."""
-        rep = build_rep(s)
-        group = whole_group(rep)
-        assert len(group) == {"A3": 24, "B3": 48}[s]
-        for g in group:
-            assert abs_length(g) == reflection_word_length(rep, g)
-
 
 class TestCoxeterElement:
     def test_a1(self):
@@ -275,21 +263,6 @@ class TestNCLattice:
         assert lat.elements[0] == (1 << len(reflections(rep))) - 1 and lat.elements[-1] == 0
         assert by_mask[lat.elements[0]] == mat_identity(3) and by_mask[lat.elements[-1]] == c
 
-    def test_formulas_match_bruteforce(self):
-        for s in SMALL_TYPES:
-            lat = nc_lattice(s)
-            forms = invariant_formulas(s)
-            assert lat.cardinality == forms.cardinality
-            assert lat.mobius_number == forms.mobius_number
-
-    def test_build_checks_the_closed_forms(self, monkeypatch):
-        real = weyl.invariant_formulas
-        monkeypatch.setattr(
-            weyl, "invariant_formulas", lambda s: real(s)._replace(cardinality=real(s).cardinality + 1)
-        )
-        with pytest.raises(InvariantViolation):
-            build_nc_lattice(build_rep("A2"))
-
     def test_deadline_is_checked_once_per_root_before_the_search(self, monkeypatch):
         class Counting:
             calls = 0
@@ -355,7 +328,7 @@ class TestNCLattice:
     @pytest.mark.parametrize(
         "field", ["cardinality", "mobius_number", "maximal_chains", "intervals"]
     )
-    def test_build_checks_the_maximal_chains(self, monkeypatch, field):
+    def test_build_checks_each_closed_form(self, monkeypatch, field):
         # each closed form is checked, each with its own message
         message = {
             "cardinality": "\\|L\\| = 5, expected 6",
@@ -621,21 +594,6 @@ class TestMTriangle:
         m = nc_lattice("A2").m_triangle
         assert m.rows == ((1, 0, 0), (-3, 3, 0), (2, -3, 1))
 
-    def test_column_sums(self):
-        # M(1, y) = y^n for every lattice
-        for s in SMALL_TYPES:
-            lat = nc_lattice(s)
-            assert lat.m_triangle.subs_x(1) == tuple([0] * lat.n + [1])
-
-    def test_self_duality(self):
-        for s in SMALL_TYPES:
-            lat = nc_lattice(s)
-            m = lat.m_triangle
-            n = lat.n
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    assert m.coeff(i, j) == m.coeff(n - j, n - i)
-
     @pytest.mark.parametrize("s", ["A3", "B3"])
     def test_coxeter_order_invariance(self, s):
         m1 = nc_lattice(s, (1, 2, 3)).m_triangle
@@ -715,12 +673,6 @@ class TestRankGeneratingFunction:
         assert rank_generating_function(nc_lattice("A2")) == (1, 3, 1)
         assert rank_generating_function(nc_lattice("A1")) == (1, 1)
         assert rank_generating_function(nc_lattice("A3")) == (1, 6, 6, 1)
-
-    def test_equals_h_vector(self):
-        for s in SMALL_TYPES:
-            spec = parse_spec(s)
-            assert rank_generating_function(nc_lattice(spec)) == h_vector(spec)
-
 
 class TestRankZero:
     def test_trivial_lattice(self):
