@@ -33,12 +33,8 @@ from .weyl import NCLattice, nc_lattice
 SCHEMA_VERSION = 5
 
 
-def _file_bytes(doc: dict) -> bytes:
-    # json.dumps runs the C encoder; json.dump always runs the Python one
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
-def atomic_write_json(path: Path, doc: dict) -> None:
+def atomic_write_json(path: Path, data: bytes) -> None:
+    """Write ``data``, the bytes of a JSON file, to ``path`` atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -46,7 +42,7 @@ def atomic_write_json(path: Path, doc: dict) -> None:
             # mkstemp makes the file 0600; give it the mode open(path, "w") would
             os.umask(umask := os.umask(0))
             os.chmod(tmp, 0o666 & ~umask)
-            fh.write(_file_bytes(doc))
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,20 +55,22 @@ def _lattice_path(cache_dir: Path, lat: NCLattice) -> Path:
     return cache_dir / f"lattice__{lat.spec}__order_{order_tag}__v{SCHEMA_VERSION}.json"
 
 
-def _lattice_doc(lat: NCLattice) -> dict:
-    return {
+def _file_bytes(lat: NCLattice) -> bytes:
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "spec": str(lat.spec),
         "coxeter_order": list(lat.coxeter_order),
         "elements": list(lat.elements),
         "ranks": list(lat.ranks),
     }
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def lattice_from_doc(data: bytes, lat: NCLattice) -> NCLattice:
-    """``lat``, the built lattice, if ``data`` are the bytes of its file;
-    else ValueError.  A call that returns is a cache hit."""
-    if data != _file_bytes(_lattice_doc(lat)):
+def lattice_from_doc(data: bytes, own: bytes, lat: NCLattice) -> NCLattice:
+    """``lat``, the built lattice, if ``data`` are ``own``, the bytes of its
+    file; else ValueError.  A call that returns is a cache hit."""
+    if data != own:
         raise ValueError(f"the file is not the lattice file of {lat.spec}")
     return lat
 
@@ -90,17 +88,18 @@ def load_or_build_lattice(
     if cache_dir is None:
         return lat
     path = _lattice_path(Path(cache_dir), lat)
-    doc = _lattice_doc(lat)
+    # made once: the size guard, the compare and the write all use it
+    own = _file_bytes(lat)
     try:
         # only a regular file of the saved size is read: a FIFO or a device
         # at the path would block the read, and any other size is a miss
         found = os.stat(path)
-        if stat.S_ISREG(found.st_mode) and found.st_size == len(_file_bytes(doc)):
-            return lattice_from_doc(path.read_bytes(), lat)
+        if stat.S_ISREG(found.st_mode) and found.st_size == len(own):
+            return lattice_from_doc(path.read_bytes(), own, lat)
     except (OSError, ValueError):
         pass
     try:
-        atomic_write_json(path, doc)
+        atomic_write_json(path, own)
     except OSError as exc:
         raise SpecError(f"cannot write the lattice file {str(path)!r}: {exc.strerror or exc}") from None
     return lat

@@ -15,17 +15,19 @@ lies in Mov(c a^-1) = (1 - c) Fix(a) (Brady-Watt 2002, Bessis 2003).  The
 Coxeter element c = s_o1 ... s_on is never formed: the Euler form E_c, A
 above the diagonal in node order, 1 on it and 0 below, has
 E_c (1 - c) = A, as 1 - c = sum_k s_o1 ... s_o(k-1) (1 - s_ok) and E_c
-maps s_o1 ... s_o(k-1) e_ok to e_ok.  So s fixes u_t iff
-gamma_s^T E_c beta_t = 0.  A
+maps s_o1 ... s_o(k-1) e_ok to e_ok.  As det E_c = 1, 1 - c is invertible,
+and s fixes u_t iff the integer gamma_s^T E_c beta_t is 0.  A
 child's mask is its parent's AND a precomputed mask of t, so the search
 needs no rank test and every candidate is a cover; the tests check the
 masks against whole-group enumeration and the rank test rank(g - 1).  The
-masks are the order: a <= b iff F(b) is a subset of F(a).  An ``NCLattice``
-keeps its masks in (rank, mask) order, ranks and the M-triangle, and
-nothing else.  ``lattice_from_masks`` is its one constructor, and the
-search its one caller: no mask or rank read from disk reaches it.  It checks
-the ranks against the order the masks give, and that order against the
-closed forms, before it derives M.  The M-triangle needs only the first
+masks are the order: a <= b iff F(b) is a subset of F(a).  The search
+yields [1, c] as its levels, the sorted masks of each rank, and hands them
+to ``lattice_from_masks``, the one constructor of ``NCLattice``: no mask
+read from disk reaches it.  It checks that the levels are the heights of
+the order the masks give, and that order against the closed forms, before
+it derives M.  A lattice keeps its masks in (rank, mask) order, the level
+index of each as its rank, and the M-triangle, and nothing else.  The
+M-triangle needs only the first
 Moebius row mu(1, .): every interval [a, b] of [1, c] is isomorphic to
 [1, a^-1 b], so mu(a, b) is a value of that row, and one pass over the
 down-sets derives the row and M together.
@@ -33,7 +35,6 @@ down-sets derives the row and M together.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import factorial
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -52,9 +53,7 @@ class ReflectionRep(NamedTuple):
     coordinates, and its coroot gamma_t = beta_t^vee, in simple-coroot
     coordinates, in one order: <v, beta_t^vee> = gamma_t^T A v, with A the
     Cartan matrix, t v = v - <v, beta_t^vee> beta_t, and alpha_i and its
-    coroot are both e_i.  In these coordinates the Euler form E_c of
-    ``build_nc_lattice`` has E_c (1 - c) = A, as 1 - c is the sum over k of
-    s_o1 ... s_o(k-1) (1 - s_ok) and E_c maps s_o1 ... s_o(k-1) e_ok to e_ok."""
+    coroot are both e_i."""
 
     spec: RootSystemSpec
     positive_roots: tuple[tuple[int, ...], ...]
@@ -203,16 +202,14 @@ def build_nc_lattice(
 
     c = s_o1 ... s_on is the Coxeter element of ``coxeter_order``, and F(a)
     is the bitmask of the t with a u_t = u_t, u_t = (1 - c)^-1 beta_t: F(1)
-    has every bit and F(c) none.  c is never formed.  The Euler form E_c, A
-    above the diagonal in node order, 1 on it and 0 below, has
-    E_c (1 - c) = A, as 1 - c = sum_k s_o1 ... s_o(k-1) (1 - s_ok) and E_c
-    maps s_o1 ... s_o(k-1) e_ok to e_ok.  So s fixes u_t iff the integer
-    gamma_s^T E_c beta_t is 0, and as det E_c = 1, 1 - c is invertible.
-    Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F is
-    injective on [1, c], so the covers of a are the t*a for t in F(a) and
-    the mask names the element.  Element order is canonical, so results are
-    reproducible.  The lattice comes from ``lattice_from_masks``, so it
-    passes every check made there or the build raises InvariantViolation.
+    has every bit and F(c) none.  c is never formed: s fixes u_t iff
+    gamma_s^T E_c beta_t is 0, with E_c the Euler form of the module
+    docstring.  Fix(t a) = Fix(t) & Fix(a) gives F(t a) = F(a) & F(t), and F
+    is injective on [1, c], so the covers of a are the t*a for t in F(a) and
+    the mask names the element.  Level r holds the masks of rank r, sorted,
+    so results are reproducible.  The levels go to ``lattice_from_masks``
+    as they are, so the lattice passes every check made there or the build
+    raises InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
@@ -242,31 +239,31 @@ def build_nc_lattice(
                 level.add(f & z_masks[low.bit_length() - 1])
                 g ^= low
         levels.append(sorted(level))
-
-    masks = [f for level in levels for f in level]
-    ranks = [k for k, level in enumerate(levels) for _ in level]
-    return lattice_from_masks(rep.spec, order, masks, ranks, deadline)
+    return lattice_from_masks(rep.spec, order, levels, deadline)
 
 
 def lattice_from_masks(
     spec: RootSystemSpec,
     coxeter_order: Sequence[int],
-    elements: Sequence[int],
-    ranks: Sequence[int],
+    levels: Sequence[Sequence[int]],
     deadline: Deadline = NO_DEADLINE,
 ) -> NCLattice:
-    """The lattice with these element masks and ranks, and the M-triangle
-    they give; the one constructor of ``NCLattice``, called by the search
-    alone, which hands it distinct masks in (rank, mask) order from F(1),
-    every bit set, to F(c) = 0.  Raises InvariantViolation unless the order
-    the masks give agrees with the ranks and with ``invariant_formulas(spec)``.
+    """The lattice whose elements of rank r are the masks in ``levels[r]``,
+    and the M-triangle they give; the one constructor of ``NCLattice``,
+    called by the search alone, which hands it its levels: [F(1)], F(1)
+    with every bit set, then the distinct masks of each rank in increasing
+    order, up to [F(c)] = [0].  An element's rank is the index of its level,
+    and its index is its place in the levels laid end to end.  Raises
+    InvariantViolation unless the levels are the heights of the order the
+    masks give and that order agrees with ``invariant_formulas(spec)``.
 
     a <= b iff F(b) is a subset of F(a), so the down-set of b is the AND,
     over the t in F(b), of the elements whose mask has bit t.  |L| must be
-    the closed form, checked before a rank is read.  The ranks must be the
-    heights: 1 has rank 0 and c rank n, nothing of rank >= rank(b) but b
-    lies below b, and each b != 1 lies above an element of rank
-    rank(b) - 1.  The lower covers summed over b must number the bits
+    the closed form, checked before the holders of a bit are made.  The
+    levels must be the heights: there are n + 1 of them, nothing in b's
+    level or a later one but b lies below b, and each b but the first lies
+    above an element of the level before.  So 1, first by position, is alone
+    in level 0.  The lower covers summed over b must number the bits
     of the masks, one upper cover of a per t in F(a); the maximal chains,
     the pairs a <= b and mu(1, c) must be the closed forms.  The row
     mu(1, .) needs no check: 1 is alone at rank 0, and F(c) = 0 puts every
@@ -290,37 +287,29 @@ def lattice_from_masks(
     most 0.2% on B7-B9 and D10, where two types such as A3xA2 and B3xA1xA1
     share rank 5 and mu = -10.  Each down-set is dropped after use.
     """
-    n, size = spec.rank, len(elements)
+    n = spec.rank
+    elements = [f for level in levels for f in level]
     forms = invariant_formulas(spec)
-    if size != forms.cardinality:
-        raise InvariantViolation(f"{spec}: |L| = {size}, expected {forms.cardinality}")
-    heights = InvariantViolation(f"{spec}: ranks are not the heights of the elements")
-    if (ranks[0], ranks[-1]) != (0, n):
+    if len(elements) != forms.cardinality:
+        raise InvariantViolation(f"{spec}: |L| = {len(elements)}, expected {forms.cardinality}")
+    heights = InvariantViolation(f"{spec}: the levels are not the heights of the elements")
+    if len(levels) != n + 1:
         raise heights
-    # index order refines rank order: level r is the index range
-    # start[r]..start[r + 1]
-    start = [bisect_left(ranks, r) for r in range(n + 2)]
     holders = _holders(elements, elements[0].bit_length(), deadline)
-    everyone = (1 << size) - 1
+    everyone = (1 << len(elements)) - 1
 
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     buckets: dict[tuple[int, int, int], int] = {}
-    pairs = lower_covers = 0
-    for rank, row in enumerate(rows):
-        # a level visits the buckets of the levels before it alone
-        finished, earlier = list(buckets.items()), (1 << start[rank]) - 1
-        for b in range(start[rank], start[rank + 1]):
+    pairs = lower_covers = previous = start = 0
+    for rank, (level, row) in enumerate(zip(levels, rows)):
+        # a level visits the buckets of the levels before it alone; the
+        # level before starts at index previous, this one at start
+        finished, earlier = list(buckets.items()), (1 << start) - 1
+        for b, f in enumerate(level, start):
             deadline.check()
-            # the down-set: the indices holding every bit of F(b), everyone for c
-            f = elements[b]
-            low = f & -f
-            down, g = (holders[low.bit_length() - 1], f ^ low) if f else (everyone, 0)
-            while g:
-                low = g & -g
-                down &= holders[low.bit_length() - 1]
-                g ^= low
+            down = _in_all(holders, f, everyone)
             below, bit = down & earlier, 1 << b
-            if down ^ below != bit or b and not (rank and below >> start[rank - 1]):
+            if down ^ below != bit or b and not (rank and below >> previous):
                 raise heights
             pairs += down.bit_count()
             total = chains = 0
@@ -336,6 +325,7 @@ def lattice_from_masks(
             row[0] += mu
             key = rank, mu, chains
             buckets[key] = buckets.get(key, 0) | bit
+        previous, start = start, start + len(level)
     if lower_covers != sum(f.bit_count() for f in elements):
         raise InvariantViolation(f"{spec}: the covers do not number the bits of the masks")
     if chains != forms.maximal_chains:
@@ -346,7 +336,8 @@ def lattice_from_masks(
     mobius = m.coeff(n, 0)
     if mobius != forms.mobius_number:
         raise InvariantViolation(f"{spec}: mu(1, c) = {mobius}, expected {forms.mobius_number}")
-    return NCLattice(spec, tuple(coxeter_order), tuple(elements), tuple(ranks), m)
+    ranks = tuple(r for r, level in enumerate(levels) for _ in level)
+    return NCLattice(spec, tuple(coxeter_order), tuple(elements), ranks, m)
 
 
 def _holders(elements: Sequence[int], roots: int, deadline: Deadline = NO_DEADLINE) -> list[int]:
@@ -366,9 +357,12 @@ def _holders(elements: Sequence[int], roots: int, deadline: Deadline = NO_DEADLI
 
 
 def _in_all(holders: list[int], f: int, everyone: int) -> int:
-    """The indices in ``everyone`` and in ``holders[t]`` for every bit t of f."""
-    for t in _mask_indices(f):
-        everyone &= holders[t]
+    """The indices in ``everyone`` and in ``holders[t]`` for every bit t of
+    f: with ``everyone`` all of L, the down-set of the element of mask f."""
+    while f:
+        low = f & -f
+        everyone &= holders[low.bit_length() - 1]
+        f ^= low
     return everyone
 
 

@@ -349,11 +349,11 @@ class TestDeterminismAndCache:
             assert load_or_build_lattice(lat.spec, lat.coxeter_order, tmp_path / str(i)) is lat
             files.append(next((tmp_path / str(i)).iterdir()).read_bytes())
         for lat, own in zip(lats, files):
-            assert lattice_from_doc(own, lat) is lat
+            assert lattice_from_doc(own, own, lat) is lat
             for data in files:
                 if data != own:
                     with pytest.raises(ValueError):
-                        lattice_from_doc(data, lat)
+                        lattice_from_doc(data, own, lat)
 
     def test_cached_lattice_file_reused(self, tmp_path):
         lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
@@ -414,9 +414,9 @@ class TestDeterminismAndCache:
         assert edited != fresh
         reads, compare = [], cache.lattice_from_doc
 
-        def read(data, lat):
+        def read(data, own, lat):
             reads.append(data)
-            return compare(data, lat)
+            return compare(data, own, lat)
 
         monkeypatch.setattr(cache, "lattice_from_doc", read)
         assert run_cli(capsys, *args) == (EXIT_OK, cold)

@@ -55,6 +55,15 @@ def three_orders(n):
     return [None, tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))]
 
 
+def levels_of(lat):
+    """The lattice's masks of each rank, in index order: the levels the
+    search hands to ``lattice_from_masks``."""
+    levels = [[] for _ in range(lat.n + 1)]
+    for f, r in zip(lat.elements, lat.ranks):
+        levels[r].append(f)
+    return levels
+
+
 class TestIntRank:
     def test_zero_and_identity(self):
         assert int_rank(()) == 0
@@ -250,10 +259,6 @@ class TestNCLattice:
         assert nc_lattice("A2").cardinality == 5
         assert nc_lattice("A3").cardinality == 14
 
-    def test_a2_shape(self):
-        lat = nc_lattice("A2")
-        assert rank_generating_function(lat) == (1, 3, 1)
-
     def test_bounds(self):
         lat = nc_lattice("A3")
         rep = build_rep("A3")
@@ -304,24 +309,23 @@ class TestNCLattice:
         # (a, b) becomes (a, b').  The constructor refuses it, and the count
         # of pairs a <= b, taken here by subset tests on the masks, would too
         lat = nc_lattice("A3")
-        elements, ranks = list(lat.elements), lat.ranks
-        rank_2 = [b for b, r in enumerate(ranks) if r == 2]
+        levels = levels_of(lat)
+        atoms, rank_2 = levels[1], levels[2]
 
         def above(f):
-            return {b for b in rank_2 if not elements[b] & ~f}
+            return {g for g in rank_2 if not g & ~f}
 
-        a, f = next(
-            (a, g)
-            for a, r in enumerate(ranks)
-            if r == 1
-            for g in (elements[a] ^ 1 << t ^ 1 << u for t in range(6) for u in range(6))
-            if g.bit_count() == elements[a].bit_count() and len(above(elements[a]) ^ above(g)) == 2
+        i, f = next(
+            (i, g)
+            for i, a in enumerate(atoms)
+            for g in (a ^ 1 << t ^ 1 << u for t in range(6) for u in range(6))
+            if g.bit_count() == a.bit_count() and len(above(a) ^ above(g)) == 2
         )
-        elements[a] = f
-        assert list(zip(ranks, elements)) == sorted(zip(ranks, elements))
-        assert len(set(elements)) == lat.cardinality
+        atoms[i] = f
+        elements = [f for level in levels for f in level]
+        assert atoms == sorted(atoms) and len(set(elements)) == lat.cardinality
         with pytest.raises(InvariantViolation):
-            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, ranks)
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels)
         pairs = sum(not g & ~f for f in elements for g in elements)
         assert pairs != invariant_formulas("A3").intervals
 
@@ -345,19 +349,27 @@ class TestNCLattice:
         with pytest.raises(InvariantViolation, match=message):
             build_nc_lattice(build_rep("A2"))
 
-    def test_wrong_size_is_refused_before_a_rank_is_read(self):
+    def test_wrong_size_is_refused_before_the_holders_are_made(self, monkeypatch):
         # the holders of each bit take |L| |Phi+| bits, so the constructor
-        # checks |L| before a rank is read
+        # checks |L| before it makes them
         lat = nc_lattice("A3")
+        levels = levels_of(lat)
+        levels[-1].append(0)
 
-        def unread(*_args):
-            raise AssertionError("read the ranks of a lattice of the wrong size")
+        def unmade(*_args):
+            raise AssertionError("made the holders of a lattice of the wrong size")
 
-        class Unread:
-            __getitem__ = __iter__ = __len__ = unread
-
+        monkeypatch.setattr(weyl, "_holders", unmade)
         with pytest.raises(InvariantViolation, match="\\|L\\| = 15, expected 14"):
-            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, lat.elements + (0,), Unread())
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels)
+
+    @pytest.mark.parametrize("s", DESK_SPECS)
+    def test_own_levels_rebuild_the_lattice(self, s):
+        # the constructor takes the levels as the search gives them, and
+        # the ranks it keeps are their indices
+        for order in three_orders(parse_spec(s).rank):
+            lat = nc_lattice(s, order)
+            assert weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels_of(lat)) == lat
 
     def test_leq_matches_direct_rank_characterization(self):
         # the support of the Moebius rows must equal the pairwise rank test
@@ -391,23 +403,21 @@ class TestNCLattice:
             assert lat.elements[0] == (1 << len(reflections(rep))) - 1 and lat.elements[-1] == 0
             assert by_mask[lat.elements[0]] == mat_identity(n) and by_mask[lat.elements[-1]] == c
 
-    @pytest.mark.parametrize("edit", ["rank_shifted", "rank_negative", "rank_top"])
+    @pytest.mark.parametrize("edit", ["rank_shifted", "rank_top"])
     def test_check_lattice_catches_mobius_edits(self, edit):
-        # M is derived from the masks and ranks, so a wrong rank would give
-        # a wrong M; no edit touches |L|, the masks or the (rank, mask)
-        # order the search gives, and each is refused by the heights check
+        # M is derived from the masks and their levels, so a wrong level
+        # would give a wrong M; no edit touches |L|, the masks or their
+        # order, and each is refused by the heights check
         lat = nc_lattice("A3")
+        levels = levels_of(lat)
         if edit == "rank_shifted":
-            # every cover still goes up one rank, but the identity is at rank 1
-            ranks, message = tuple(r + 1 for r in lat.ranks), "not the heights"
-        elif edit == "rank_top":
-            # c alone moves up to rank n + 1, past every row of M
-            ranks, message = lat.ranks[:-1] + (lat.n + 1,), "not the heights"
+            # every cover still goes up one level, but the identity is at level 1
+            levels = [[]] + levels
         else:
-            # the identity at a rank no list of ranks could take as an index
-            ranks, message = (-lat.cardinality - 1,) + lat.ranks[1:], "not the heights"
-        with pytest.raises(InvariantViolation, match=message):
-            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, lat.elements, ranks)
+            # c alone moves up to level n + 1, past every row of M
+            levels = levels[:-1] + [[], levels[-1]]
+        with pytest.raises(InvariantViolation, match="not the heights"):
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels)
 
     @pytest.mark.parametrize(
         "edit",
@@ -415,54 +425,51 @@ class TestNCLattice:
     )
     def test_check_lattice_catches_mask_and_cover_edits(self, edit):
         # the covers are the pairs one rank apart whose masks nest, so the
-        # cover edits are mask edits too; no edit touches |L| or the ranks,
-        # each keeps the masks distinct and in (rank, mask) order, as the
-        # search gives them, and each is refused by its own check
+        # cover edits are mask edits too; no edit touches |L| or the levels'
+        # sizes, each keeps the masks distinct and each level increasing, as
+        # the search gives them, and each is refused by its own check
         lat = nc_lattice("D4")
-        elements, ranks = list(lat.elements), lat.ranks
-        roots = elements[0].bit_length()
-        atoms = [i for i, r in enumerate(ranks) if r == 1]
-        rank_2 = [i for i, r in enumerate(ranks) if r == 2]
-        lower = {b: [a for a, b2 in covers(lat) if b2 == b] for b in rank_2}
+        levels = levels_of(lat)
+        roots = lat.elements[0].bit_length()
+        atoms, rank_2 = levels[1], levels[2]
+        # the lower covers of each element of rank 2: the atoms below it
+        lower = [[a for a in atoms if not g & ~a] for g in rank_2]
 
-        def gain(candidates, keep):
-            # the first candidate i that can gain a bit so that keep(i, new
-            # mask) holds, the masks staying distinct and in (rank, mask) order
-            for i in candidates:
-                nxt = elements[i + 1] if ranks[i + 1] == ranks[i] else 1 << roots
+        def gain(level, keep):
+            # the first mask of the level that can gain a bit so that
+            # keep(its place, new mask) holds, the masks staying distinct
+            # and the level increasing
+            for i, g in enumerate(level):
+                nxt = level[i + 1] if i + 1 < len(level) else 1 << roots
                 for t in range(roots):
-                    f = elements[i] | 1 << t
-                    if elements[i] < f < nxt and f not in elements and keep(i, f):
-                        elements[i] = f
+                    f = g | 1 << t
+                    if g < f < nxt and f not in lat.elements and keep(i, f):
+                        level[i] = f
                         return
             raise AssertionError(f"no bit for {edit}")
 
         def below(a, f):
-            # a lies below the element of mask f
-            return not f & ~elements[a]
-
-        def above(b, f):
-            # b lies above the element of mask f
-            return not elements[b] & ~f
+            # the element of mask a lies below the element of mask f
+            return not f & ~a
 
         if edit == "mask_bit":
             # an atom gains a bit, so another atom lies above it
-            gain(atoms, lambda i, f: any(above(b, f) for b in atoms if b != i))
+            gain(atoms, lambda i, f: any(below(f, b) for j, b in enumerate(atoms) if j != i))
         elif edit == "cover_dropped":
             # an element of rank 2 gains a bit that one but not all of its
             # lower covers lack: a cover drops out while the masks gain a bit
-            gain(rank_2, lambda b, f: 0 < sum(below(a, f) for a in lower[b]) < len(lower[b]))
+            gain(rank_2, lambda i, f: 0 < sum(below(a, f) for a in lower[i]) < len(lower[i]))
         elif edit == "cover_added":
             # an atom gains a bit and one more element of rank 2 lies above
             # it: the covers still number the bits, but not the chains
-            def one_more(a, f):
-                return sum(above(b, f) for b in rank_2) == elements[a].bit_count() + 1
+            def one_more(i, f):
+                return sum(below(f, b) for b in rank_2) == atoms[i].bit_count() + 1
 
             gain(atoms, one_more)
         else:
             # an element of rank 2 gains a bit that all its atoms lack: its
             # lower covers move to the identity, two ranks down
-            gain(rank_2, lambda b, f: not any(below(a, f) for a in atoms))
+            gain(rank_2, lambda i, f: not any(below(a, f) for a in atoms))
         message = {
             "mask_bit": "not the heights",
             "cover_dropped": "the covers do not number the bits of the masks",
@@ -470,7 +477,7 @@ class TestNCLattice:
             "cover_moved": "not the heights",
         }[edit]
         with pytest.raises(InvariantViolation, match=message):
-            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, ranks)
+            weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels)
 
     def test_every_single_mask_edit_is_refused_or_keeps_m(self):
         # each mask in turn is replaced by every other value in
@@ -482,17 +489,19 @@ class TestNCLattice:
         for s in ["A2", "B2", "G2", "A2xA1", "A3", "B3"]:
             lat = nc_lattice(s)
             accepted[s] = 0
-            for i, f in enumerate(lat.elements):
-                for g in range(lat.elements[0] + 1):
-                    if g == f:
-                        continue
-                    elements = lat.elements[:i] + (g,) + lat.elements[i + 1 :]
-                    try:
-                        edited = weyl.lattice_from_masks(lat.spec, lat.coxeter_order, elements, lat.ranks)
-                    except InvariantViolation:
-                        continue
-                    assert edited.m_triangle == lat.m_triangle
-                    accepted[s] += 1
+            levels = levels_of(lat)
+            for r, level in enumerate(levels):
+                for i, f in enumerate(level):
+                    for g in range(lat.elements[0] + 1):
+                        if g == f:
+                            continue
+                        edited = levels[:r] + [level[:i] + [g] + level[i + 1 :]] + levels[r + 1 :]
+                        try:
+                            edited = weyl.lattice_from_masks(lat.spec, lat.coxeter_order, edited)
+                        except InvariantViolation:
+                            continue
+                        assert edited.m_triangle == lat.m_triangle
+                        accepted[s] += 1
         assert accepted == {"A2": 0, "B2": 0, "G2": 0, "A2xA1": 0, "A3": 34, "B3": 315}
 
     def test_e7(self):
