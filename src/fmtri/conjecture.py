@@ -23,7 +23,7 @@ from .cartan import RootSystemSpec
 from .errors import Deadline, NO_DEADLINE
 from .ftriangle import f_triangle, h_vector
 from .poly import BivarPoly, conjecture_substitution
-from .weyl import NCLattice, nc_lattice, rank_generating_function
+from .weyl import NCLattice, nc_lattice
 
 
 def conjecture_rhs(m: BivarPoly) -> BivarPoly:
@@ -52,7 +52,7 @@ def _check_evidence(
     )
 
     return {
-        "h_vector_match": h_vector(spec) == rank_generating_function(lat),
+        "h_vector_match": h_vector(spec) == tuple(map(len, lat.levels)),
         "positive_cluster_count_match": ft.coeff(n, 0) == (mu_hat if n % 2 == 0 else -mu_hat),
         "m_self_dual": all(
             m_poly.coeff(i, j) == m_poly.coeff(n - j, n - i)

@@ -25,12 +25,12 @@ yields [1, c] as its levels, the sorted masks of each rank, and hands them
 to ``lattice_from_masks``, the one constructor of ``NCLattice``: no mask
 read from disk reaches it.  It checks that the levels are the heights of
 the order the masks give, and that order against the closed forms, before
-it derives M.  A lattice keeps its masks in (rank, mask) order, the level
-index of each as its rank, and the M-triangle, and nothing else.  The
-M-triangle needs only the first
-Moebius row mu(1, .): every interval [a, b] of [1, c] is isomorphic to
-[1, a^-1 b], so mu(a, b) is a value of that row, and one pass over the
-down-sets derives the row and M together.
+it derives M.  A lattice keeps those levels and M, and nothing else; its
+``elements`` and ``ranks`` are views rebuilt on each read, kept for the
+lattice file and the benchmark's tracer.  M needs only the first Moebius
+row mu(1, .): every interval [a, b] of [1, c] is isomorphic to [1, a^-1 b],
+so mu(a, b) is a value of that row, and one pass over the down-sets
+derives the row and M together.
 """
 
 from __future__ import annotations
@@ -137,23 +137,23 @@ def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]
 # --------------------------------------------------------------------------
 
 class NCLattice(NamedTuple):
-    """The interval [1, c], with ranks and the M-triangle.
+    """The interval [1, c], as its levels, and the M-triangle.
 
-    ``elements`` are the masks F(a) sorted by (rank, mask), so index order
-    refines rank order, element 0 is the identity (every bit set) and
-    element -1 is c (mask 0).  The masks carry the whole order relation:
-    a <= b iff F(b) lies inside F(a).  Every lattice is built by the search.
-    ``m_triangle`` is M(x, y) = sum over a <= b of mu(a, b) x^rank(b)
-    y^rank(a), derived from the masks by ``lattice_from_masks``; its y^0
-    column holds the sums of mu(1, b) by rank.  The rank n of the lattice is
-    the rank of ``spec``.  A plain named tuple: no instance ``__dict__``,
-    and every derived value is computed on each read.
+    ``levels[r]`` holds the sorted masks F(a) of rank r, as the search
+    yields them: level 0 is the identity (every bit set), level n is c
+    (mask 0).  The masks carry the whole order relation: a <= b iff F(b)
+    lies inside F(a).  ``m_triangle`` is M(x, y) = sum over a <= b of
+    mu(a, b) x^rank(b) y^rank(a); its y^0 column holds the sums of mu(1, b)
+    by rank.  The rank n is the rank of ``spec``.  A plain named tuple: no
+    instance ``__dict__``, and every derived value is computed on each read,
+    ``elements`` (the levels laid end to end, so index order refines rank
+    order) and ``ranks`` (the level index of each) too.  Those two stay for
+    the lattice file and the benchmark's tracer; a loop binds them once.
     """
 
     spec: RootSystemSpec
     coxeter_order: tuple[int, ...]
-    elements: tuple[int, ...]
-    ranks: tuple[int, ...]
+    levels: tuple[tuple[int, ...], ...]
     m_triangle: BivarPoly
 
     @property
@@ -161,8 +161,16 @@ class NCLattice(NamedTuple):
         return self.spec.rank
 
     @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(f for level in self.levels for f in level)
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(r for r, level in enumerate(self.levels) for _ in level)
+
+    @property
     def cardinality(self) -> int:
-        return len(self.elements)
+        return sum(map(len, self.levels))
 
     @property
     def mobius_number(self) -> int:
@@ -177,7 +185,7 @@ class NCLattice(NamedTuple):
         reads it; it stays only for ``tests/oracles.py`` and the perfbench
         tracer."""
         elements, everyone = self.elements, (1 << self.cardinality) - 1
-        holders = _holders(elements, elements[0].bit_length())
+        holders = _holders(elements)
         down = [_in_all(holders, f, everyone) for f in elements]
         # b >= a iff F(b) lacks every bit that F(a) lacks
         lackers = [everyone & ~h for h in holders]
@@ -208,8 +216,8 @@ def build_nc_lattice(
     is injective on [1, c], so the covers of a are the t*a for t in F(a) and
     the mask names the element.  Level r holds the masks of rank r, sorted,
     so results are reproducible.  The levels go to ``lattice_from_masks``
-    as they are, so the lattice passes every check made there or the build
-    raises InvariantViolation.
+    as they are, and the lattice keeps them; it passes every check made
+    there or the build raises InvariantViolation.
     """
     n = rep.n
     order = node_order(n, coxeter_order)
@@ -228,7 +236,7 @@ def build_nc_lattice(
         z_masks.append(sum(1 << i for i, v in enumerate(images) if not sum(map(mul, gamma, v))))
 
     # an element has one rank, so a level dedupes against itself alone
-    levels = [[(1 << len(images)) - 1]]
+    levels = [((1 << len(images)) - 1,)]
     for _ in range(n):
         level = set()
         for f in levels[-1]:
@@ -238,7 +246,7 @@ def build_nc_lattice(
                 low = g & -g
                 level.add(f & z_masks[low.bit_length() - 1])
                 g ^= low
-        levels.append(sorted(level))
+        levels.append(tuple(sorted(level)))
     return lattice_from_masks(rep.spec, order, levels, deadline)
 
 
@@ -252,10 +260,11 @@ def lattice_from_masks(
     and the M-triangle they give; the one constructor of ``NCLattice``,
     called by the search alone, which hands it its levels: [F(1)], F(1)
     with every bit set, then the distinct masks of each rank in increasing
-    order, up to [F(c)] = [0].  An element's rank is the index of its level,
-    and its index is its place in the levels laid end to end.  Raises
-    InvariantViolation unless the levels are the heights of the order the
-    masks give and that order agrees with ``invariant_formulas(spec)``.
+    order, up to [F(c)] = [0].  The lattice keeps them, as tuples, and M:
+    an element's rank is the index of its level, and its index its place in
+    the levels laid end to end.  Raises InvariantViolation unless the
+    levels are the heights of the order the masks give and that order
+    agrees with ``invariant_formulas(spec)``.
 
     a <= b iff F(b) is a subset of F(a), so the down-set of b is the AND,
     over the t in F(b), of the elements whose mask has bit t.  |L| must be
@@ -288,15 +297,16 @@ def lattice_from_masks(
     share rank 5 and mu = -10.  Each down-set is dropped after use.
     """
     n = spec.rank
-    elements = [f for level in levels for f in level]
+    levels = tuple(map(tuple, levels))
+    size = sum(map(len, levels))
     forms = invariant_formulas(spec)
-    if len(elements) != forms.cardinality:
-        raise InvariantViolation(f"{spec}: |L| = {len(elements)}, expected {forms.cardinality}")
+    if size != forms.cardinality:
+        raise InvariantViolation(f"{spec}: |L| = {size}, expected {forms.cardinality}")
     heights = InvariantViolation(f"{spec}: the levels are not the heights of the elements")
     if len(levels) != n + 1:
         raise heights
-    holders = _holders(elements, elements[0].bit_length(), deadline)
-    everyone = (1 << len(elements)) - 1
+    holders = _holders([f for level in levels for f in level], deadline)
+    everyone = (1 << size) - 1
 
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     buckets: dict[tuple[int, int, int], int] = {}
@@ -326,7 +336,7 @@ def lattice_from_masks(
             key = rank, mu, chains
             buckets[key] = buckets.get(key, 0) | bit
         previous, start = start, start + len(level)
-    if lower_covers != sum(f.bit_count() for f in elements):
+    if lower_covers != sum(f.bit_count() for level in levels for f in level):
         raise InvariantViolation(f"{spec}: the covers do not number the bits of the masks")
     if chains != forms.maximal_chains:
         raise InvariantViolation(f"{spec}: {chains} maximal chains, expected {forms.maximal_chains}")
@@ -336,16 +346,17 @@ def lattice_from_masks(
     mobius = m.coeff(n, 0)
     if mobius != forms.mobius_number:
         raise InvariantViolation(f"{spec}: mu(1, c) = {mobius}, expected {forms.mobius_number}")
-    ranks = tuple(r for r, level in enumerate(levels) for _ in level)
-    return NCLattice(spec, tuple(coxeter_order), tuple(elements), ranks, m)
+    return NCLattice(spec, tuple(coxeter_order), levels, m)
 
 
-def _holders(elements: Sequence[int], roots: int, deadline: Deadline = NO_DEADLINE) -> list[int]:
-    """For each reflection t < ``roots``, the bitmask of the indices of the
-    elements whose mask has bit t.  Each mask is written once, as ``roots``
-    binary digits, into one digit string, last index first, and every
-    ``roots``-th digit of it, from the digit of bit t on, is the binary form
-    of t's bitmask; checks ``deadline`` once per element."""
+def _holders(elements: Sequence[int], deadline: Deadline = NO_DEADLINE) -> list[int]:
+    """For each reflection t, the bitmask of the indices of the elements
+    whose mask has bit t; ``elements[0]`` has all ``roots`` bits.  Each mask
+    is written once, as ``roots`` binary digits, into one digit string, last
+    index first, and every ``roots``-th digit of it, from the digit of bit t
+    on, is the binary form of t's bitmask; checks ``deadline`` once per
+    element."""
+    roots = elements[0].bit_length()
     width = f"0{roots}b"
     digits = bytearray(len(elements) * roots)
     end = len(digits)
@@ -353,6 +364,8 @@ def _holders(elements: Sequence[int], roots: int, deadline: Deadline = NO_DEADLI
         deadline.check()
         digits[end - roots : end] = format(f, width).encode()
         end -= roots
+    # a caller's temporary list is freed before the holders are made
+    del elements
     return [int(digits[k::roots], 2) for k in reversed(range(roots))]
 
 
@@ -391,15 +404,8 @@ def nc_lattice(spec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NC
 
 
 # --------------------------------------------------------------------------
-# Derived data: rank counts, Zeta polynomial
+# Closed forms: Zeta polynomial
 # --------------------------------------------------------------------------
-
-def rank_generating_function(lat: NCLattice) -> tuple[int, ...]:
-    out = [0] * (lat.n + 1)
-    for r in lat.ranks:
-        out[r] += 1
-    return tuple(out)
-
 
 class InvariantFormulas(NamedTuple):
     zeta: tuple[int, ...]

@@ -218,9 +218,10 @@ def m_triangle_from_table(lat: NCLattice) -> BivarPoly:
     """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a), read off
     the whole Moebius table ``lat.mobius_rows``."""
     rows = [[0] * (lat.n + 1) for _ in range(lat.n + 1)]
+    ranks = lat.ranks
     for a, row in enumerate(lat.mobius_rows):
         for b, mu in row:
-            rows[lat.ranks[b]][lat.ranks[a]] += mu
+            rows[ranks[b]][ranks[a]] += mu
     return BivarPoly(rows)
 
 
@@ -247,15 +248,16 @@ def covers(lat: NCLattice) -> list[tuple[int, int]]:
     that have every bit of F(b), found by intersecting one set per bit."""
     by_rank: dict[int, set[int]] = {}
     having: dict[tuple[int, int], set[int]] = {}
-    for a, (f, r) in enumerate(zip(lat.elements, lat.ranks)):
+    elements, ranks = lat.elements, lat.ranks
+    for a, (f, r) in enumerate(zip(elements, ranks)):
         by_rank.setdefault(r, set()).add(a)
         for t in _bits(f):
             having.setdefault((r, t), set()).add(a)
     pairs = []
-    for b, (f, r) in enumerate(zip(lat.elements, lat.ranks)):
+    for b, (f, r) in enumerate(zip(elements, ranks)):
         sets = [by_rank.get(r - 1, set())] + [having.get((r - 1, t), set()) for t in _bits(f)]
         sets.sort(key=len)
-        pairs += [(a, b) for a in sets[0].intersection(*sets[1:]) if lat.elements[a] != f]
+        pairs += [(a, b) for a in sets[0].intersection(*sets[1:]) if elements[a] != f]
     return sorted(pairs)
 
 

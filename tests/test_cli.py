@@ -165,7 +165,8 @@ class TestVerifyCommand:
         # M edit also moves a column sum of M(1, y) = y^3, and the rhs
         lat = nc_lattice("A3")
         if flag == "h_vector_match":
-            lat = lat._replace(ranks=(0, 2) + lat.ranks[2:])
+            levels = lat.levels
+            lat = lat._replace(levels=(levels[0], levels[1][1:], levels[1][:1] + levels[2]) + levels[3:])
         else:
             k, l = {"positive_cluster_count_match": (3, 0), "m_self_dual": (2, 0)}.get(flag, (2, 1))
             lat = lat._replace(m_triangle=lat.m_triangle + poly_from_terms((k, l, 1)))
