@@ -74,8 +74,7 @@ def _emit(spec: str, kind: str, fmt: str, payload: dict, rows: list[list]) -> st
 def cmd_ftriangle(args) -> int:
     spec = parse_spec(args.spec)
     n = spec.rank
-    dense = f_triangle(spec).dense_rows(n)
-    payload = {"n": n, "f": [row[: n + 1 - k] for k, row in enumerate(dense)]}
+    payload = {"n": n, "f": [row[: n + 1 - k] for k, row in enumerate(f_triangle(spec))]}
     print(_emit(str(spec), "ftriangle", args.format, payload, payload["f"]), end="")
     return EXIT_OK
 
@@ -102,7 +101,7 @@ def cmd_mtriangle(args) -> int:
     payload = {
         "n": lat.n,
         "coxeter_order": list(lat.coxeter_order),
-        "m": lat.m_triangle.dense_rows(lat.n),
+        "m": lat.m_triangle,
     }
     print(_emit(str(spec), "mtriangle", args.format, payload, payload["m"]), end="")
     return EXIT_OK

@@ -12,10 +12,11 @@ with f(x) = F(x, x), f(0) = 1, and both quantities multiplicative over
 products of root systems.  Integrating the first recursion fixes F up to its
 y-free part, which the second recursion supplies through the diagonal.
 
-The triangle is a plain ``BivarPoly`` and every vector a plain int tuple; the
-rank they live in is the spec's.  Closed forms for the infinite families
-(types A and B) are implemented independently in the test suite's oracles
-and checked against the recursion.
+The triangle is its printed rows, rank+1 int tuples of rank+1 entries each
+(``fmtri.poly``), and every vector a plain int tuple; the rank they live in
+is the spec's.  Closed forms for the infinite families (types A and B) are
+implemented independently in the test suite's oracles and checked against
+the recursion.
 """
 
 from __future__ import annotations
@@ -25,52 +26,57 @@ from math import comb
 
 from .cartan import CartanType, as_spec, delete_node, invariants
 from .errors import InvariantViolation
-from .poly import BivarPoly, exact_div
+from .poly import Triangle, diagonal, exact_div, product, subs_y
 
 
-def _validate_triangle(p: BivarPoly, origin: str) -> BivarPoly:
+def _validate_triangle(p: Triangle, origin: str) -> Triangle:
     """p, unless a coefficient is negative: the recursion gives support in
     k + l <= rank and F(0, 0) = 1 by construction."""
-    for k, l, c in p.terms():
-        if c < 0:
-            raise InvariantViolation(f"{origin}: coefficient f[{k}][{l}] = {c!r}")
+    for k, row in enumerate(p):
+        for l, c in enumerate(row):
+            if c < 0:
+                raise InvariantViolation(f"{origin}: coefficient f[{k}][{l}] = {c!r}")
     return p
 
 
 def _validate_fvector(n: int, coeffs: tuple, origin: str) -> tuple[int, ...]:
-    """coeffs, unless f_n is missing or not positive: a nonnegative
-    triangle with F(0, 0) = 1 implies the rest."""
-    if len(coeffs) != n + 1 or coeffs[n] <= 0:
+    """coeffs, unless f_n is not positive: a nonnegative triangle with
+    F(0, 0) = 1 implies the rest."""
+    if coeffs[n] <= 0:
         raise InvariantViolation(f"{origin}: bad f-vector {coeffs}")
     return coeffs
 
 
 @lru_cache(maxsize=None)
-def _f_triangle_irreducible(t: CartanType) -> BivarPoly:
-    rate = BivarPoly.zero()
-    for i in range(1, t.rank + 1):
-        rate = rate + f_triangle(delete_node(t, i))
-    g = rate.antiderivative_y()
+def _f_triangle_irreducible(t: CartanType) -> Triangle:
+    n = t.rank
+    # d/dy F is the sum of the children's triangles, each of rank n - 1
+    children = [f_triangle(delete_node(t, i)) for i in range(1, n + 1)]
+    rate = [[sum(column) for column in zip(*row_k)] for row_k in zip(*children)]
+    # integrate in y; the y-free column is filled in below
+    rows = [[0] + [exact_div(c, l + 1) for l, c in enumerate(row)] for row in rate] + [[0] * (n + 1)]
     # a child's f-vector is the diagonal of its F, so f' = (h+2)/2 * rate(x, x)
     scale = invariants(t).coxeter_number + 2
-    f = [1] + [exact_div(scale * c, 2 * (k + 1)) for k, c in enumerate(rate.diagonal())]
-    return BivarPoly.from_x_coeffs(f) - BivarPoly.from_x_coeffs(g.diagonal()) + g
+    f = [1] + [exact_div(scale * c, 2 * (k + 1)) for k, c in enumerate(diagonal(rate))]
+    for row, fk, gk in zip(rows, f, diagonal(rows)):
+        row[0] = fk - gk
+    return tuple(map(tuple, rows))
 
 
-def f_triangle(spec) -> BivarPoly:
+def f_triangle(spec) -> Triangle:
     """The F-triangle of ``spec``, by the memoized node-deletion induction;
     its support lies in k + l <= rank."""
     spec = as_spec(spec)
-    p = BivarPoly.constant(1)
+    p = ((1,),)
     for t in spec.components:
-        p = p * _f_triangle_irreducible(t)
+        p = product(p, _f_triangle_irreducible(t))
     return _validate_triangle(p, f"f_triangle({spec})")
 
 
 def f_vector(spec) -> tuple[int, ...]:
     """The f-vector (cone counts by dimension), f(x) = F(x, x)."""
     spec = as_spec(spec)
-    return _validate_fvector(spec.rank, f_triangle(spec).diagonal(), f"f_vector({spec})")
+    return _validate_fvector(spec.rank, diagonal(f_triangle(spec)), f"f_vector({spec})")
 
 
 # --------------------------------------------------------------------------
@@ -80,16 +86,13 @@ def f_vector(spec) -> tuple[int, ...]:
 def positive_f_vector(spec) -> tuple[int, ...]:
     """Counts of positive cones by dimension: the l = 0 column, F(x, 0)."""
     spec = as_spec(spec)
-    ft = f_triangle(spec)
-    coeffs = tuple(ft.coeff(k, 0) for k in range(spec.rank + 1))
+    coeffs = tuple(row[0] for row in f_triangle(spec))
     return _validate_fvector(spec.rank, coeffs, f"positive_f_vector({spec})")
 
 
 def natural_f_vector(spec) -> tuple[int, ...]:
     """Coefficients of F(x, -1); counts of natural cones, so must be >= 0."""
-    spec = as_spec(spec)
-    vals = f_triangle(spec).subs_y(-1)
-    out = vals + (0,) * (spec.rank + 1 - len(vals))
+    out = subs_y(f_triangle(spec), -1)
     if any(c < 0 for c in out):
         raise InvariantViolation(f"natural f-vector has a negative entry: {out}")
     return out

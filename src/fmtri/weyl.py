@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
 from .errors import Deadline, InvariantViolation, NO_DEADLINE, SpecError
-from .poly import BivarPoly, exact_div
+from .poly import Triangle, exact_div
 
 
 # --------------------------------------------------------------------------
@@ -143,18 +143,20 @@ class NCLattice(NamedTuple):
     yields them: level 0 is the identity (every bit set), level n is c
     (mask 0).  The masks carry the whole order relation: a <= b iff F(b)
     lies inside F(a).  ``m_triangle`` is M(x, y) = sum over a <= b of
-    mu(a, b) x^rank(b) y^rank(a); its y^0 column holds the sums of mu(1, b)
-    by rank.  The rank n is the rank of ``spec``.  A plain named tuple: no
-    instance ``__dict__``, and every derived value is computed on each read,
-    ``elements`` (the levels laid end to end, so index order refines rank
-    order) and ``ranks`` (the level index of each) too.  Those two stay for
-    the lattice file and the benchmark's tracer; a loop binds them once.
+    mu(a, b) x^rank(b) y^rank(a), as n+1 int tuples of n+1 entries:
+    ``m_triangle[i][j]`` is the coefficient of x^i y^j, and the y^0 column
+    holds the sums of mu(1, b) by rank.  The rank n is the rank of
+    ``spec``.  A plain named tuple: no instance ``__dict__``, and every
+    derived value is computed on each read, ``elements`` (the levels laid
+    end to end, so index order refines rank order) and ``ranks`` (the level
+    index of each) too.  Those two stay for the lattice file and the
+    benchmark's tracer; a loop binds them once.
     """
 
     spec: RootSystemSpec
     coxeter_order: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
-    m_triangle: BivarPoly
+    m_triangle: Triangle
 
     @property
     def n(self) -> int:
@@ -176,7 +178,7 @@ class NCLattice(NamedTuple):
     def mobius_number(self) -> int:
         """mu(1, c), the coefficient of x^n y^0 in M: c is the one element
         of rank n."""
-        return self.m_triangle.coeff(self.n, 0)
+        return self.m_triangle[self.n][0]
 
     @property
     def mobius_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -342,8 +344,8 @@ def lattice_from_masks(
         raise InvariantViolation(f"{spec}: {chains} maximal chains, expected {forms.maximal_chains}")
     if pairs != forms.intervals:
         raise InvariantViolation(f"{spec}: the pairs a <= b are not Z(3) in number")
-    m = BivarPoly(rows)
-    mobius = m.coeff(n, 0)
+    m = tuple(map(tuple, rows))
+    mobius = m[n][0]
     if mobius != forms.mobius_number:
         raise InvariantViolation(f"{spec}: mu(1, c) = {mobius}, expected {forms.mobius_number}")
     return NCLattice(spec, tuple(coxeter_order), levels, m)

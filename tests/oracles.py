@@ -12,7 +12,7 @@ over the whole Moebius table, multichain counting for the Zeta polynomial,
 the covers by subset tests on the masks and the maximal chains counted
 from them, the F-triangle counted on the cluster complex, closed forms for
 the A and B F-triangles, and the second change of variables for the
-reflection symmetry.  Polynomial helpers that only tests need live here too.
+reflection symmetry.  Triangle helpers that only tests need live here too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 from fmtri.cartan import RootSystemSpec, cartan_matrix
 from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import _validate_triangle
-from fmtri.poly import BivarPoly, conjecture_substitution
+from fmtri.poly import Triangle, conjecture_substitution
 from fmtri.weyl import InvariantFormulas, NCLattice, ReflectionRep
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -214,15 +214,15 @@ def interval_by_mask(rep: ReflectionRep, c: Matrix) -> dict[int, Matrix]:
     return by_mask
 
 
-def m_triangle_from_table(lat: NCLattice) -> BivarPoly:
+def m_triangle_from_table(lat: NCLattice) -> Triangle:
     """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a), read off
-    the whole Moebius table ``lat.mobius_rows``."""
+    the whole Moebius table ``lat.mobius_rows``, as a rank-n triangle."""
     rows = [[0] * (lat.n + 1) for _ in range(lat.n + 1)]
     ranks = lat.ranks
     for a, row in enumerate(lat.mobius_rows):
         for b, mu in row:
             rows[ranks[b]][ranks[a]] += mu
-    return BivarPoly(rows)
+    return tuple(map(tuple, rows))
 
 
 def zeta_bruteforce(lat: NCLattice, m: int) -> int:
@@ -283,8 +283,8 @@ def maximal_chains(lat: NCLattice) -> int:
 # --------------------------------------------------------------------------
 
 
-def closed_form_A(n: int) -> BivarPoly:
-    """f_{k,l} = (l+1)/(k+l+1) * C(n, k+l) * C(n+k, n)."""
+def closed_form_A(n: int) -> Triangle:
+    """The rank-n triangle f_{k,l} = (l+1)/(k+l+1) * C(n, k+l) * C(n+k, n)."""
     if n < 0:
         raise ValueError("rank must be >= 0")
     rows = [[0] * (n + 1) for _ in range(n + 1)]
@@ -294,18 +294,18 @@ def closed_form_A(n: int) -> BivarPoly:
             if c.denominator != 1:
                 raise InvariantViolation(f"closed_form_A({n}) entry ({k},{l}) = {c}")
             rows[k][l] = int(c)
-    return _validate_triangle(BivarPoly(rows), f"closed_form_A({n})")
+    return _validate_triangle(tuple(map(tuple, rows)), f"closed_form_A({n})")
 
 
-def closed_form_B(n: int) -> BivarPoly:
-    """f_{k,l} = C(n, k+l) * C(n+k-1, n-1)."""
+def closed_form_B(n: int) -> Triangle:
+    """The rank-n triangle f_{k,l} = C(n, k+l) * C(n+k-1, n-1)."""
     if n < 2:
         raise ValueError("rank must be >= 2 (B1 is A1)")
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     for k in range(n + 1):
         for l in range(n + 1 - k):
             rows[k][l] = comb(n, k + l) * comb(n + k - 1, n - 1)
-    return _validate_triangle(BivarPoly(rows), f"closed_form_B({n})")
+    return _validate_triangle(tuple(map(tuple, rows)), f"closed_form_B({n})")
 
 
 def closed_f_vector_A(n: int) -> tuple[int, ...]:
@@ -329,11 +329,12 @@ def closed_f_vector_B(n: int) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 
-def cluster_f_triangle(rep: ReflectionRep) -> BivarPoly:
+def cluster_f_triangle(rep: ReflectionRep) -> Triangle:
     """The F-triangle counted on the cluster complex (Fomin-Zelevinsky,
-    *Y-systems and generalized associahedra*, Ann. Math. 2003): its faces
-    are the sets of pairwise compatible roots of Phi>=-1, and f_kl counts
-    the faces with k positive roots and l negated simple roots.
+    *Y-systems and generalized associahedra*, Ann. Math. 2003), as a rank-n
+    triangle: its faces are the sets of pairwise compatible roots of
+    Phi>=-1, and f_kl counts the faces with k positive roots and l negated
+    simple roots.
 
     The Dynkin graph is coloured in two, I+ and I-.  tau_e fixes -alpha_i
     for i not in I_e and applies the product of the s_i, i in I_e, to every
@@ -413,7 +414,7 @@ def cluster_f_triangle(rep: ReflectionRep) -> BivarPoly:
                 grow(candidates & compatible[b], k, l + 1)
 
     grow((1 << size) - 1, 0, 0)
-    return BivarPoly(counts)
+    return tuple(map(tuple, counts))
 
 
 # --------------------------------------------------------------------------
@@ -421,74 +422,82 @@ def cluster_f_triangle(rep: ReflectionRep) -> BivarPoly:
 # --------------------------------------------------------------------------
 
 
-def alternative_substitution(p: BivarPoly, n: int) -> BivarPoly:
-    """Expand ``(y-1)^n p((x+1)/(y-1), 1/(y-1))`` as a polynomial.
+def alternative_substitution(p: Triangle) -> Triangle:
+    """Expand ``(y-1)^n p((x+1)/(y-1), 1/(y-1))`` as a rank-n triangle, n
+    read from the rows.
 
     Same termwise denominator clearing as ``conjecture_substitution``: each
     monomial contributes ``c * (x+1)^k * (y-1)^(n-k-l)``.
     """
+    n = len(p) - 1
+    if total_degree(p) > n:
+        raise ValueError(f"total degree {total_degree(p)} exceeds the rank {n}")
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, l, c in p.terms():
+    for k, l, c in terms(p):
         m = n - k - l
-        if m < 0:
-            raise ValueError(f"support ({k},{l}) outside the triangle k+l <= {n}")
         for a in range(k + 1):
             ca = comb(k, a)
             for b in range(m + 1):
                 cb = comb(m, b) if (m - b) % 2 == 0 else -comb(m, b)
                 rows[a][b] += c * ca * cb
-    return BivarPoly(rows)
+    return tuple(map(tuple, rows))
 
 
-def alternative_form_check(ft: BivarPoly, n: int) -> bool:
+def alternative_form_check(ft: Triangle) -> bool:
     """The rewriting (y-1)^n F((x+1)/(y-1), 1/(y-1)) of a rank-n triangle
     must give the same polynomial; this is the reflection symmetry of the
     triangle in disguise."""
-    return alternative_substitution(ft, n) == conjecture_substitution(ft, n)
+    return alternative_substitution(ft) == conjecture_substitution(ft)
 
 
 # --------------------------------------------------------------------------
-# Polynomial helpers
+# Triangle helpers: a rank-n triangle is n+1 int tuples of n+1 entries,
+# ``t[k][l]`` the coefficient of x^k y^l
 # --------------------------------------------------------------------------
 
 
-def monomial(k: int, l: int, c=1) -> BivarPoly:
-    rows = [[0] * (l + 1) for _ in range(k + 1)]
-    rows[k][l] = c
-    return BivarPoly(rows)
+def monomial(n: int, k: int, l: int, c=1) -> Triangle:
+    """c x^k y^l as a triangle of rank n."""
+    return poly_from_terms(n, (k, l, c))
 
 
-def poly_from_terms(*terms) -> BivarPoly:
-    out = BivarPoly.zero()
-    for k, l, c in terms:
-        out = out + monomial(k, l, c)
-    return out
-
-
-def total_degree(p: BivarPoly) -> int:
-    return max((k + l for k, l, _ in p.terms()), default=-1)
-
-
-def derivative_y(p: BivarPoly) -> BivarPoly:
-    return BivarPoly([[c * l for l, c in enumerate(row)][1:] for row in p.rows])
-
-
-def evaluate(p: BivarPoly, xv, yv):
-    return sum(c * xv**k * yv**l for k, l, c in p.terms())
-
-
-def reflect(p: BivarPoly, n: int) -> BivarPoly:
-    """``(-1)^n p(-1-x, -1-y)``, expanded exactly."""
-    if total_degree(p) > n:
-        raise ValueError(f"total degree {total_degree(p)} exceeds reflection order {n}")
+def poly_from_terms(n: int, *terms) -> Triangle:
+    """The rank-n triangle with the coefficients (k, l, c) of ``terms``,
+    a repeated (k, l) adding up."""
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, l, c in p.terms():
+    for k, l, c in terms:
+        rows[k][l] += c
+    return tuple(map(tuple, rows))
+
+
+def terms(p: Triangle):
+    """(k, l, c) for each nonzero coefficient of p."""
+    return [(k, l, c) for k, row in enumerate(p) for l, c in enumerate(row) if c]
+
+
+def total_degree(p: Triangle) -> int:
+    """The largest k + l of a nonzero coefficient; -1 for zero."""
+    return max((k + l for k, l, _ in terms(p)), default=-1)
+
+
+def evaluate(p: Triangle, xv, yv):
+    """p(xv, yv), read off the rows."""
+    return sum(c * xv**k * yv**l for k, l, c in terms(p))
+
+
+def reflect(p: Triangle) -> Triangle:
+    """``(-1)^n p(-1-x, -1-y)``, expanded exactly, n read from the rows."""
+    n = len(p) - 1
+    if total_degree(p) > n:
+        raise ValueError(f"total degree {total_degree(p)} exceeds the rank {n}")
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, l, c in terms(p):
         s = c if (n + k + l) % 2 == 0 else -c
         for a in range(k + 1):
             ca = comb(k, a)
             for b in range(l + 1):
                 rows[a][b] += s * ca * comb(l, b)
-    return BivarPoly(rows)
+    return tuple(map(tuple, rows))
 
 
 def zeta_value(forms: InvariantFormulas, x) -> Fraction:

@@ -17,7 +17,7 @@ from fmtri.errors import InvariantViolation
 from fmtri.ftriangle import f_triangle
 from fmtri.weyl import nc_lattice
 
-from oracles import poly_from_terms
+from oracles import poly_from_terms, terms
 
 
 def run_cli(capsys, *argv):
@@ -45,7 +45,7 @@ class TestFTriangleCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         prod = f_triangle("A2xA1")
-        assert doc["payload"]["f"][0] == [prod.coeff(0, l) for l in range(4)]
+        assert doc["payload"]["f"][0] == list(prod[0])
         assert doc["spec"] == "A2xA1"
 
     def test_unknown_type_is_usage_error(self, capsys):
@@ -71,9 +71,7 @@ class TestMTriangleCommand:
         payload = json.loads(out)["payload"]
         assert code == EXIT_OK
         assert payload["coxeter_order"] == [3, 2, 1]
-        assert payload["m"] == [
-            [nc_lattice("A3").m_triangle.coeff(i, j) for j in range(4)] for i in range(4)
-        ]
+        assert payload["m"] == list(map(list, nc_lattice("A3").m_triangle))
 
     def test_bad_order_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "mtriangle", "A3", "--coxeter-order", "1,2")
@@ -142,11 +140,15 @@ class TestVerifyCommand:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # no real spec mismatches, so doctor the F side: 1 + 2x + y for A1
-        wrong = poly_from_terms((0, 0, 1), (1, 0, 2), (0, 1, 1))
+        wrong = poly_from_terms(1, (0, 0, 1), (1, 0, 2), (0, 1, 1))
         monkeypatch.setattr(conjecture, "f_triangle", lambda spec: wrong)
         code, out = run_cli(capsys, "verify", "A1")
         assert code == EXIT_MISMATCH
-        assert json.loads(out)["payload"]["mismatches"] == [[0, 1, 2, 1], [1, 0, 2, 1]]
+        payload = json.loads(out)["payload"]
+        assert payload["mismatches"] == [[0, 1, 2, 1], [1, 0, 2, 1]]
+        # F(x, 0) = 1 + 2x counts 2 positive clusters, not 1, and F(-1, y) = y - 1
+        failing = {k for k, ok in payload["evidence"].items() if not ok}
+        assert failing == {"positive_cluster_count_match", "corner_specializations"}
         code, out = run_cli(capsys, "verify", "A1", "--format", "csv")
         assert code == EXIT_MISMATCH
         assert out.startswith("verified,false\n")
@@ -169,7 +171,7 @@ class TestVerifyCommand:
             lat = lat._replace(levels=(levels[0], levels[1][1:], levels[1][:1] + levels[2]) + levels[3:])
         else:
             k, l = {"positive_cluster_count_match": (3, 0), "m_self_dual": (2, 0)}.get(flag, (2, 1))
-            lat = lat._replace(m_triangle=lat.m_triangle + poly_from_terms((k, l, 1)))
+            lat = lat._replace(m_triangle=poly_from_terms(3, *terms(lat.m_triangle), (k, l, 1)))
         monkeypatch.setattr(cli, "load_or_build_lattice", lambda *args, **kwargs: lat)
         code, out = run_cli(capsys, "verify", "A3")
         assert code == EXIT_MISMATCH
@@ -187,7 +189,7 @@ class TestVerifyCommand:
             lat = real(t, **kwargs)
             if str(t) != "A1":
                 return lat
-            return SimpleNamespace(m_triangle=lat.m_triangle + poly_from_terms((1, 0, 1)))
+            return SimpleNamespace(m_triangle=poly_from_terms(1, *terms(lat.m_triangle), (1, 0, 1)))
 
         monkeypatch.setattr(conjecture, "nc_lattice", doctored)
         code, out = run_cli(capsys, "verify", "A2xA1")
@@ -244,6 +246,22 @@ class TestVerifyCommand:
             assert run_cli.last_err == (
                 "error: internal: A1: doctored lattice\nerror: internal: A2: doctored lattice\n"
             )
+
+    @pytest.mark.parametrize("side", ["f", "m"])
+    def test_coefficient_outside_the_support_is_an_internal_error(self, capsys, monkeypatch, side):
+        # F has support k + l <= n and M has i >= j: either broken is one
+        # error line, with no traceback, naming the entry
+        lat = nc_lattice("A1")
+        if side == "f":
+            monkeypatch.setattr(conjecture, "f_triangle", lambda spec: ((1, 1), (1, 1)))
+            message = "coefficient [1][1] = 1 lies outside k + l <= 1"
+        else:
+            lat = lat._replace(m_triangle=((1, 1), (-1, 1)))
+            message = "M-triangle coefficient m[0][1] = 1 lies outside i >= j"
+        monkeypatch.setattr(cli, "load_or_build_lattice", lambda *args, **kwargs: lat)
+        code, out = run_cli(capsys, "verify", "A1")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert run_cli.last_err == f"error: internal: {message}\n"
 
     @pytest.mark.parametrize("argv", [("verify", "A2"), ("sweep", "A1", "A2")], ids=["verify", "sweep"])
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch, argv):

@@ -13,15 +13,15 @@ from fmtri.ftriangle import (
     natural_f_vector,
     positive_f_vector,
 )
-from fmtri.poly import BivarPoly
+from fmtri.poly import diagonal, product
 from fmtri.weyl import build_rep
 
 from oracles import closed_form_A, closed_form_B, cluster_f_triangle
 from test_cartan import ALL_TYPES
 
 
-def triangle_rows(ft, n):
-    return [[ft.coeff(k, l) for l in range(n + 1 - k)] for k in range(n + 1)]
+def triangle_rows(ft):
+    return [list(row[: len(ft) - k]) for k, row in enumerate(ft)]
 
 
 class TestFVector:
@@ -34,15 +34,15 @@ class TestFVector:
 
     def test_matches_diagonal(self):
         for t in ALL_TYPES:
-            assert f_triangle(t).diagonal() == f_vector(t)
+            assert diagonal(f_triangle(t)) == f_vector(t)
 
 
 class TestFTriangle:
     def test_a1(self):
-        assert triangle_rows(f_triangle("A1"), 1) == [[1, 1], [1]]
+        assert triangle_rows(f_triangle("A1")) == [[1, 1], [1]]
 
     def test_a2(self):
-        assert triangle_rows(f_triangle("A2"), 2) == [[1, 2, 1], [3, 2], [2]]
+        assert triangle_rows(f_triangle("A2")) == [[1, 2, 1], [3, 2], [2]]
 
     def test_c_equals_b(self):
         # C_n runs its own recursion: its deletions give C_(n-i), not B_(n-i)
@@ -52,24 +52,24 @@ class TestFTriangle:
 
     def test_multiplicative(self):
         sq = f_triangle("A1")
-        assert f_triangle("A1xA1") == sq * sq
-        assert f_triangle("A2xA1") == f_triangle("A2") * f_triangle("A1")
+        assert f_triangle("A1xA1") == product(sq, sq)
+        assert f_triangle("A2xA1") == product(f_triangle("A2"), f_triangle("A1"))
 
     def test_diagonal_top_counts_clusters(self):
         for t in ALL_TYPES:
             ft = f_triangle(t)
             n = t.rank
-            top = sum(ft.coeff(k, n - k) for k in range(n + 1))
+            top = sum(ft[k][n - k] for k in range(n + 1))
             assert top == f_vector(t)[n]
 
 
 class TestClosedForms:
     def test_a1(self):
-        assert triangle_rows(closed_form_A(1), 1) == [[1, 1], [1]]
+        assert triangle_rows(closed_form_A(1)) == [[1, 1], [1]]
 
     def test_b2_values(self):
-        assert triangle_rows(closed_form_B(2), 2) == [[1, 2, 1], [4, 2], [3]]
-        assert closed_form_B(2).diagonal() == (1, 6, 6)
+        assert triangle_rows(closed_form_B(2)) == [[1, 2, 1], [4, 2], [3]]
+        assert diagonal(closed_form_B(2)) == (1, 6, 6)
 
 
 class TestClusterComplex:
@@ -144,26 +144,27 @@ class TestValidation:
             closed_form_B(1)
 
     def test_natural_guard_fires_on_fake_triangle(self, monkeypatch):
-        fake = BivarPoly([[1, 3], [1, 0]])
+        fake = ((1, 3), (1, 0))
         monkeypatch.setattr(ftriangle, "f_triangle", lambda spec: fake)
         with pytest.raises(InvariantViolation, match=re.escape("entry: (-2, 1)")):
             natural_f_vector("A1")
 
     def test_negative_coefficient_guard_fires(self, monkeypatch):
-        fake = BivarPoly([[1, -1], [1]])
+        fake = ((1, -1), (1, 0))
         monkeypatch.setattr(ftriangle, "_f_triangle_irreducible", lambda t: fake)
         with pytest.raises(InvariantViolation, match=re.escape("f_triangle(A1): coefficient f[0][1] = -1")):
             f_triangle("A1")
 
     @pytest.mark.parametrize(
         "vector, coeffs",
-        [(f_vector, (1, 3)), (positive_f_vector, (1, 2, 0))],
+        [(f_vector, (1, 3, 0)), (positive_f_vector, (1, 2, 0))],
         ids=["f_vector", "positive_f_vector"],
     )
     def test_fvector_guard_fires_on_a_zero_top_entry(self, monkeypatch, vector, coeffs):
-        # 1 + y + 2x for A2 has no term of degree 2: its diagonal stops at
-        # f_1, and its y-free column ends in 0
-        monkeypatch.setattr(ftriangle, "f_triangle", lambda spec: BivarPoly([[1, 1], [2]]))
+        # 1 + y + 2x for A2 has no term of degree 2: its diagonal and its
+        # y-free column end in 0
+        fake = ((1, 1, 0), (2, 0, 0), (0, 0, 0))
+        monkeypatch.setattr(ftriangle, "f_triangle", lambda spec: fake)
         message = f"{vector.__name__}(A2): bad f-vector {coeffs}"
         with pytest.raises(InvariantViolation, match=re.escape(message)):
             vector("A2")
