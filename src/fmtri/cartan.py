@@ -120,17 +120,6 @@ def parse_spec(text: str) -> RootSystemSpec:
     return RootSystemSpec(tuple(parse_type(p) for p in parts))
 
 
-def as_spec(obj) -> RootSystemSpec:
-    """Coerce a CartanType, spec string, or RootSystemSpec to a spec."""
-    if isinstance(obj, RootSystemSpec):
-        return obj
-    if isinstance(obj, CartanType):
-        return spec_of(obj)
-    if isinstance(obj, str):
-        return parse_spec(obj)
-    raise TypeError(f"cannot interpret {obj!r} as a root system spec")
-
-
 # Names that the closed forms below reach outside the admissible ranks,
 # mapped to the same diagrams under their admissible names.
 _RENAMED = {("D", 2): (("A", 1), ("A", 1)), ("E", 4): (("A", 4),), ("E", 5): (("D", 5),)}

@@ -81,11 +81,12 @@ def cmd_ftriangle(args) -> int:
 
 def cmd_fvector(args) -> int:
     spec = parse_spec(args.spec)
+    ft = f_triangle(spec)
     payload = {
         "n": spec.rank,
-        "f": list(f_vector(spec)),
-        "f_positive": list(positive_f_vector(spec)),
-        "f_natural": list(natural_f_vector(spec)),
+        "f": list(f_vector(ft)),
+        "f_positive": list(positive_f_vector(ft)),
+        "f_natural": list(natural_f_vector(ft)),
     }
     if args.format == "tex":
         rows = [payload["f"]]
@@ -126,7 +127,7 @@ def cmd_invariants(args) -> int:
         "cardinality": forms.cardinality,
         "mobius": forms.mobius_number,
         "zeta": [str(Fraction(c, forms.group_order)) for c in forms.zeta],
-        "h_vector": list(h_vector(spec)),
+        "h_vector": list(h_vector(f_triangle(spec))),
     }
     rows = [[key, payload[key]] for key in ("cardinality", "mobius")]
     rows += [[key, " ".join(map(str, payload[key]))] for key in ("zeta", "h_vector")]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from functools import reduce
 
-from .cartan import RootSystemSpec
+from .cartan import RootSystemSpec, spec_of
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
 from .ftriangle import f_triangle, h_vector
 from .poly import Triangle, conjecture_substitution, product, subs_x
@@ -50,11 +50,11 @@ def _check_evidence(
     # a product's lattice comes from a BFS of its own, apart from its factors'
     # lattices; its F-triangle is the product of theirs by definition
     multiplicative = spec.is_irreducible or not spec.components or m == reduce(
-        product, (nc_lattice(t, deadline=deadline).m_triangle for t in spec.components)
+        product, (nc_lattice(spec_of(t), deadline=deadline).m_triangle for t in spec.components)
     )
 
     return {
-        "h_vector_match": h_vector(spec) == tuple(map(len, lat.levels)),
+        "h_vector_match": h_vector(ft) == tuple(map(len, lat.levels)),
         "positive_cluster_count_match": ft[n][0] == (mu_hat if n % 2 == 0 else -mu_hat),
         "m_self_dual": all(
             m[i][j] == m[n - j][n - i] for i in range(n + 1) for j in range(n + 1)

@@ -13,10 +13,10 @@ products of root systems.  Integrating the first recursion fixes F up to its
 y-free part, which the second recursion supplies through the diagonal.
 
 The triangle is its printed rows, rank+1 int tuples of rank+1 entries each
-(``fmtri.poly``), and every vector a plain int tuple; the rank they live in
-is the spec's.  Closed forms for the infinite families (types A and B) are
-implemented independently in the test suite's oracles and checked against
-the recursion.
+(``fmtri.poly``), and every vector, read off it, a plain int tuple; the
+rank they live in is the triangle's, ``len(ft) - 1``.  Closed forms for the
+infinite families (types A and B) are implemented independently in the test
+suite's oracles and checked against the recursion.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .cartan import CartanType, as_spec, delete_node, invariants
+from .cartan import CartanType, RootSystemSpec, delete_node, invariants
 from .errors import InvariantViolation
 from .poly import Triangle, diagonal, exact_div, product, subs_y
 
@@ -39,10 +39,10 @@ def _validate_triangle(p: Triangle, origin: str) -> Triangle:
     return p
 
 
-def _validate_fvector(n: int, coeffs: tuple, origin: str) -> tuple[int, ...]:
-    """coeffs, unless f_n is not positive: a nonnegative triangle with
-    F(0, 0) = 1 implies the rest."""
-    if coeffs[n] <= 0:
+def _validate_fvector(coeffs: tuple, origin: str) -> tuple[int, ...]:
+    """coeffs, unless f_n, the last, is not positive: a nonnegative triangle
+    with F(0, 0) = 1 implies the rest."""
+    if coeffs[-1] <= 0:
         raise InvariantViolation(f"{origin}: bad f-vector {coeffs}")
     return coeffs
 
@@ -63,50 +63,45 @@ def _f_triangle_irreducible(t: CartanType) -> Triangle:
     return tuple(map(tuple, rows))
 
 
-def f_triangle(spec) -> Triangle:
+def f_triangle(spec: RootSystemSpec) -> Triangle:
     """The F-triangle of ``spec``, by the memoized node-deletion induction;
     its support lies in k + l <= rank."""
-    spec = as_spec(spec)
     p = ((1,),)
     for t in spec.components:
         p = product(p, _f_triangle_irreducible(t))
     return _validate_triangle(p, f"f_triangle({spec})")
 
 
-def f_vector(spec) -> tuple[int, ...]:
-    """The f-vector (cone counts by dimension), f(x) = F(x, x)."""
-    spec = as_spec(spec)
-    return _validate_fvector(spec.rank, diagonal(f_triangle(spec)), f"f_vector({spec})")
+def f_vector(ft: Triangle) -> tuple[int, ...]:
+    """The f-vector (cone counts by dimension) of ``ft``, f(x) = F(x, x)."""
+    return _validate_fvector(diagonal(ft), "f_vector")
 
 
 # --------------------------------------------------------------------------
 # Specializations
 # --------------------------------------------------------------------------
 
-def positive_f_vector(spec) -> tuple[int, ...]:
-    """Counts of positive cones by dimension: the l = 0 column, F(x, 0)."""
-    spec = as_spec(spec)
-    coeffs = tuple(row[0] for row in f_triangle(spec))
-    return _validate_fvector(spec.rank, coeffs, f"positive_f_vector({spec})")
+def positive_f_vector(ft: Triangle) -> tuple[int, ...]:
+    """Counts of positive cones by dimension: ``ft``'s l = 0 column, F(x, 0)."""
+    return _validate_fvector(tuple(row[0] for row in ft), "positive_f_vector")
 
 
-def natural_f_vector(spec) -> tuple[int, ...]:
-    """Coefficients of F(x, -1); counts of natural cones, so must be >= 0."""
-    out = subs_y(f_triangle(spec), -1)
+def natural_f_vector(ft: Triangle) -> tuple[int, ...]:
+    """Coefficients of F(x, -1) for ``ft``; counts of natural cones, so must be >= 0."""
+    out = subs_y(ft, -1)
     if any(c < 0 for c in out):
         raise InvariantViolation(f"natural f-vector has a negative entry: {out}")
     return out
 
 
-def h_vector(spec) -> tuple[int, ...]:
-    """Binomial transform sum_k f_k y^k (1-y)^(n-k) of the f-vector.
+def h_vector(ft: Triangle) -> tuple[int, ...]:
+    """Binomial transform sum_k f_k y^k (1-y)^(n-k) of ``ft``'s f-vector.
 
     Entries are the generalized Narayana numbers.
     """
-    spec = as_spec(spec)
-    n = spec.rank
+    n = len(ft) - 1
     out = [0] * (n + 1)
-    for k, c in enumerate(f_vector(spec)):
+    for k, c in enumerate(f_vector(ft)):
         for b in range(n - k + 1):
             sign = comb(n - k, b) if b % 2 == 0 else -comb(n - k, b)
             out[k + b] += c * sign

@@ -39,7 +39,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .cartan import RootSystemSpec, as_spec, cartan_matrix, invariants, num_positive_roots
+from .cartan import RootSystemSpec, cartan_matrix, invariants, num_positive_roots
 from .errors import Deadline, InvariantViolation, NO_DEADLINE, SpecError
 from .poly import Triangle, exact_div
 
@@ -75,7 +75,7 @@ def _cartan(spec: RootSystemSpec) -> list[list[int]]:
     return cartan
 
 
-def build_rep(spec, deadline: Deadline = NO_DEADLINE) -> ReflectionRep:
+def build_rep(spec: RootSystemSpec, deadline: Deadline = NO_DEADLINE) -> ReflectionRep:
     """Build the reflection representation for a (possibly reducible) spec.
 
     Positive roots are enumerated by orbit closure under the simple
@@ -86,7 +86,6 @@ def build_rep(spec, deadline: Deadline = NO_DEADLINE) -> ReflectionRep:
     root count refuses a wrong Cartan matrix.  The closure checks
     ``deadline`` once per root.
     """
-    spec = as_spec(spec)
     n = spec.rank
     cartan = _cartan(spec)
     columns = list(zip(*cartan))
@@ -184,8 +183,9 @@ class NCLattice(NamedTuple):
     def mobius_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The whole Moebius table: row a lists (b, mu(a, b)) for every
         b >= a in index order, computed anew on each read.  No library path
-        reads it; it stays only for ``tests/oracles.py`` and the perfbench
-        tracer."""
+        reads it; it stays only for the perfbench tracer, and a test pins it
+        to ``mobius_table`` in ``tests/oracles.py``, whose order relation is
+        derived by code of its own."""
         elements, everyone = self.elements, (1 << self.cardinality) - 1
         holders = _holders(elements)
         down = [_in_all(holders, f, everyone) for f in elements]
@@ -394,9 +394,8 @@ def _mask_indices(mask: int) -> list[int]:
 _LATTICE_MEMO: dict[tuple[RootSystemSpec, tuple[int, ...]], NCLattice] = {}
 
 
-def nc_lattice(spec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NCLattice:
+def nc_lattice(spec: RootSystemSpec, coxeter_order=None, deadline: Deadline = NO_DEADLINE) -> NCLattice:
     """Memoized lattice builder keyed on (canonical spec, node order)."""
-    spec = as_spec(spec)
     key = (spec, node_order(spec.rank, coxeter_order))
     if key not in _LATTICE_MEMO:
         _LATTICE_MEMO[key] = build_nc_lattice(
@@ -418,7 +417,7 @@ class InvariantFormulas(NamedTuple):
     intervals: int
 
 
-def invariant_formulas(spec) -> InvariantFormulas:
+def invariant_formulas(spec: RootSystemSpec) -> InvariantFormulas:
     """Closed-form Zeta polynomial, cardinality, Moebius number, number of
     maximal chains and number of intervals of [1, c].
 
@@ -430,7 +429,6 @@ def invariant_formulas(spec) -> InvariantFormulas:
     Z is multiplicative over products, and the chains of a product are
     shuffles of the chains of its components.
     """
-    spec = as_spec(spec)
     zeta, order, chains = (1,), 1, factorial(spec.rank)
     for t in spec.components:
         inv = invariants(t)

@@ -7,12 +7,13 @@ assembled block by block, the reflection matrices (the simple
 ones and the Coxeter element among them) rebuilt from root and coroot,
 whole-group enumeration and breadth-first word length to check it, the
 pairwise rank test for the absolute order, the interval [1, c] cut from the
-whole group with each element's matrix under its mask, the M-triangle summed
-over the whole Moebius table, multichain counting for the Zeta polynomial,
-the covers by subset tests on the masks and the maximal chains counted
-from them, the F-triangle counted on the cluster complex, closed forms for
-the A and B F-triangles, and the second change of variables for the
-reflection symmetry.  Triangle helpers that only tests need live here too.
+whole group with each element's matrix under its mask, the covers by subset
+tests on the masks and the maximal chains counted from them, the order
+closed over those covers and the whole Moebius table on it, the M-triangle
+summed over that table, multichain counting for the Zeta polynomial, the
+F-triangle counted on the cluster complex, closed forms for the A and B
+F-triangles, and the second change of variables for the reflection
+symmetry.  Triangle helpers that only tests need live here too.
 """
 
 from __future__ import annotations
@@ -214,12 +215,13 @@ def interval_by_mask(rep: ReflectionRep, c: Matrix) -> dict[int, Matrix]:
     return by_mask
 
 
-def m_triangle_from_table(lat: NCLattice) -> Triangle:
+def m_triangle_from_table(lat: NCLattice, table) -> Triangle:
     """M(x, y) = sum over a <= b of mu(a, b) x^rank(b) y^rank(a), read off
-    the whole Moebius table ``lat.mobius_rows``, as a rank-n triangle."""
+    ``table``, the whole Moebius table of ``lat`` (``mobius_table``), as a
+    rank-n triangle."""
     rows = [[0] * (lat.n + 1) for _ in range(lat.n + 1)]
     ranks = lat.ranks
-    for a, row in enumerate(lat.mobius_rows):
+    for a, row in enumerate(table):
         for b, mu in row:
             rows[ranks[b]][ranks[a]] += mu
     return tuple(map(tuple, rows))
@@ -232,7 +234,7 @@ def zeta_bruteforce(lat: NCLattice, m: int) -> int:
     if m == 1:
         return 1
     down: list[list[int]] = [[] for _ in range(lat.cardinality)]
-    for a, row in enumerate(lat.mobius_rows):
+    for a, row in enumerate(mobius_table(lat)):
         for b, _ in row:
             down[b].append(a)
     weights = [1] * lat.cardinality
@@ -262,7 +264,43 @@ def covers(lat: NCLattice) -> list[tuple[int, int]]:
 
 
 def _bits(f: int) -> list[int]:
-    return [i for i, digit in enumerate(reversed(bin(f))) if digit == "1"]
+    out = []
+    while f:
+        low = f & -f
+        out.append(low.bit_length() - 1)
+        f ^= low
+    return out
+
+
+def mobius_table(lat: NCLattice) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The whole Moebius table: row a lists (b, mu(a, b)) for every b >= a
+    in index order.  The order is the closure of ``covers``: [1, c] is
+    graded, so a <= b iff a chain of covers leads from a to b.  The down-set
+    of b is b and the down-sets of its lower covers, and the up-set of a is
+    a and the up-sets of its upper covers, each as a bitmask of indices;
+    mu(a, b) = -sum of mu(a, z) over a <= z < b."""
+    size = lat.cardinality
+    below: list[list[int]] = [[] for _ in range(size)]
+    above: list[list[int]] = [[] for _ in range(size)]
+    for a, b in covers(lat):
+        below[b].append(a)
+        above[a].append(b)
+    down, up = [0] * size, [0] * size
+    for b in range(size):
+        for a in below[b]:
+            down[b] |= down[a]
+        down[b] |= 1 << b
+    for a in reversed(range(size)):
+        for b in above[a]:
+            up[a] |= up[b]
+        up[a] |= 1 << a
+    table = []
+    for a, ua in enumerate(up):
+        mu: dict[int, int] = {}
+        for b in _bits(ua):
+            mu[b] = 1 if b == a else -sum(mu[z] for z in _bits(ua & down[b] & ~(1 << b)))
+        table.append(tuple(mu.items()))
+    return tuple(table)
 
 
 def maximal_chains(lat: NCLattice) -> int:

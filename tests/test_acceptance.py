@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from fmtri.cartan import CartanType, parse_spec
+from fmtri.cartan import CartanType, parse_spec, spec_of
 from fmtri.cli import EXIT_OK, main
 from fmtri.conjecture import verify_conjecture
 from fmtri.ftriangle import f_triangle, f_vector, h_vector
@@ -74,7 +74,7 @@ def lattice_store():
     def get(spec_str):
         if spec_str not in store:
             t0 = time.perf_counter()
-            lat = build_nc_lattice(build_rep(spec_str))
+            lat = build_nc_lattice(build_rep(parse_spec(spec_str)))
             store[spec_str] = (lat, time.perf_counter() - t0)
         return store[spec_str]
 
@@ -84,9 +84,9 @@ def lattice_store():
 def test_criterion_1_reference_values():
     with criterion(1, "A3 triangle and f-vector match the reference values, < 1 s"):
         t0 = time.perf_counter()
-        ft = f_triangle("A3")
+        ft = f_triangle(parse_spec("A3"))
         rows = [list(row[: 4 - k]) for k, row in enumerate(ft)]
-        fv = f_vector("A3")
+        fv = f_vector(ft)
         elapsed = time.perf_counter() - t0
         assert rows == [[1, 3, 3, 1], [6, 8, 3], [10, 5], [5]]
         assert fv == (1, 9, 21, 14)
@@ -97,12 +97,14 @@ def test_criterion_2_closed_form_oracles():
     with criterion(2, "closed forms equal the recursion for A and B up to rank 8, < 5 s"):
         t0 = time.perf_counter()
         for n in range(1, 9):
-            assert closed_form_A(n) == f_triangle(CartanType("A", n))
-            assert f_vector(CartanType("A", n)) == closed_f_vector_A(n)
+            ft = f_triangle(spec_of(CartanType("A", n)))
+            assert closed_form_A(n) == ft
+            assert f_vector(ft) == closed_f_vector_A(n)
             assert diagonal(closed_form_A(n)) == closed_f_vector_A(n)
         for n in range(2, 9):
-            assert closed_form_B(n) == f_triangle(CartanType("B", n))
-            assert f_vector(CartanType("B", n)) == closed_f_vector_B(n)
+            ft = f_triangle(spec_of(CartanType("B", n)))
+            assert closed_form_B(n) == ft
+            assert f_vector(ft) == closed_f_vector_B(n)
             assert diagonal(closed_form_B(n)) == closed_f_vector_B(n)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -112,7 +114,7 @@ def test_criterion_3_symmetry_suite():
     with criterion(3, "reflection symmetry and corner specializations, all types, < 10 s"):
         t0 = time.perf_counter()
         for s in RANK_LE_8_PLUS_EXCEPTIONAL:
-            ft = f_triangle(s)
+            ft = f_triangle(parse_spec(s))
             n = parse_spec(s).rank
             assert reflect(ft) == ft
             assert subs_x(ft, 0) == tuple(comb(n, l) for l in range(n + 1))
@@ -140,7 +142,7 @@ def test_criterion_4_lattice_formulas(lattice_store):
         small_elapsed = 0.0
         for s in RANK_LE_6_LATTICE_TYPES:
             lat, build_time = lattice_store(s)
-            forms = invariant_formulas(s)
+            forms = invariant_formulas(parse_spec(s))
             assert lat.cardinality == forms.cardinality, s
             assert lat.mobius_number == forms.mobius_number, s
             if parse_spec(s).rank <= 5:
@@ -150,7 +152,7 @@ def test_criterion_4_lattice_formulas(lattice_store):
             if parse_spec(s).rank > 4:
                 continue
             lat, _ = lattice_store(s)
-            forms = invariant_formulas(s)
+            forms = invariant_formulas(parse_spec(s))
             for m in range(1, 6):
                 assert zeta_bruteforce(lat, m) == zeta_value(forms, m), (s, m)
         e6, e6_time = lattice_store("E6")
@@ -163,11 +165,11 @@ def test_criterion_5_conjecture_verification(lattice_store):
     desc = "change-of-variables identity verified exactly across the sweep"
     with criterion(5, desc):
         for s in CONJECTURE_SPECS:
-            payload, _ = verify_conjecture(nc_lattice(s))
+            payload, _ = verify_conjecture(nc_lattice(parse_spec(s)))
             assert payload["verified"] and all(payload["evidence"].values()), s
         # E6 end to end (fresh lattice build) within its budget
         t0 = time.perf_counter()
-        lat = build_nc_lattice(build_rep("E6"))
+        lat = build_nc_lattice(build_rep(parse_spec("E6")))
         payload, _ = verify_conjecture(lat)
         e6_elapsed = time.perf_counter() - t0
         assert payload["verified"] and all(payload["evidence"].values())
@@ -186,12 +188,12 @@ def test_criterion_5_conjecture_verification(lattice_store):
 def test_criterion_6_evidence_suite(lattice_store):
     desc = "h-vector, positive-cluster count, self-duality, column collapse"
     with criterion(6, desc):
-        assert h_vector("A3") == (1, 6, 6, 1)
+        assert h_vector(f_triangle(parse_spec("A3"))) == (1, 6, 6, 1)
         for s in RANK_LE_6_LATTICE_TYPES:
             lat, _ = lattice_store(s)
             n = lat.n
-            assert tuple(map(len, lat.levels)) == h_vector(s), s
-            ft = f_triangle(s)
+            ft = f_triangle(parse_spec(s))
+            assert tuple(map(len, lat.levels)) == h_vector(ft), s
             sign = 1 if n % 2 == 0 else -1
             assert ft[n][0] == sign * lat.mobius_number, s
             m = lat.m_triangle
@@ -206,7 +208,7 @@ def test_criterion_7_length_function_oracle():
     with criterion(7, desc):
         t0 = time.perf_counter()
         for s, size in (("A3", 24), ("B3", 48)):
-            rep = build_rep(s)
+            rep = build_rep(parse_spec(s))
             group = whole_group(rep)
             assert len(group) == size
             for g in group:
@@ -229,7 +231,7 @@ def test_criterion_8_determinism_and_invariance(tmp_path):
     desc = "Coxeter-order invariance and byte-identical CLI output"
     with criterion(8, desc):
         for s in ("A3", "B3"):
-            rep = build_rep(s)
+            rep = build_rep(parse_spec(s))
             m1 = build_nc_lattice(rep, coxeter_order=(1, 2, 3)).m_triangle
             m2 = build_nc_lattice(rep, coxeter_order=(3, 2, 1)).m_triangle
             assert m1 == m2, s

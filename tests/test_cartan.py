@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 from fmtri.cartan import (
     CartanType,
     RootSystemSpec,
-    as_spec,
     cartan_matrix,
     delete_node,
     invariants,
     num_positive_roots,
     parse_spec,
     parse_type,
-    spec_of,
 )
 from fmtri.errors import SpecError
 
@@ -89,12 +87,6 @@ class TestCartanType:
         for record in (spec, *spec.components):
             copy = pickle.loads(pickle.dumps(record))
             assert copy == record and type(copy) is type(record)
-
-    def test_as_spec_coercions(self):
-        t = CartanType("A", 3)
-        assert as_spec(t) == spec_of(t) == as_spec("A3")
-        with pytest.raises(TypeError, match="cannot interpret 3 as a root system spec"):
-            as_spec(3)
 
 
 class TestInvariants:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import fmtri
-from fmtri import cache, cli, conjecture, weyl
+from fmtri import cache, cli, conjecture, ftriangle, weyl
 from fmtri.cache import lattice_from_doc, load_or_build_lattice
 from fmtri.cartan import parse_spec
 from fmtri.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
@@ -44,7 +44,7 @@ class TestFTriangleCommand:
         code, out = run_cli(capsys, "ftriangle", "A2xA1")
         assert code == EXIT_OK
         doc = json.loads(out)
-        prod = f_triangle("A2xA1")
+        prod = f_triangle(parse_spec("A2xA1"))
         assert doc["payload"]["f"][0] == list(prod[0])
         assert doc["spec"] == "A2xA1"
 
@@ -71,7 +71,7 @@ class TestMTriangleCommand:
         payload = json.loads(out)["payload"]
         assert code == EXIT_OK
         assert payload["coxeter_order"] == [3, 2, 1]
-        assert payload["m"] == list(map(list, nc_lattice("A3").m_triangle))
+        assert payload["m"] == list(map(list, nc_lattice(parse_spec("A3")).m_triangle))
 
     def test_bad_order_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "mtriangle", "A3", "--coxeter-order", "1,2")
@@ -146,9 +146,10 @@ class TestVerifyCommand:
         assert code == EXIT_MISMATCH
         payload = json.loads(out)["payload"]
         assert payload["mismatches"] == [[0, 1, 2, 1], [1, 0, 2, 1]]
-        # F(x, 0) = 1 + 2x counts 2 positive clusters, not 1, and F(-1, y) = y - 1
+        # F(x, 0) = 1 + 2x counts 2 positive clusters, not 1, F(-1, y) = y - 1,
+        # and F(x, x) = 1 + 3x gives the h-vector (1, 2), not A1's ranks (1, 1)
         failing = {k for k, ok in payload["evidence"].items() if not ok}
-        assert failing == {"positive_cluster_count_match", "corner_specializations"}
+        assert failing == {"positive_cluster_count_match", "corner_specializations", "h_vector_match"}
         code, out = run_cli(capsys, "verify", "A1", "--format", "csv")
         assert code == EXIT_MISMATCH
         assert out.startswith("verified,false\n")
@@ -165,7 +166,7 @@ class TestVerifyCommand:
         # leaves M alone; M(3, 0) = mu(1, c) is its own self-dual partner,
         # M(2, 0) is partnered with M(3, 1), and M(2, 1) with itself.  Every
         # M edit also moves a column sum of M(1, y) = y^3, and the rhs
-        lat = nc_lattice("A3")
+        lat = nc_lattice(parse_spec("A3"))
         if flag == "h_vector_match":
             levels = lat.levels
             lat = lat._replace(levels=(levels[0], levels[1][1:], levels[1][:1] + levels[2]) + levels[3:])
@@ -251,7 +252,7 @@ class TestVerifyCommand:
     def test_coefficient_outside_the_support_is_an_internal_error(self, capsys, monkeypatch, side):
         # F has support k + l <= n and M has i >= j: either broken is one
         # error line, with no traceback, naming the entry
-        lat = nc_lattice("A1")
+        lat = nc_lattice(parse_spec("A1"))
         if side == "f":
             monkeypatch.setattr(conjecture, "f_triangle", lambda spec: ((1, 1), (1, 1)))
             message = "coefficient [1][1] = 1 lies outside k + l <= 1"
@@ -362,7 +363,8 @@ class TestDeterminismAndCache:
     def test_lattice_cache_round_trip(self, tmp_path):
         # a lattice's file compares equal to the built lattice, which is
         # returned as it is, and the file of any other spec or order does not
-        lats = [nc_lattice(s) for s in ["A3", "B3", "D4", "A2xA1"]] + [nc_lattice("A3", (3, 2, 1))]
+        lats = [nc_lattice(parse_spec(s)) for s in ["A3", "B3", "D4", "A2xA1"]]
+        lats.append(nc_lattice(parse_spec("A3"), (3, 2, 1)))
         files = []
         for i, lat in enumerate(lats):
             assert load_or_build_lattice(lat.spec, lat.coxeter_order, tmp_path / str(i)) is lat
@@ -375,7 +377,7 @@ class TestDeterminismAndCache:
                         lattice_from_doc(data, own, lat)
 
     def test_cached_lattice_file_reused(self, tmp_path):
-        lat1 = load_or_build_lattice("A2", cache_dir=tmp_path)
+        lat1 = load_or_build_lattice(parse_spec("A2"), cache_dir=tmp_path)
         path = next(tmp_path.iterdir())
         # version 5 files name the elements by their masks and hold their
         # ranks: no matrix, no cover, which the masks give, no rank, which is
@@ -387,7 +389,7 @@ class TestDeterminismAndCache:
         assert doc["elements"] == list(lat1.elements) and all(type(f) is int for f in lat1.elements)
         assert doc["ranks"] == list(lat1.ranks)
         stamp = path.stat().st_mtime_ns
-        lat2 = load_or_build_lattice("A2", cache_dir=tmp_path)
+        lat2 = load_or_build_lattice(parse_spec("A2"), cache_dir=tmp_path)
         assert path.stat().st_mtime_ns == stamp
         assert lat2 == lat1 and lat2.m_triangle == lat1.m_triangle
 
@@ -449,7 +451,7 @@ class TestDeterminismAndCache:
             cache_dir = tmp_path / oct(umask)
             old = os.umask(umask)
             try:
-                load_or_build_lattice("A2", cache_dir=cache_dir)
+                load_or_build_lattice(parse_spec("A2"), cache_dir=cache_dir)
             finally:
                 os.umask(old)
             (path,) = cache_dir.iterdir()
@@ -503,8 +505,19 @@ class TestDeterminismAndCache:
         # lattice_from_masks builds the down-sets, and one pass over them
         # gives the Moebius row and M together; it takes the closed forms
         # once.  Every run builds its lattice once, so this holds with no
-        # cache dir, and with a cold or a warm one
+        # cache dir, and with a cold or a warm one.  A command computes the
+        # F-triangle of its spec once, and reads every F-side vector off it;
+        # the recursion's own calls are on smaller specs, so not counted
         calls = []
+        b6, real_f_triangle = parse_spec("B6"), ftriangle.f_triangle
+
+        def f_triangle(spec):
+            if spec == b6:
+                calls.append("f_triangle")
+            return real_f_triangle(spec)
+
+        for module in (ftriangle, conjecture, cli):
+            monkeypatch.setattr(module, "f_triangle", f_triangle)
 
         def counted(name, real):
             def count(*args, **kwargs):
@@ -526,12 +539,15 @@ class TestDeterminismAndCache:
             return sorted(calls)
 
         once = ["invariant_formulas", "lattice_from_masks"]
+        verified = ["f_triangle", *once]
         cached = ("verify", "B6", "--cache-dir", str(tmp_path))
-        assert calls_of("verify", "B6") == once
-        assert calls_of(*cached) == once
+        assert calls_of("verify", "B6") == verified
+        assert calls_of(*cached) == verified
         assert any(tmp_path.iterdir())
-        assert calls_of(*cached) == once
+        assert calls_of(*cached) == verified
         assert calls_of("mtriangle", "B6") == once
+        for command in ("fvector", "invariants"):
+            assert calls_of(command, "B6") == ["f_triangle"]
 
 
 class TestUsage:

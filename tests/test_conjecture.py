@@ -17,12 +17,12 @@ from oracles import alternative_form_check, evaluate, poly_from_terms
 class TestLHS:
     def test_a1(self):
         # (1-y) + (x+y) + y
-        assert conjecture_substitution(f_triangle("A1")) == poly_from_terms(
+        assert conjecture_substitution(f_triangle(parse_spec("A1"))) == poly_from_terms(
             1, (0, 0, 1), (1, 0, 1), (0, 1, 1)
         )
 
     def test_a2(self):
-        assert conjecture_substitution(f_triangle("A2")) == poly_from_terms(
+        assert conjecture_substitution(f_triangle(parse_spec("A2"))) == poly_from_terms(
             2, (0, 0, 1), (1, 0, 3), (2, 0, 2), (0, 1, 3), (1, 1, 3), (0, 2, 1)
         )
 
@@ -31,24 +31,25 @@ class TestLHS:
 
     def test_x0_slice_is_h_vector(self):
         for s in ["A1", "A3", "B3", "D4", "G2"]:
-            assert subs_x(conjecture_substitution(f_triangle(s)), 0) == h_vector(s)
+            ft = f_triangle(parse_spec(s))
+            assert subs_x(conjecture_substitution(ft), 0) == h_vector(ft)
 
     def test_x_minus_one_slice_is_y_power(self):
         for s in ["A1", "A3", "B3", "F4"]:
             n = parse_spec(s).rank
-            lhs = conjecture_substitution(f_triangle(s))
+            lhs = conjecture_substitution(f_triangle(parse_spec(s)))
             assert subs_x(lhs, -1) == (0,) * n + (1,)
 
 
 class TestRHS:
     def test_a1_brute_force(self):
         # three interval pairs on the 2-chain
-        assert conjecture_rhs(nc_lattice("A1").m_triangle) == poly_from_terms(
+        assert conjecture_rhs(nc_lattice(parse_spec("A1")).m_triangle) == poly_from_terms(
             1, (0, 0, 1), (1, 0, 1), (0, 1, 1)
         )
 
     def test_a2_brute_force(self):
-        assert conjecture_rhs(nc_lattice("A2").m_triangle) == poly_from_terms(
+        assert conjecture_rhs(nc_lattice(parse_spec("A2")).m_triangle) == poly_from_terms(
             2, (0, 0, 1), (1, 0, 3), (2, 0, 2), (0, 1, 3), (1, 1, 3), (0, 2, 1)
         )
 
@@ -62,13 +63,13 @@ class TestRHS:
 
     def test_x0_slice_counts_ranks(self):
         for s in ["A2", "B3", "D4"]:
-            lat = nc_lattice(s)
+            lat = nc_lattice(parse_spec(s))
             assert subs_x(conjecture_rhs(lat.m_triangle), 0) == tuple(map(len, lat.levels))
 
     def test_matches_m_triangle_pointwise(self):
         """Independent oracle: evaluate M(-x, -y/x) at rational points."""
         for s in ["A2", "A3", "B3", "G2"]:
-            m = nc_lattice(s).m_triangle
+            m = nc_lattice(parse_spec(s)).m_triangle
             rhs = conjecture_rhs(m)
             for xv, yv in [(2, 3), (-3, 5), (Fraction(1, 2), Fraction(2, 3))]:
                 xv, yv = Fraction(xv), Fraction(yv)
@@ -79,31 +80,31 @@ class TestVerify:
     def test_c_family(self):
         # C lattices are built from their own Cartan data, not routed via B
         for s in ["C3", "C4"]:
-            payload, _ = verify_conjecture(nc_lattice(s))
+            payload, _ = verify_conjecture(nc_lattice(parse_spec(s)))
             assert payload["verified"] and all(payload["evidence"].values()), s
 
     def test_a3_positive_cluster_count(self):
-        payload, _ = verify_conjecture(nc_lattice("A3"))
+        payload, _ = verify_conjecture(nc_lattice(parse_spec("A3")))
         assert payload["verified"]
-        lat = nc_lattice("A3")
-        assert f_triangle("A3")[3][0] == 5
+        lat = nc_lattice(parse_spec("A3"))
+        assert f_triangle(parse_spec("A3"))[3][0] == 5
         assert lat.mobius_number == -5
         assert payload["evidence"]["positive_cluster_count_match"]
 
     def test_coxeter_order_does_not_matter(self):
-        p1, _ = verify_conjecture(nc_lattice("B3", (3, 1, 2)))
+        p1, _ = verify_conjecture(nc_lattice(parse_spec("B3"), (3, 1, 2)))
         assert p1["verified"] and all(p1["evidence"].values())
-        assert p1["rhs"] == verify_conjecture(nc_lattice("B3"))[0]["rhs"]
+        assert p1["rhs"] == verify_conjecture(nc_lattice(parse_spec("B3")))[0]["rhs"]
 
     def test_evidence_builds_respect_the_deadline(self, monkeypatch):
         # the multiplicativity check builds the lattice of every component
-        lat = nc_lattice("A3xA1")
+        lat = nc_lattice(parse_spec("A3xA1"))
         monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
         with pytest.raises(ComputationTimeout):
             verify_conjecture(lat, deadline=Deadline(0))
 
     def test_report_payload_round_trips_json(self):
-        payload, timings = verify_conjecture(nc_lattice("A2"))
+        payload, timings = verify_conjecture(nc_lattice(parse_spec("A2")))
         assert json.loads(json.dumps(payload)) == payload
         assert "timings" not in payload
         assert set(timings) == {"f_triangle", "compare"}
@@ -112,7 +113,7 @@ class TestVerify:
         # doctor a wrong triangle: the comparison must surface data, not raise
         wrong = poly_from_terms(1, (0, 0, 1), (1, 0, 2), (0, 1, 1))
         monkeypatch.setattr(conjecture, "f_triangle", lambda spec: wrong)
-        payload, _ = verify_conjecture(nc_lattice("A1"))
+        payload, _ = verify_conjecture(nc_lattice(parse_spec("A1")))
         assert payload["verified"] is False
         # 1 + 2x + y transforms to (1-y) + 2(x+y) + y = 1 + 2x + 2y
         assert payload["mismatches"] == [[0, 1, 2, 1], [1, 0, 2, 1]]
@@ -120,10 +121,10 @@ class TestVerify:
 
 class TestAlternativeForm:
     def test_small(self):
-        assert alternative_form_check(f_triangle("A1"))
-        assert alternative_form_check(f_triangle("A2"))
+        assert alternative_form_check(f_triangle(parse_spec("A1")))
+        assert alternative_form_check(f_triangle(parse_spec("A2")))
         assert alternative_form_check(f_triangle(spec_of()))
 
     def test_everywhere(self):
         for s in ["A4", "B4", "D4", "F4", "G2", "A2xA1"]:
-            assert alternative_form_check(f_triangle(s))
+            assert alternative_form_check(f_triangle(parse_spec(s)))

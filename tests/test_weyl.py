@@ -34,6 +34,7 @@ from oracles import (
     mat_mul,
     mat_sub,
     maximal_chains,
+    mobius_table,
     reflections,
     simple_reflections,
     zeta_bruteforce,
@@ -95,28 +96,28 @@ class TestIntRank:
 
 class TestReflectionRep:
     def test_counts(self):
-        assert len(build_rep("A1").positive_roots) == 1
-        assert len(build_rep("A3").positive_roots) == 6
-        assert len(build_rep("G2").positive_roots) == 6
+        assert len(build_rep(parse_spec("A1")).positive_roots) == 1
+        assert len(build_rep(parse_spec("A3")).positive_roots) == 6
+        assert len(build_rep(parse_spec("G2")).positive_roots) == 6
 
     def test_counts_all_types(self):
         from fmtri.cartan import num_positive_roots
 
         for s in SMALL_TYPES:
-            rep = build_rep(s)
+            rep = build_rep(parse_spec(s))
             expected = sum(num_positive_roots(t) for t in rep.spec.components)
             assert len(rep.positive_roots) == len(rep.coroots) == expected
 
     def test_simple_reflections_are_involutions(self):
         for s in SMALL_TYPES:
-            rep = build_rep(s)
+            rep = build_rep(parse_spec(s))
             for i, m in enumerate(simple_reflections(rep)):
                 assert mat_mul(m, m) == mat_identity(rep.n)
                 alpha = tuple(1 if j == i else 0 for j in range(rep.n))
                 assert mat_apply(m, alpha) == tuple(-c for c in alpha)
 
     def test_reflections_have_length_one(self):
-        rep = build_rep("B3")
+        rep = build_rep(parse_spec("B3"))
         for t in reflections(rep):
             assert abs_length(t) == 1
             assert mat_mul(t, t) == mat_identity(rep.n)
@@ -125,7 +126,7 @@ class TestReflectionRep:
     def test_coroots(self, s):
         # coroots are in simple-coroot coordinates: alpha_i's is e_i, and
         # <beta, beta^vee> = gamma^T A beta = 2
-        rep = build_rep(s)
+        rep = build_rep(parse_spec(s))
         a = cartan(rep.spec)
         coroot_of = dict(zip(rep.positive_roots, rep.coroots))
         for e in mat_identity(rep.n):
@@ -137,11 +138,11 @@ class TestReflectionRep:
 
     @pytest.mark.parametrize("s", ["A1", "B3", "A2xA1"])
     def test_pickle_round_trip(self, s):
-        rep = build_rep(s)
+        rep = build_rep(parse_spec(s))
         assert pickle.loads(pickle.dumps(rep)) == rep
 
     def test_block_rep_for_products(self):
-        rep = build_rep("A2xA1")
+        rep = build_rep(parse_spec("A2xA1"))
         assert rep.n == 3
         assert len(rep.positive_roots) == 4
 
@@ -151,7 +152,7 @@ class TestReflectionRep:
         a3 = weyl.cartan_matrix(CartanType("A", 3))
         monkeypatch.setattr(weyl, "cartan_matrix", lambda t: a3)
         with pytest.raises(InvariantViolation, match="B3: found 6 positive roots, expected 9"):
-            build_rep("B3")
+            build_rep(parse_spec("B3"))
 
 
 class TestAbsLength:
@@ -159,22 +160,22 @@ class TestAbsLength:
         assert abs_length(mat_identity(3)) == 0
 
     def test_reflections(self):
-        rep = build_rep("A3")
+        rep = build_rep(parse_spec("A3"))
         assert all(abs_length(t) == 1 for t in reflections(rep))
 
     def test_coxeter_element_is_full_length(self):
         for s in SMALL_TYPES:
-            rep = build_rep(s)
+            rep = build_rep(parse_spec(s))
             assert abs_length(coxeter_element(rep)) == rep.n
 
 
 class TestCoxeterElement:
     def test_a1(self):
-        rep = build_rep("A1")
+        rep = build_rep(parse_spec("A1"))
         assert coxeter_element(rep) == reflections(rep)[0]
 
     def test_a2_has_order_h(self):
-        rep = build_rep("A2")
+        rep = build_rep(parse_spec("A2"))
         c = coxeter_element(rep, (1, 2))
         power = c
         order = 1
@@ -184,7 +185,7 @@ class TestCoxeterElement:
         assert order == 3
 
     def test_invalid_ordering(self):
-        rep = build_rep("A2")
+        rep = build_rep(parse_spec("A2"))
         with pytest.raises(SpecError):
             build_nc_lattice(rep, (1, 1))
 
@@ -192,7 +193,7 @@ class TestCoxeterElement:
     def test_rejects_a_rep_with_a_zero_coroot(self, s):
         # with alpha_1's coroot zeroed, t_1 fixes every u_t, so its z mask
         # has every bit and the search never leaves F(1) through it
-        rep = build_rep(s)
+        rep = build_rep(parse_spec(s))
         at = rep.positive_roots.index(tuple(int(j == 0) for j in range(rep.n)))
         coroots = list(rep.coroots)
         coroots[at] = (0,) * rep.n
@@ -203,7 +204,7 @@ class TestCoxeterElement:
     def test_euler_form_times_one_minus_c_is_the_cartan_matrix(self, s):
         # the z masks rest on E_c (1 - c) = A, for E_c equal to A above the
         # diagonal in node order, 1 on it and 0 below
-        rep = build_rep(s)
+        rep = build_rep(parse_spec(s))
         n, a = rep.n, cartan(rep.spec)
         for order in three_orders(n):
             position = list(order or range(1, n + 1)).index
@@ -217,19 +218,19 @@ class TestCoxeterElement:
 
 class TestAbsoluteOrder:
     def test_identity_below_everything(self):
-        rep = build_rep("A3")
+        rep = build_rep(parse_spec("A3"))
         e = mat_identity(3)
         c = coxeter_element(rep)
         assert absolute_leq(rep, e, c)
         assert all(absolute_leq(rep, e, t) for t in reflections(rep))
 
     def test_reflexive(self):
-        rep = build_rep("A2")
+        rep = build_rep(parse_spec("A2"))
         t = reflections(rep)[0]
         assert absolute_leq(rep, t, t)
 
     def test_a2_atom_below_coxeter(self):
-        rep = build_rep("A2")
+        rep = build_rep(parse_spec("A2"))
         c = coxeter_element(rep)
         assert all(absolute_leq(rep, t, c) for t in reflections(rep))
         assert not absolute_leq(rep, c, reflections(rep)[0])
@@ -238,12 +239,12 @@ class TestAbsoluteOrder:
 class TestNCLattice:
     @pytest.mark.parametrize("s", ["A1", "A3", "B2xA1"])
     def test_pickle_round_trip(self, s):
-        lat = nc_lattice(s)
+        lat = nc_lattice(parse_spec(s))
         copy = pickle.loads(pickle.dumps(lat))
         assert copy == lat and type(copy) is type(lat)
 
     def test_lattice_is_immutable(self):
-        lat = build_nc_lattice(build_rep("A2"))
+        lat = build_nc_lattice(build_rep(parse_spec("A2")))
         assert lat._fields == ("spec", "coxeter_order", "levels", "m_triangle")
         with pytest.raises(AttributeError):
             lat.levels = ()
@@ -260,7 +261,7 @@ class TestNCLattice:
                 self.calls += 1
 
         rep_budget, build_budget, memo_budget = Counting(), Counting(), Counting()
-        rep = build_rep("B3", deadline=rep_budget)
+        rep = build_rep(parse_spec("B3"), deadline=rep_budget)
         lat = build_nc_lattice(rep, deadline=build_budget)
         roots = len(rep.positive_roots)
         assert rep_budget.calls == roots
@@ -271,20 +272,22 @@ class TestNCLattice:
         assert build_budget.calls == 2 * roots + searched + 2 * lat.cardinality
         # the memoized builder passes its budget to both
         monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
-        nc_lattice("B3", deadline=memo_budget)
+        nc_lattice(parse_spec("B3"), deadline=memo_budget)
         assert memo_budget.calls == rep_budget.calls + build_budget.calls
 
     @pytest.mark.parametrize("s", ["A1", "A2xA1", "B3", "D5", "E6", "F4xG2", "A3xA3"])
     def test_maximal_chains_match_the_formula(self, s):
-        n = parse_spec(s).rank
-        for order in (None, tuple(range(n, 0, -1))):
-            assert maximal_chains(nc_lattice(s, order)) == invariant_formulas(s).maximal_chains
+        spec = parse_spec(s)
+        for order in (None, tuple(range(spec.rank, 0, -1))):
+            assert maximal_chains(nc_lattice(spec, order)) == invariant_formulas(spec).maximal_chains
 
     def test_maximal_chain_formula_values(self):
         # (n + 1)^(n - 1) for A_n (Cayley) and n^n for B_n
-        assert [invariant_formulas(f"A{n}").maximal_chains for n in (1, 2, 3, 4)] == [1, 3, 16, 125]
-        assert [invariant_formulas(f"B{n}").maximal_chains for n in (2, 3, 4)] == [4, 27, 256]
-        assert invariant_formulas("A2xA1").maximal_chains == 3 * 3
+        chains = [invariant_formulas(parse_spec(f"A{n}")).maximal_chains for n in (1, 2, 3, 4)]
+        assert chains == [1, 3, 16, 125]
+        chains = [invariant_formulas(parse_spec(f"B{n}")).maximal_chains for n in (2, 3, 4)]
+        assert chains == [4, 27, 256]
+        assert invariant_formulas(parse_spec("A2xA1")).maximal_chains == 3 * 3
         assert invariant_formulas(spec_of()).maximal_chains == 1
 
     def test_repointed_cover_breaks_the_interval_count(self):
@@ -292,7 +295,7 @@ class TestNCLattice:
         # element of rank 2 above it is replaced by another: the cover
         # (a, b) becomes (a, b').  The constructor refuses it, and the count
         # of pairs a <= b, taken here by subset tests on the masks, would too
-        lat = nc_lattice("A3")
+        lat = nc_lattice(parse_spec("A3"))
         levels = levels_of(lat)
         atoms, rank_2 = levels[1], levels[2]
 
@@ -311,7 +314,7 @@ class TestNCLattice:
         with pytest.raises(InvariantViolation):
             weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels)
         pairs = sum(not g & ~f for f in elements for g in elements)
-        assert pairs != invariant_formulas("A3").intervals
+        assert pairs != invariant_formulas(parse_spec("A3")).intervals
 
     @pytest.mark.parametrize(
         "field", ["cardinality", "mobius_number", "maximal_chains", "intervals"]
@@ -331,12 +334,12 @@ class TestNCLattice:
             lambda s: real(s)._replace(**{field: getattr(real(s), field) + 1}),
         )
         with pytest.raises(InvariantViolation, match=message):
-            build_nc_lattice(build_rep("A2"))
+            build_nc_lattice(build_rep(parse_spec("A2")))
 
     def test_wrong_size_is_refused_before_the_holders_are_made(self, monkeypatch):
         # the holders of each bit take |L| |Phi+| bits, so the constructor
         # checks |L| before it makes them
-        lat = nc_lattice("A3")
+        lat = nc_lattice(parse_spec("A3"))
         levels = levels_of(lat)
         levels[-1].append(0)
 
@@ -352,17 +355,17 @@ class TestNCLattice:
         # the constructor takes the levels as the search gives them, and
         # the ranks it keeps are their indices
         for order in three_orders(parse_spec(s).rank):
-            lat = nc_lattice(s, order)
+            lat = nc_lattice(parse_spec(s), order)
             assert weyl.lattice_from_masks(lat.spec, lat.coxeter_order, levels_of(lat)) == lat
 
     def test_leq_matches_direct_rank_characterization(self):
-        # the support of the Moebius rows must equal the pairwise rank test
+        # the support of the Moebius table must equal the pairwise rank test
         for s in ["A2", "A3", "A4", "B3", "D4", "A2xA1"]:
-            lat = nc_lattice(s)
-            rep = build_rep(s)
+            lat = nc_lattice(parse_spec(s))
+            rep = build_rep(parse_spec(s))
             by_mask = interval_by_mask(rep, coxeter_element(rep))
             mats = [by_mask[f] for f in lat.elements]
-            for a, row in enumerate(lat.mobius_rows):
+            for a, row in enumerate(mobius_table(lat)):
                 above = {b for b, _ in row}
                 for b in range(lat.cardinality):
                     expected = absolute_leq(rep, mats[a], mats[b])
@@ -370,13 +373,13 @@ class TestNCLattice:
 
     @pytest.mark.parametrize("s", ["A3", "B3", "A4", "B4", "D4", "F4", "G2", "A2xA1"])
     def test_elements_are_the_interval_cut_from_the_whole_group(self, s):
-        rep = build_rep(s)
+        rep = build_rep(parse_spec(s))
         n = rep.n
         # for n > 2 the rotation is not an involution, so a node's label and
         # its position in the order differ; for G2 it is the reversed order
         rotation = tuple(range(2, n + 1)) + (1,)
         for order in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), rotation):
-            lat = nc_lattice(s, order)
+            lat = nc_lattice(parse_spec(s), order)
             c = coxeter_element(rep, order)
             # the oracle raises unless F is injective on [1, c]
             by_mask = interval_by_mask(rep, c)
@@ -393,7 +396,7 @@ class TestNCLattice:
         # M is derived from the masks and their levels, so a wrong level
         # would give a wrong M; no edit touches |L|, the masks or their
         # order, and each is refused by the heights check
-        lat = nc_lattice("A3")
+        lat = nc_lattice(parse_spec("A3"))
         levels = levels_of(lat)
         if edit == "rank_shifted":
             # every cover still goes up one level, but the identity is at level 1
@@ -413,7 +416,7 @@ class TestNCLattice:
         # cover edits are mask edits too; no edit touches |L| or the levels'
         # sizes, each keeps the masks distinct and each level increasing, as
         # the search gives them, and each is refused by its own check
-        lat = nc_lattice("D4")
+        lat = nc_lattice(parse_spec("D4"))
         levels, elements = levels_of(lat), lat.elements
         roots = elements[0].bit_length()
         atoms, rank_2 = levels[1], levels[2]
@@ -472,7 +475,7 @@ class TestNCLattice:
         # search
         accepted = {}
         for s in ["A2", "B2", "G2", "A2xA1", "A3", "B3"]:
-            lat = nc_lattice(s)
+            lat = nc_lattice(parse_spec(s))
             accepted[s] = 0
             levels = levels_of(lat)
             for r, level in enumerate(levels):
@@ -490,8 +493,8 @@ class TestNCLattice:
         assert accepted == {"A2": 0, "B2": 0, "G2": 0, "A2xA1": 0, "A3": 34, "B3": 315}
 
     def test_e7(self):
-        lat = nc_lattice("E7")
-        forms = invariant_formulas("E7")
+        lat = nc_lattice(parse_spec("E7"))
+        forms = invariant_formulas(parse_spec("E7"))
         assert (lat.cardinality, lat.mobius_number) == (4160, -2431)
         assert (forms.cardinality, forms.mobius_number) == (4160, -2431)
         assert maximal_chains(lat) == forms.maximal_chains == 1062882
@@ -499,8 +502,8 @@ class TestNCLattice:
         assert payload["verified"] and all(payload["evidence"].values())
 
     def test_e8(self):
-        lat = nc_lattice("E8")
-        forms = invariant_formulas("E8")
+        lat = nc_lattice(parse_spec("E8"))
+        forms = invariant_formulas(parse_spec("E8"))
         assert lat.cardinality == forms.cardinality == 25080
         assert lat.mobius_number == forms.mobius_number == zeta_value(forms, -1)
         assert forms.group_order == 696729600
@@ -510,8 +513,8 @@ class TestNCLattice:
 
     def test_grading_via_covers(self):
         # each cover multiplies by one reflection
-        lat = nc_lattice("B3")
-        rep = build_rep("B3")
+        lat = nc_lattice(parse_spec("B3"))
+        rep = build_rep(parse_spec("B3"))
         by_mask = interval_by_mask(rep, coxeter_element(rep))
         mats = [by_mask[f] for f in lat.elements]
         for a, b in covers(lat):
@@ -523,7 +526,7 @@ class TestNCLattice:
     def test_upper_covers_number_the_mask_bits(self, s):
         # one upper cover t*a of a per reflection t in F(a), element by
         # element; the constructor checks this only as a total
-        lat = nc_lattice(s)
+        lat = nc_lattice(parse_spec(s))
         up = [0] * lat.cardinality
         for a, _ in covers(lat):
             up[a] += 1
@@ -533,7 +536,7 @@ class TestNCLattice:
         # the down-sets are made one at a time and dropped, so the build's
         # traced peak stays near the size of its output: under 0.45 MiB for
         # E6 (|L| = 833), where all down-sets at once took 0.9 MiB
-        rep = build_rep("E6")
+        rep = build_rep(parse_spec("E6"))
         tracemalloc.start()
         try:
             build_nc_lattice(rep)
@@ -546,7 +549,7 @@ class TestNCLattice:
         # each level is a set made from the previous level alone, with no
         # set over all levels: E8's search, lattice_from_masks stubbed
         # out, peaks near 1.5 MiB, where a set over all levels took 3.5 MiB
-        rep = build_rep("E8")
+        rep = build_rep(parse_spec("E8"))
         monkeypatch.setattr(weyl, "lattice_from_masks", lambda *args: None)
         tracemalloc.start()
         try:
@@ -557,109 +560,114 @@ class TestNCLattice:
         assert peak < 2.5 * 2**20
 
     def test_mobius_alternating_in_rank_intervals(self):
-        lat = nc_lattice("A3")
+        lat = nc_lattice(parse_spec("A3"))
         # mu(a, b) over one-step intervals is -1
-        mu = {(a, b): m for a, row in enumerate(lat.mobius_rows) for b, m in row}
+        mu = {(a, b): m for a, row in enumerate(mobius_table(lat)) for b, m in row}
         assert all(mu[cover] == -1 for cover in covers(lat))
 
     def test_deterministic_rebuild(self):
-        rep = build_rep("B3")
+        rep = build_rep(parse_spec("B3"))
         assert build_nc_lattice(rep) == build_nc_lattice(rep)
 
     def test_records_its_coxeter_order(self):
-        lat = nc_lattice("B3", (2, 3, 1))
+        lat = nc_lattice(parse_spec("B3"), (2, 3, 1))
         assert lat.coxeter_order == (2, 3, 1)
-        assert lat.levels != nc_lattice("B3").levels
+        assert lat.levels != nc_lattice(parse_spec("B3")).levels
 
     def test_default_order_shares_the_memo_entry(self):
         for s in ["A3", "B3", "A2xA1"]:
             n = parse_spec(s).rank
-            assert nc_lattice(s) is nc_lattice(s, tuple(range(1, n + 1)))
+            assert nc_lattice(parse_spec(s)) is nc_lattice(parse_spec(s), tuple(range(1, n + 1)))
 
 
 class TestMTriangle:
     def test_a1(self):
         # 1 - x + xy
-        m = nc_lattice("A1").m_triangle
+        m = nc_lattice(parse_spec("A1")).m_triangle
         assert m == ((1, 0), (-1, 1))
 
     def test_a2(self):
         # 1 - 3x + 2x^2 + 3xy - 3x^2y + x^2y^2
-        m = nc_lattice("A2").m_triangle
+        m = nc_lattice(parse_spec("A2")).m_triangle
         assert m == ((1, 0, 0), (-3, 3, 0), (2, -3, 1))
 
     @pytest.mark.parametrize("s", ["A3", "B3"])
     def test_coxeter_order_invariance(self, s):
-        m1 = nc_lattice(s, (1, 2, 3)).m_triangle
-        m2 = nc_lattice(s, (3, 2, 1)).m_triangle
-        m3 = nc_lattice(s, (2, 3, 1)).m_triangle
+        m1 = nc_lattice(parse_spec(s), (1, 2, 3)).m_triangle
+        m2 = nc_lattice(parse_spec(s), (3, 2, 1)).m_triangle
+        m3 = nc_lattice(parse_spec(s), (2, 3, 1)).m_triangle
         assert m1 == m2 == m3
 
     @pytest.mark.parametrize("s", sorted(set(DESK_SPECS + ["E6", "E7"])) + PRODUCTS)
     def test_equals_the_whole_moebius_table(self, s):
         # three orders for a desk spec, the default and its reverse for a
         # product and for E6, an exceptional type with permuted masks, and
-        # the default alone for E7
+        # the default alone for E7.  NCLattice.mobius_rows, which the
+        # perfbench tracer reads, must be the oracle's table; E7 is left
+        # out, as each of its tables takes most of a second
         reversed_too = PRODUCTS + ["E6"]
         orders = three_orders(parse_spec(s).rank)[: 3 if s in DESK_SPECS else 2 if s in reversed_too else 1]
         for order in orders:
-            lat = build_nc_lattice(build_rep(s), order)
-            assert lat.m_triangle == m_triangle_from_table(lat)
+            lat = build_nc_lattice(build_rep(parse_spec(s)), order)
+            table = mobius_table(lat)
+            assert lat.m_triangle == m_triangle_from_table(lat, table)
+            if s != "E7":
+                assert lat.mobius_rows == table
 
     def test_multiplicative_over_products(self):
         for pair in [("A1", "A1"), ("A2", "A1"), ("B2", "A1")]:
             prod = parse_spec("x".join(pair))
             direct = nc_lattice(prod).m_triangle
-            split = product(nc_lattice(pair[0]).m_triangle, nc_lattice(pair[1]).m_triangle)
+            split = product(*(nc_lattice(parse_spec(s)).m_triangle for s in pair))
             assert direct == split
 
 
 class TestInvariantFormulas:
     def test_a2(self):
-        forms = invariant_formulas("A2")
+        forms = invariant_formulas(parse_spec("A2"))
         assert forms.cardinality == 5
         assert forms.mobius_number == 2
         assert forms.group_order == 6 and forms.zeta == (0, -3, 9)
         assert zeta_value(forms, 2) == 5
 
     def test_a3(self):
-        forms = invariant_formulas("A3")
+        forms = invariant_formulas(parse_spec("A3"))
         assert forms.cardinality == 14
         assert forms.mobius_number == -5
 
     def test_zeta_at_three(self):
         # Z(3) counts the pairs a <= b; for A_n it is C(3n + 3, n + 1) / (2n + 3)
-        assert zeta_value(invariant_formulas("A2"), 3) == 12
-        assert [invariant_formulas(f"A{n}").intervals for n in (1, 2, 3)] == [3, 12, 55]
-        assert invariant_formulas("E8").intervals == 1520922
+        assert zeta_value(invariant_formulas(parse_spec("A2")), 3) == 12
+        assert [invariant_formulas(parse_spec(f"A{n}")).intervals for n in (1, 2, 3)] == [3, 12, 55]
+        assert invariant_formulas(parse_spec("E8")).intervals == 1520922
         assert invariant_formulas(spec_of()).intervals == 1
 
     def test_zeta_at_minus_one_is_mobius(self):
         for s in SMALL_TYPES:
-            forms = invariant_formulas(s)
+            forms = invariant_formulas(parse_spec(s))
             assert zeta_value(forms, -1) == forms.mobius_number
 
     def test_multiplicative(self):
-        a, b = invariant_formulas("A2"), invariant_formulas("A1")
-        prod = invariant_formulas("A2xA1")
+        a, b = invariant_formulas(parse_spec("A2")), invariant_formulas(parse_spec("A1"))
+        prod = invariant_formulas(parse_spec("A2xA1"))
         assert prod.cardinality == a.cardinality * b.cardinality
         assert prod.mobius_number == a.mobius_number * b.mobius_number
 
 
 class TestZetaBruteforce:
     def test_convention(self):
-        lat = nc_lattice("A2")
+        lat = nc_lattice(parse_spec("A2"))
         assert zeta_bruteforce(lat, 1) == 1
         assert zeta_bruteforce(lat, 2) == 5
         assert zeta_bruteforce(lat, 3) == 12
 
     def test_matches_formula_small_ranks(self):
         for s in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2", "A2xA1"]:
-            lat = nc_lattice(s)
-            forms = invariant_formulas(s)
+            lat = nc_lattice(parse_spec(s))
+            forms = invariant_formulas(parse_spec(s))
             for m in range(1, 6):
                 assert zeta_bruteforce(lat, m) == zeta_value(forms, m)
-            assert zeta_bruteforce(lat, 3) == invariant_formulas(s).intervals
+            assert zeta_bruteforce(lat, 3) == invariant_formulas(parse_spec(s)).intervals
 
 
 class TestRankZero:
