@@ -16,7 +16,20 @@ from .errors import SpecError
 
 FAMILIES = "ABCDEFG"
 
-_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
+# the classical families, with their least ranks
+_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
+
+# the exceptional types, with their Coxeter numbers and exponents
+_EXCEPTIONAL_EXPONENTS = {
+    ("E", 6): (12, (1, 4, 5, 7, 8, 11)),
+    ("E", 7): (18, (1, 5, 7, 9, 11, 13, 17)),
+    ("E", 8): (30, (1, 7, 11, 13, 17, 19, 23, 29)),
+    ("F", 4): (12, (1, 5, 7, 11)),
+    ("G", 2): (6, (1, 5)),
+}
+
+# low-rank coincidences, each mapped to the family of its canonical name
+_COINCIDENCES = {("B", 1): "A", ("C", 1): "A", ("C", 2): "B", ("D", 3): "A"}
 
 
 class _CartanFields(NamedTuple):
@@ -35,31 +48,17 @@ class CartanType(_CartanFields):
 
     def __new__(cls, family: str, rank: int):
         fam, n = family.upper(), rank
-        # low-rank coincidences get a single canonical representative
-        if (fam, n) in (("B", 1), ("C", 1)):
-            fam = "A"
-        elif (fam, n) == ("C", 2):
-            fam = "B"
-        elif (fam, n) == ("D", 3):
-            fam = "A"
-        elif (fam, n) == ("D", 2):
+        if (fam, n) == ("D", 2):
             raise SpecError("D2 is reducible; write it as A1xA1")
+        fam = _COINCIDENCES.get((fam, n), fam)
         if fam not in FAMILIES:
             raise SpecError(f"unknown family {fam!r}")
-        ok = (fam in _MIN_RANK and n >= _MIN_RANK[fam]) or (fam == "E" and n in (6, 7, 8))
-        if fam in ("F", "G") and n != _MIN_RANK[fam]:
-            ok = False
-        if not ok:
+        if not (n >= _MIN_RANK[fam] if fam in _MIN_RANK else (fam, n) in _EXCEPTIONAL_EXPONENTS):
             raise SpecError(f"{fam}{n} is not an admissible Cartan type")
         return super().__new__(cls, fam, n)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-    @property
-    def sort_key(self):
-        # canonical component order: larger rank first, then family letter
-        return (-self.rank, self.family)
 
 
 class _SpecFields(NamedTuple):
@@ -73,15 +72,11 @@ class RootSystemSpec(_SpecFields):
     __slots__ = ()
 
     def __new__(cls, components: Iterable[CartanType]):
-        return super().__new__(cls, tuple(sorted(components, key=lambda t: t.sort_key)))
+        return super().__new__(cls, tuple(sorted(components, key=lambda t: (-t.rank, t.family))))
 
     @property
     def rank(self) -> int:
         return sum(t.rank for t in self.components)
-
-    @property
-    def is_irreducible(self) -> bool:
-        return len(self.components) == 1
 
     def __str__(self) -> str:
         return "x".join(str(t) for t in self.components)
@@ -162,15 +157,6 @@ def delete_node(t: CartanType, i: int) -> RootSystemSpec:
 class CoxeterInvariants(NamedTuple):
     coxeter_number: int
     exponents: tuple[int, ...]
-
-
-_EXCEPTIONAL_EXPONENTS = {
-    ("E", 6): (12, (1, 4, 5, 7, 8, 11)),
-    ("E", 7): (18, (1, 5, 7, 9, 11, 13, 17)),
-    ("E", 8): (30, (1, 7, 11, 13, 17, 19, 23, 29)),
-    ("F", 4): (12, (1, 5, 7, 11)),
-    ("G", 2): (6, (1, 5)),
-}
 
 
 def invariants(t: CartanType) -> CoxeterInvariants:

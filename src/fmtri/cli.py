@@ -2,14 +2,17 @@
 
 Subcommands: ftriangle | fvector | mtriangle | invariants | verify | sweep.
 Output formats: json (default, stable envelope with a schema version), csv,
-and tex (matrix layouts) for ftriangle, fvector and mtriangle only.  Each
-command builds its JSON payload and, next to it, the rows that csv and tex
-print: csv joins each row with commas, tex sets the rows in a bmatrix.  Exit
-codes: 0 success/verified, 1 conjecture mismatch or failed evidence check,
-2 usage error, 3 time budget exceeded, 4 internal error (a broken invariant
-or any unexpected exception).  ``sweep`` verifies its specs in turn, in this
-process, each with its own ``--max-seconds`` budget; it reports an internal
-error as that spec's entry, goes on, and exits 4.
+and tex (matrix layouts) for ftriangle, fvector and mtriangle only.
+
+``main`` parses the spec (for ``sweep``, every spec), emits the output and
+chooses the exit code.  Each command returns its JSON payload, the rows that
+csv and tex print, and its exit code: csv joins each row with commas, tex
+sets the rows in a bmatrix.  Exit codes: 0 success/verified, 1 conjecture
+mismatch or failed evidence check, 2 usage error, 3 time budget exceeded, 4
+internal error (a broken invariant or any unexpected exception).  ``sweep``
+verifies its specs in turn, in this process, each with its own
+``--max-seconds`` budget; it reports an internal error as that spec's entry,
+goes on, and exits 4.
 
 ``--cache-dir`` exists on ``verify`` only, which keeps it because the
 benchmark passes it: it saves the lattice's file there, unless the file
@@ -71,16 +74,13 @@ def _emit(spec: str, kind: str, fmt: str, payload: dict, rows: list[list]) -> st
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_ftriangle(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_ftriangle(spec, args):
     n = spec.rank
     payload = {"n": n, "f": [row[: n + 1 - k] for k, row in enumerate(f_triangle(spec))]}
-    print(_emit(str(spec), "ftriangle", args.format, payload, payload["f"]), end="")
-    return EXIT_OK
+    return payload, payload["f"], EXIT_OK
 
 
-def cmd_fvector(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_fvector(spec, args):
     ft = f_triangle(spec)
     payload = {
         "n": spec.rank,
@@ -92,37 +92,29 @@ def cmd_fvector(args) -> int:
         rows = [payload["f"]]
     else:
         rows = [[key, *payload[key]] for key in ("f", "f_positive", "f_natural")]
-    print(_emit(str(spec), "fvector", args.format, payload, rows), end="")
-    return EXIT_OK
+    return payload, rows, EXIT_OK
 
 
-def cmd_mtriangle(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_mtriangle(spec, args):
     lat = nc_lattice(spec, _parse_order(args.coxeter_order))
     payload = {
         "n": lat.n,
         "coxeter_order": list(lat.coxeter_order),
         "m": lat.m_triangle,
     }
-    print(_emit(str(spec), "mtriangle", args.format, payload, payload["m"]), end="")
-    return EXIT_OK
+    return payload, payload["m"], EXIT_OK
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(spec, args):
     # imported here: the Zeta coefficients are the one rational output
     from fractions import Fraction
 
-    spec = parse_spec(args.spec)
     forms = invariant_formulas(spec)
     payload = {
         "n": spec.rank,
         "components": [
-            {
-                "type": str(t),
-                "h": invariants(t).coxeter_number,
-                "exponents": list(invariants(t).exponents),
-            }
-            for t in spec.components
+            {"type": str(t), "h": h, "exponents": list(exponents)}
+            for t, (h, exponents) in zip(spec.components, map(invariants, spec.components))
         ],
         "cardinality": forms.cardinality,
         "mobius": forms.mobius_number,
@@ -135,8 +127,7 @@ def cmd_invariants(args) -> int:
         ["component", c["type"], f"h={c['h']}", "exponents=" + " ".join(map(str, c["exponents"]))]
         for c in payload["components"]
     ]
-    print(_emit(str(spec), "invariants", args.format, payload, rows), end="")
-    return EXIT_OK
+    return payload, rows, EXIT_OK
 
 
 def _verify_payload(spec, coxeter_order, max_seconds, cache_dir, with_timings):
@@ -157,8 +148,7 @@ def _verify_payload(spec, coxeter_order, max_seconds, cache_dir, with_timings):
     return payload, code
 
 
-def cmd_verify(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_verify(spec, args):
     order, cache_dir = _parse_order(args.coxeter_order), _cache_dir(args.cache_dir)
     payload, code = _verify_payload(spec, order, args.max_seconds, cache_dir, args.timings)
     rows = [["verified", str(payload["verified"]).lower()]]
@@ -166,8 +156,7 @@ def cmd_verify(args) -> int:
         rows.append(["timeout", "true"])
     rows += [["evidence", k, str(v).lower()] for k, v in sorted(payload.get("evidence", {}).items())]
     rows += [["mismatch", *m] for m in payload.get("mismatches", ())]
-    print(_emit(str(spec), "verify", args.format, payload, rows), end="")
-    return code
+    return payload, rows, code
 
 
 def _internal_error(exc: Exception) -> str:
@@ -181,8 +170,7 @@ def _internal_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def cmd_sweep(args) -> int:
-    specs = [parse_spec(s) for s in args.specs]
+def cmd_sweep(specs, args):
     entries, codes, errors = [], [], []
     for spec in specs:
         try:
@@ -197,8 +185,8 @@ def cmd_sweep(args) -> int:
         entries.append(
             {
                 "spec": str(spec),
-                "verified": bool(payload.get("verified")),
-                "timeout": bool(payload.get("timeout")),
+                "verified": payload["verified"],
+                "timeout": payload["timeout"],
                 "report": payload,
             }
         )
@@ -207,11 +195,8 @@ def cmd_sweep(args) -> int:
         print(line, file=sys.stderr)
     payload = {"results": entries, "all_verified": all(c == EXIT_OK for c in codes)}
     rows = [[e["spec"], str(e["verified"]).lower()] for e in entries]
-    print(_emit(" ".join(map(str, specs)), "sweep", args.format, payload, rows), end="")
-    for worst in (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_TIMEOUT):
-        if worst in codes:
-            return worst
-    return EXIT_OK
+    worst = (c for c in (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_TIMEOUT) if c in codes)
+    return payload, rows, next(worst, EXIT_OK)
 
 
 def _parse_order(text) -> tuple[int, ...] | None:
@@ -265,53 +250,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tex=False, order_flag=False, seconds_flag=False):
-        formats = ("json", "tex", "csv") if tex else ("json", "csv")
-        p.add_argument("--format", choices=formats, default="json")
+    def command(name, fn, help, tex=False, order_flag=False, seconds_flag=False):
+        p = sub.add_parser(name, help=help)
+        if name == "sweep":
+            p.add_argument("specs", nargs="+")
+        else:
+            p.add_argument("spec")
+        p.add_argument("--format", choices=("json", "tex", "csv") if tex else ("json", "csv"), default="json")
         if order_flag:
             p.add_argument(
                 "--coxeter-order",
-                default=None,
                 help="node order for the Coxeter element, e.g. '2,1,3' (default: 1,2,...,n)",
             )
         if seconds_flag:
-            p.add_argument("--max-seconds", type=_max_seconds, default=None, help="time budget in seconds")
+            p.add_argument("--max-seconds", type=_max_seconds, help="time budget in seconds")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("ftriangle", help="print the F-triangle of a spec")
-    p.add_argument("spec")
-    common(p, tex=True)
-    p.set_defaults(fn=cmd_ftriangle)
-
-    p = sub.add_parser("fvector", help="print f, positive f, and natural f vectors")
-    p.add_argument("spec")
-    common(p, tex=True)
-    p.set_defaults(fn=cmd_fvector)
-
-    p = sub.add_parser("mtriangle", help="print the M-triangle of the noncrossing partition lattice")
-    p.add_argument("spec")
-    common(p, tex=True, order_flag=True)
-    p.set_defaults(fn=cmd_mtriangle)
-
-    p = sub.add_parser("invariants", help="print closed-form lattice invariants")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("verify", help="check the F/M change-of-variables identity for one spec")
-    p.add_argument("spec")
-    common(p, order_flag=True, seconds_flag=True)
-    p.add_argument("--cache-dir", default=None, help="directory for JSON lattice caches")
+    command("ftriangle", cmd_ftriangle, "print the F-triangle of a spec", tex=True)
+    command("fvector", cmd_fvector, "print f, positive f, and natural f vectors", tex=True)
+    command(
+        "mtriangle",
+        cmd_mtriangle,
+        "print the M-triangle of the noncrossing partition lattice",
+        tex=True,
+        order_flag=True,
+    )
+    command("invariants", cmd_invariants, "print closed-form lattice invariants")
+    p = command(
+        "verify",
+        cmd_verify,
+        "check the F/M change-of-variables identity for one spec",
+        order_flag=True,
+        seconds_flag=True,
+    )
+    p.add_argument("--cache-dir", help="directory for JSON lattice caches")
     p.add_argument("--timings", action="store_true", help="JSON-only timings (breaks byte-reproducibility)")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("sweep", help="verify a list of specs; exit 0 only if all pass")
-    p.add_argument("specs", nargs="+")
-    common(p, seconds_flag=True)
+    p = command("sweep", cmd_sweep, "verify a list of specs; exit 0 only if all pass", seconds_flag=True)
     p.add_argument(
         "--jobs", type=int, choices=(1,), default=1, help="only 1: the specs are verified in turn"
     )
-    p.set_defaults(fn=cmd_sweep)
-
     return parser
 
 
@@ -320,10 +298,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; normalize other exits
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        # argparse exits 0 after --help and 2 on usage errors
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.fn(args)
+        # sweep takes a list of specs, every other command one
+        many = args.command == "sweep"
+        spec = [parse_spec(s) for s in args.specs] if many else parse_spec(args.spec)
+        payload, rows, code = args.fn(spec, args)
+        name = " ".join(map(str, spec)) if many else str(spec)
+        print(_emit(name, args.command, args.format, payload, rows), end="")
+        return code
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

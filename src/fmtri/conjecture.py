@@ -49,7 +49,7 @@ def _check_evidence(
     y_pow_n = (0,) * n + (1,)
     # a product's lattice comes from a BFS of its own, apart from its factors'
     # lattices; its F-triangle is the product of theirs by definition
-    multiplicative = spec.is_irreducible or not spec.components or m == reduce(
+    multiplicative = len(spec.components) < 2 or m == reduce(
         product, (nc_lattice(spec_of(t), deadline=deadline).m_triangle for t in spec.components)
     )
 

@@ -554,6 +554,15 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv", [[], ["ftriangle"], ["fvector"], ["mtriangle"], ["invariants"], ["verify"], ["sweep"]]
+    )
+    def test_help_exits_0_with_usage_on_stdout(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--help")
+        assert code == EXIT_OK
+        assert out.startswith(" ".join(["usage: fmtri", *argv]) + " ")
+        assert run_cli.last_err == ""
+
     @pytest.mark.parametrize("command", ["invariants", "verify", "sweep"])
     def test_tex_not_defined_for(self, capsys, tmp_path, command):
         # the parser refuses it, before a lattice is built or a lattice file written
@@ -637,6 +646,16 @@ class TestUsage:
     @pytest.mark.parametrize("bad", ["A0", "D2", "E5", "XY"])
     def test_bad_specs(self, capsys, bad):
         assert run_cli(capsys, "ftriangle", bad)[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad", ["A0", "D2", "E5", "XY"])
+    def test_sweep_parses_every_spec_before_any_work(self, capsys, monkeypatch, bad):
+        # a bad spec after a good one is refused before the good one is verified
+        def lookup(*_args, **_kwargs):
+            raise AssertionError("looked up a lattice")
+
+        monkeypatch.setattr(cli, "load_or_build_lattice", lookup)
+        assert run_cli(capsys, "sweep", "A1", bad) == (EXIT_USAGE, "")
+        assert run_cli.last_err.startswith("error: ")
 
 
 class TestStartup:
