@@ -21,7 +21,6 @@ suite's oracles and checked against the recursion.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .cartan import CartanType, RootSystemSpec, delete_node, invariants
@@ -47,8 +46,29 @@ def _validate_fvector(coeffs: tuple, origin: str) -> tuple[int, ...]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
+_TRIANGLES: dict[CartanType, Triangle] = {}  # the memo of the induction, by irreducible type
+
+
 def _f_triangle_irreducible(t: CartanType) -> Triangle:
+    if t not in _TRIANGLES:
+        # every type below t by node deletions, filled smallest rank first:
+        # each one's children are then in the memo, so no call nests per rank
+        below, todo = {t}, [t]
+        while todo:
+            u = todo.pop()
+            for i in range(1, u.rank + 1):
+                for c in delete_node(u, i).components:
+                    if c not in below and c not in _TRIANGLES:
+                        below.add(c)
+                        todo.append(c)
+        for u in sorted(below, key=lambda u: u.rank):
+            _TRIANGLES[u] = _from_children(u)
+    return _TRIANGLES[t]
+
+
+def _from_children(t: CartanType) -> Triangle:
+    """The F-triangle of t from those of its node deletions, which must be
+    in the memo already."""
     n = t.rank
     # d/dy F is the sum of the children's triangles, each of rank n - 1
     children = [f_triangle(delete_node(t, i)) for i in range(1, n + 1)]

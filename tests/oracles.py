@@ -12,7 +12,7 @@ tests on the masks and the maximal chains counted from them, the order
 closed over those covers and the whole Moebius table on it, the M-triangle
 summed over that table, multichain counting for the Zeta polynomial, the
 F-triangle counted on the cluster complex, closed forms for the A and B
-F-triangles, and the second change of variables for the reflection
+F-triangles and the type D h-vector, and the second change of variables for the reflection
 symmetry.  Triangle helpers that only tests need live here too.
 """
 
@@ -317,7 +317,7 @@ def maximal_chains(lat: NCLattice) -> int:
 
 
 # --------------------------------------------------------------------------
-# Closed forms (types A and B)
+# Closed forms (types A and B, and the h-vector of type D)
 # --------------------------------------------------------------------------
 
 
@@ -360,6 +360,19 @@ def closed_f_vector_A(n: int) -> tuple[int, ...]:
 def closed_f_vector_B(n: int) -> tuple[int, ...]:
     """f_k = C(n, k) * C(n+k, k)."""
     return tuple(comb(n, k) * comb(n + k, k) for k in range(n + 1))
+
+
+def closed_h_vector_D(n: int) -> tuple[int, ...]:
+    """The Narayana numbers of type D: h_k = C(n, k)^2 - n/(n-1) * C(n-1, k) * C(n-1, k-1)."""
+    if n < 4:
+        raise ValueError("rank must be >= 4 (D3 is A3)")
+    out = [1]
+    for k in range(1, n + 1):
+        c = comb(n, k) ** 2 - Fraction(n, n - 1) * comb(n - 1, k) * comb(n - 1, k - 1)
+        if c.denominator != 1:
+            raise InvariantViolation(f"closed_h_vector_D({n}) entry {k} = {c}")
+        out.append(int(c))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

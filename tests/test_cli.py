@@ -674,3 +674,69 @@ class TestStartup:
         loaded = set(done.stdout.split())
         assert "fmtri.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect", "traceback", "fractions", "decimal"})
+
+
+def run_module(*argv, stdout=subprocess.PIPE, unbuffered=True, args=None):
+    """``python -m fmtri.cli *argv`` in a fresh process, which ends through
+    cli.run()'s os._exit, not through a SystemExit that a caller of main sees;
+    ``args`` replaces the interpreter's own arguments."""
+    src = str(Path(fmtri.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, *(args or ["-m", "fmtri.cli"]), *argv]
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+class TestExitPath:
+    def test_verified_output_equals_mains(self, capsys):
+        done = run_module("verify", "A2")
+        expected = run_cli(capsys, "verify", "A2")[1]
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["verify", "H3"], EXIT_USAGE), (["verify", "A9", "--max-seconds", "0"], EXIT_TIMEOUT)]
+    )
+    def test_exit_codes_pass_through(self, argv, code):
+        assert run_module(*argv).returncode == code
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["verify", "A2"], ["ftriangle", "A40"], ["--help"]])
+    def test_closed_pipe_is_one_line_and_exit_120(self, argv, unbuffered):
+        # a pipe whose read end is closed: the write fails unbuffered, the
+        # flush buffered; the 25 kB of ftriangle A40 fill the buffer, so its
+        # write fails in both modes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_module(*argv, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        message = "error: cannot write the output: Broken pipe\n"
+        assert (done.returncode, done.stderr) == (cli.EXIT_WRITE, message)
+
+    def test_closed_fd_1_is_one_line_and_exit_120(self):
+        # sys.stdout is None when fd 1 is closed at start-up
+        script = 'exec "$0" -m fmtri.cli verify A2 >&-'
+        src = str(Path(fmtri.__file__).resolve().parents[1])
+        done = subprocess.run(
+            ["sh", "-c", script, sys.executable],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        message = "error: cannot write the output: Bad file descriptor\n"
+        assert (done.returncode, done.stderr) == (cli.EXIT_WRITE, message)
+
+    def test_buffered_help_is_flushed_before_the_exit(self):
+        done = run_module("--help", unbuffered=False)
+        assert done.returncode == EXIT_OK
+        assert done.stdout.startswith("usage: fmtri ")
+
+    def test_atexit_handlers_run_and_what_they_write_is_flushed(self, capsys):
+        # buffered, so the handler's line reaches the pipe only through run()'s flush
+        script = "import atexit; atexit.register(print, 'handler ran'); from fmtri.cli import run; run()"
+        done = run_module("verify", "A1", args=["-c", script], unbuffered=False)
+        expected = run_cli(capsys, "verify", "A1")[1] + "handler ran\n"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, expected, "")

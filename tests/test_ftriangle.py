@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from fmtri.ftriangle import (
 from fmtri.poly import diagonal, product
 from fmtri.weyl import build_rep
 
-from oracles import closed_form_A, closed_form_B, cluster_f_triangle
+from oracles import closed_form_A, closed_form_B, closed_h_vector_D, cluster_f_triangle
 from test_cartan import ALL_TYPES
 
 
@@ -72,6 +73,40 @@ class TestClosedForms:
     def test_b2_values(self):
         assert triangle_rows(closed_form_B(2)) == [[1, 2, 1], [4, 2], [3]]
         assert diagonal(closed_form_B(2)) == (1, 6, 6)
+
+    def test_d_h_vector_is_the_narayana_count(self):
+        # D4 has 50 clusters: 1 + 12 + 24 + 12 + 1
+        assert closed_h_vector_D(4) == (1, 12, 24, 12, 1)
+        for n in range(4, 13):
+            assert h_vector(f_triangle(parse_spec(f"D{n}"))) == closed_h_vector_D(n)
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDeepRanks:
+    # the induction fills its memo smallest rank first, so a rank-30 type
+    # needs no deeper stack than a rank-2 one; A20 nested past 60 frames
+    @pytest.mark.parametrize("s", ["A30", "B30", "D30"])
+    def test_fits_60_frames_above_the_caller(self, s, monkeypatch):
+        monkeypatch.setattr(ftriangle, "_TRIANGLES", {})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_depth() + 60)
+        try:
+            ft = f_triangle(parse_spec(s))
+        finally:
+            sys.setrecursionlimit(limit)
+        n = int(s[1:])
+        if s[0] == "A":
+            assert ft == closed_form_A(n)
+        elif s[0] == "B":
+            assert ft == closed_form_B(n)
+        else:
+            assert h_vector(ft) == closed_h_vector_D(n)
 
 
 class TestClusterComplex:
