@@ -199,7 +199,7 @@ def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
         edges[-1] = (n - 3, n - 1)
     elif fam == "E":
         edges = [(0, 2), (1, 3)] + edges[2:]
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
     for i, j in edges:
         m[i][j] = m[j][i] = -1
     # (shorter root, longer root, multiplicity), 0-based

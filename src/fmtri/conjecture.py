@@ -1,4 +1,4 @@
-"""Exact verification of the change-of-variables identity between the
+"""Exact verification of the change-of-variables identity between a given
 F-triangle of a root system and the M-triangle of its noncrossing partition
 lattice, together with five independent structural cross-checks.
 
@@ -16,12 +16,11 @@ to be able to falsify the identity.
 
 from __future__ import annotations
 
-import time
 from functools import reduce
 
 from .cartan import RootSystemSpec, spec_of
 from .errors import Deadline, InvariantViolation, NO_DEADLINE
-from .ftriangle import f_triangle, h_vector
+from .ftriangle import h_vector
 from .poly import Triangle, conjecture_substitution, product, subs_x
 from .weyl import NCLattice, nc_lattice
 
@@ -64,27 +63,21 @@ def _check_evidence(
     }
 
 
-def verify_conjecture(
-    lattice: NCLattice, deadline: Deadline = NO_DEADLINE
-) -> tuple[dict, dict[str, float]]:
-    """Compute both sides exactly for the spec of ``lattice``, diff
-    coefficients, run the five evidences.
+def verify_conjecture(lattice: NCLattice, ft: Triangle, deadline: Deadline = NO_DEADLINE) -> dict:
+    """Check the F-triangle ``ft`` against the M-triangle of ``lattice``:
+    diff both sides' coefficients and run the five evidences.
 
-    Returns ``(payload, timings)``: the JSON-ready result that ``fmtri
-    verify`` prints (``n``, ``verified``, the dense ``lhs`` and ``rhs``
-    rows, ``mismatches`` as [k, l, lhs, rhs] and ``evidence``), and the
-    seconds spent in the ``f_triangle`` and ``compare`` stages.
-    ``deadline`` bounds the component lattices the multiplicativity check
-    builds for a reducible spec.
+    Returns the JSON-ready result that ``fmtri verify`` prints: ``n``,
+    ``verified``, the dense ``lhs`` and ``rhs`` rows, ``mismatches`` as
+    [k, l, lhs, rhs] and ``evidence``.  Raises InvariantViolation unless
+    ``ft`` has the lattice's rank.  ``deadline`` bounds the component
+    lattices the multiplicativity check builds for a reducible spec.
     """
     spec = lattice.spec
     n = spec.rank
-
-    t0 = time.perf_counter()
-    ft = f_triangle(spec)
+    if len(ft) - 1 != n:
+        raise InvariantViolation(f"{spec}: an F-triangle of rank {len(ft) - 1}, not {n}")
     lhs = list(map(list, conjecture_substitution(ft)))
-    t1 = time.perf_counter()
-
     rhs = list(map(list, conjecture_rhs(lattice.m_triangle)))
     mismatches = [
         [k, l, a, b]
@@ -92,15 +85,11 @@ def verify_conjecture(
         for l, (a, b) in enumerate(zip(lhs_row, rhs_row))
         if a != b
     ]
-    evidence = _check_evidence(spec, ft, lattice, deadline)
-    t2 = time.perf_counter()
-
-    payload = {
+    return {
         "n": n,
         "verified": not mismatches,
         "lhs": lhs,
         "rhs": rhs,
         "mismatches": mismatches,
-        "evidence": evidence,
+        "evidence": _check_evidence(spec, ft, lattice, deadline),
     }
-    return payload, {"f_triangle": t1 - t0, "compare": t2 - t1}

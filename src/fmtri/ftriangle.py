@@ -14,13 +14,18 @@ y-free part, which the second recursion supplies through the diagonal.
 
 The triangle is its printed rows, rank+1 int tuples of rank+1 entries each
 (``fmtri.poly``), and every vector, read off it, a plain int tuple; the
-rank they live in is the triangle's, ``len(ft) - 1``.  Closed forms for the
-infinite families (types A and B) are implemented independently in the test
-suite's oracles and checked against the recursion.
+rank they live in is the triangle's, ``len(ft) - 1``.  The test suite's
+oracles: the A and B closed forms, D's h-vector (the Narayana numbers), and
+the cluster complex's faces, counted directly, for every type of rank <= 8.
+The induction takes no time budget; its cost grows about as n^5.5 (A40
+0.7-0.9 s, A60 5-6 s on a 2-core Xeon, CPython 3.11.7), so A250 is out of
+reach.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
 from math import comb
 
 from .cartan import CartanType, RootSystemSpec, delete_node, invariants
@@ -70,9 +75,13 @@ def _from_children(t: CartanType) -> Triangle:
     """The F-triangle of t from those of its node deletions, which must be
     in the memo already."""
     n = t.rank
-    # d/dy F is the sum of the children's triangles, each of rank n - 1
-    children = [f_triangle(delete_node(t, i)) for i in range(1, n + 1)]
-    rate = [[sum(column) for column in zip(*row_k)] for row_k in zip(*children)]
+    # d/dy F is the sum of the children's triangles, each of rank n - 1; a
+    # child that k deletions give (A_n's i and n + 1 - i) is formed once, times k
+    children = Counter(delete_node(t, i) for i in range(1, n + 1))
+    terms = [
+        (k, reduce(product, map(_TRIANGLES.__getitem__, c.components), ((1,),))) for c, k in children.items()
+    ]
+    rate = [[sum(k * p[j][l] for k, p in terms) for l in range(n)] for j in range(n)]
     # integrate in y; the y-free column is filled in below
     rows = [[0] + [exact_div(c, l + 1) for l, c in enumerate(row)] for row in rate] + [[0] * (n + 1)]
     # a child's f-vector is the diagonal of its F, so f' = (h+2)/2 * rate(x, x)
@@ -86,9 +95,7 @@ def _from_children(t: CartanType) -> Triangle:
 def f_triangle(spec: RootSystemSpec) -> Triangle:
     """The F-triangle of ``spec``, by the memoized node-deletion induction;
     its support lies in k + l <= rank."""
-    p = ((1,),)
-    for t in spec.components:
-        p = product(p, _f_triangle_irreducible(t))
+    p = reduce(product, map(_f_triangle_irreducible, spec.components), ((1,),))
     return _validate_triangle(p, f"f_triangle({spec})")
 
 

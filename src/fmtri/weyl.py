@@ -92,7 +92,8 @@ def build_rep(spec: RootSystemSpec, deadline: Deadline = NO_DEADLINE) -> Reflect
 
     # orbit closure: root -> coroot; only alpha_i leaves the positive roots
     # under s_i, so no new root is negated
-    coroot_of = {_unit(n, i): _unit(n, i) for i in range(n)}
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    coroot_of = dict(zip(units, units))
     frontier = list(coroot_of.items())
     while frontier:
         fresh = []
@@ -117,10 +118,6 @@ def build_rep(spec: RootSystemSpec, deadline: Deadline = NO_DEADLINE) -> Reflect
         )
     roots = tuple(sorted(coroot_of, key=lambda v: (sum(v), v)))
     return ReflectionRep(spec, roots, tuple(coroot_of[v] for v in roots))
-
-
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(int(i == j) for j in range(n))
 
 
 def node_order(n: int, ordering: Sequence[int] | None = None) -> tuple[int, ...]:

@@ -165,12 +165,12 @@ def test_criterion_5_conjecture_verification(lattice_store):
     desc = "change-of-variables identity verified exactly across the sweep"
     with criterion(5, desc):
         for s in CONJECTURE_SPECS:
-            payload, _ = verify_conjecture(nc_lattice(parse_spec(s)))
+            payload = verify_conjecture(nc_lattice(parse_spec(s)), f_triangle(parse_spec(s)))
             assert payload["verified"] and all(payload["evidence"].values()), s
         # E6 end to end (fresh lattice build) within its budget
         t0 = time.perf_counter()
         lat = build_nc_lattice(build_rep(parse_spec("E6")))
-        payload, _ = verify_conjecture(lat)
+        payload = verify_conjecture(lat, f_triangle(lat.spec))
         e6_elapsed = time.perf_counter() - t0
         assert payload["verified"] and all(payload["evidence"].values())
         assert e6_elapsed < 900.0, f"E6 verification took {e6_elapsed:.2f}s"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -22,7 +23,6 @@ from oracles import poly_from_terms, terms
 
 def run_cli(capsys, *argv):
     # explicit redirection so the tests also work under pytest -s
-    import io
     from contextlib import redirect_stderr, redirect_stdout
 
     out_buf, err_buf = io.StringIO(), io.StringIO()
@@ -132,6 +132,16 @@ class TestVerifyCommand:
         assert time.monotonic() - t0 < 1.5
         assert json.loads(out)["payload"]["timeout"] is True
 
+    def test_timeout_bounds_a_large_rank(self, capsys):
+        # only the dense 2000 x 2000 Cartan matrix, its columns and the unit
+        # vectors come before the first budget check: the whole call takes
+        # about 0.35 s in process on a 2-core Xeon
+        t0 = time.monotonic()
+        code, out = run_cli(capsys, "verify", "A2000", "--max-seconds", "0.2")
+        assert code == EXIT_TIMEOUT
+        assert time.monotonic() - t0 < 1
+        assert json.loads(out)["payload"]["timeout"] is True
+
     def test_verified_exit_code_mapping(self):
         from fmtri.cli import _verify_payload
 
@@ -141,7 +151,7 @@ class TestVerifyCommand:
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # no real spec mismatches, so doctor the F side: 1 + 2x + y for A1
         wrong = poly_from_terms(1, (0, 0, 1), (1, 0, 2), (0, 1, 1))
-        monkeypatch.setattr(conjecture, "f_triangle", lambda spec: wrong)
+        monkeypatch.setattr(cli, "f_triangle", lambda spec: wrong)
         code, out = run_cli(capsys, "verify", "A1")
         assert code == EXIT_MISMATCH
         payload = json.loads(out)["payload"]
@@ -228,6 +238,18 @@ class TestVerifyCommand:
         timings = json.loads(out)["payload"]["timings"]
         assert set(timings) == {"f_triangle", "lattice", "compare"}
         assert timings["lattice"] >= 0.05
+        assert timings["f_triangle"] < 0.05 and timings["compare"] < 0.05
+
+    def test_timings_time_the_f_triangle_apart_from_the_other_stages(self, capsys, monkeypatch):
+        def slow(spec):
+            time.sleep(0.05)
+            return f_triangle(spec)
+
+        monkeypatch.setattr(cli, "f_triangle", slow)
+        _, out = run_cli(capsys, "verify", "A2", "--timings")
+        timings = json.loads(out)["payload"]["timings"]
+        assert timings["f_triangle"] >= 0.05
+        assert timings["lattice"] < 0.05 and timings["compare"] < 0.05
 
     @pytest.mark.parametrize("argv", [("verify", "A2"), ("sweep", "A1", "A2")], ids=["verify", "sweep"])
     def test_internal_error_exit_code(self, capsys, monkeypatch, argv):
@@ -254,7 +276,7 @@ class TestVerifyCommand:
         # error line, with no traceback, naming the entry
         lat = nc_lattice(parse_spec("A1"))
         if side == "f":
-            monkeypatch.setattr(conjecture, "f_triangle", lambda spec: ((1, 1), (1, 1)))
+            monkeypatch.setattr(cli, "f_triangle", lambda spec: ((1, 1), (1, 1)))
             message = "coefficient [1][1] = 1 lies outside k + l <= 1"
         else:
             lat = lat._replace(m_triangle=((1, 1), (-1, 1)))
@@ -516,7 +538,7 @@ class TestDeterminismAndCache:
                 calls.append("f_triangle")
             return real_f_triangle(spec)
 
-        for module in (ftriangle, conjecture, cli):
+        for module in (ftriangle, cli):
             monkeypatch.setattr(module, "f_triangle", f_triangle)
 
         def counted(name, real):
@@ -702,11 +724,15 @@ class TestExitPath:
         assert run_module(*argv).returncode == code
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("argv", [["verify", "A2"], ["ftriangle", "A40"], ["--help"]])
-    def test_closed_pipe_is_one_line_and_exit_120(self, argv, unbuffered):
+    @pytest.mark.parametrize(
+        "argv", [["verify", "A2"], ["sweep", "A1", "A2", "A3", "A4", "A5", "A6", "A7"], ["--help"]]
+    )
+    def test_closed_pipe_is_one_line_and_exit_120(self, capsys, argv, unbuffered):
         # a pipe whose read end is closed: the write fails unbuffered, the
-        # flush buffered; the 25 kB of ftriangle A40 fill the buffer, so its
-        # write fails in both modes
+        # flush buffered; the sweep's 13 kB are more than the buffer holds,
+        # so its write fails in both modes
+        if argv[0] == "sweep":
+            assert len(run_cli(capsys, *argv)[1]) > io.DEFAULT_BUFFER_SIZE
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

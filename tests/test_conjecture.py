@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fmtri import conjecture, weyl
+from fmtri import weyl
 from fmtri.cartan import parse_spec, spec_of
 from fmtri.conjecture import conjecture_rhs, verify_conjecture
 from fmtri.errors import ComputationTimeout, Deadline, InvariantViolation
@@ -80,43 +80,54 @@ class TestVerify:
     def test_c_family(self):
         # C lattices are built from their own Cartan data, not routed via B
         for s in ["C3", "C4"]:
-            payload, _ = verify_conjecture(nc_lattice(parse_spec(s)))
+            payload = verify_conjecture(nc_lattice(parse_spec(s)), f_triangle(parse_spec(s)))
             assert payload["verified"] and all(payload["evidence"].values()), s
 
     def test_a3_positive_cluster_count(self):
-        payload, _ = verify_conjecture(nc_lattice(parse_spec("A3")))
+        lat, ft = nc_lattice(parse_spec("A3")), f_triangle(parse_spec("A3"))
+        payload = verify_conjecture(lat, ft)
         assert payload["verified"]
-        lat = nc_lattice(parse_spec("A3"))
-        assert f_triangle(parse_spec("A3"))[3][0] == 5
+        assert ft[3][0] == 5
         assert lat.mobius_number == -5
         assert payload["evidence"]["positive_cluster_count_match"]
 
     def test_coxeter_order_does_not_matter(self):
-        p1, _ = verify_conjecture(nc_lattice(parse_spec("B3"), (3, 1, 2)))
+        ft = f_triangle(parse_spec("B3"))
+        p1 = verify_conjecture(nc_lattice(parse_spec("B3"), (3, 1, 2)), ft)
         assert p1["verified"] and all(p1["evidence"].values())
-        assert p1["rhs"] == verify_conjecture(nc_lattice(parse_spec("B3")))[0]["rhs"]
+        assert p1["rhs"] == verify_conjecture(nc_lattice(parse_spec("B3")), ft)["rhs"]
 
     def test_evidence_builds_respect_the_deadline(self, monkeypatch):
         # the multiplicativity check builds the lattice of every component
         lat = nc_lattice(parse_spec("A3xA1"))
         monkeypatch.setattr(weyl, "_LATTICE_MEMO", {})
         with pytest.raises(ComputationTimeout):
-            verify_conjecture(lat, deadline=Deadline(0))
+            verify_conjecture(lat, f_triangle(lat.spec), deadline=Deadline(0))
 
     def test_report_payload_round_trips_json(self):
-        payload, timings = verify_conjecture(nc_lattice(parse_spec("A2")))
+        payload = verify_conjecture(nc_lattice(parse_spec("A2")), f_triangle(parse_spec("A2")))
         assert json.loads(json.dumps(payload)) == payload
-        assert "timings" not in payload
-        assert set(timings) == {"f_triangle", "compare"}
+        assert set(payload) == {"n", "verified", "lhs", "rhs", "mismatches", "evidence"}
 
-    def test_mismatch_reported_not_raised(self, monkeypatch):
-        # doctor a wrong triangle: the comparison must surface data, not raise
+    def test_mismatch_reported_not_raised(self):
+        # a wrong triangle: the comparison must surface data, not raise
         wrong = poly_from_terms(1, (0, 0, 1), (1, 0, 2), (0, 1, 1))
-        monkeypatch.setattr(conjecture, "f_triangle", lambda spec: wrong)
-        payload, _ = verify_conjecture(nc_lattice(parse_spec("A1")))
+        payload = verify_conjecture(nc_lattice(parse_spec("A1")), wrong)
         assert payload["verified"] is False
         # 1 + 2x + y transforms to (1-y) + 2(x+y) + y = 1 + 2x + 2y
         assert payload["mismatches"] == [[0, 1, 2, 1], [1, 0, 2, 1]]
+
+    @pytest.mark.parametrize(
+        "spec, other",
+        [("A1", ""), ("A1", "A2"), ("A2", "A1")],
+        ids=["A1-rank0", "A1-A2", "A2-A1"],
+    )
+    def test_a_triangle_of_another_rank_is_refused(self, spec, other):
+        # the comparison zips rows, so a triangle of another rank would be
+        # compared on the overlap only: ((1,),) against A1 would verify
+        ft = f_triangle(parse_spec(other)) if other else ((1,),)
+        with pytest.raises(InvariantViolation, match="F-triangle of rank"):
+            verify_conjecture(nc_lattice(parse_spec(spec)), ft)
 
 
 class TestAlternativeForm:

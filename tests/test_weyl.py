@@ -12,6 +12,7 @@ from fmtri import weyl
 from fmtri.cartan import CartanType, parse_spec, spec_of
 from fmtri.conjecture import verify_conjecture
 from fmtri.errors import InvariantViolation, SpecError
+from fmtri.ftriangle import f_triangle
 from fmtri.poly import product
 from fmtri.weyl import (
     build_nc_lattice,
@@ -498,7 +499,7 @@ class TestNCLattice:
         assert (lat.cardinality, lat.mobius_number) == (4160, -2431)
         assert (forms.cardinality, forms.mobius_number) == (4160, -2431)
         assert maximal_chains(lat) == forms.maximal_chains == 1062882
-        payload, _ = verify_conjecture(lat)
+        payload = verify_conjecture(lat, f_triangle(lat.spec))
         assert payload["verified"] and all(payload["evidence"].values())
 
     def test_e8(self):
@@ -508,7 +509,7 @@ class TestNCLattice:
         assert lat.mobius_number == forms.mobius_number == zeta_value(forms, -1)
         assert forms.group_order == 696729600
         assert maximal_chains(lat) == forms.maximal_chains == 37968750
-        payload, _ = verify_conjecture(lat)
+        payload = verify_conjecture(lat, f_triangle(lat.spec))
         assert payload["verified"] and all(payload["evidence"].values())
 
     def test_grading_via_covers(self):
